@@ -22,6 +22,7 @@
 //! (`-- --quick` for the CI smoke configuration). Prints a table and a
 //! JSON object suitable for `BENCH_engine.json`.
 
+use adaedge_bench::harness::{median, stddev};
 use adaedge_core::engine::{run_pipeline, EngineConfig, EngineReport};
 use adaedge_datasets::{CycleSource, SineStream};
 
@@ -38,27 +39,6 @@ fn run_once(threads: usize, batch: usize, segments: usize) -> EngineReport {
         ..Default::default()
     };
     run_pipeline(&mut source, segments, &config).expect("pipeline")
-}
-
-/// Median of a sample (odd-preferring: even lengths average the middle two).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Sample standard deviation (n-1 denominator; 0 for a single run).
-fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
 }
 
 struct Row {

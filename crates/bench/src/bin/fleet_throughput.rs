@@ -22,6 +22,7 @@
 //! (`-- --quick` for the CI smoke configuration: 1k streams, one run).
 //! Prints a table and a JSON object suitable for `BENCH_fleet.json`.
 
+use adaedge_bench::harness::{median, stddev};
 use adaedge_core::engine::{run_pipeline, EngineConfig};
 use adaedge_core::fleet::{run_fleet, FleetConfig, FleetReport, StreamSpec};
 use adaedge_core::frame::Priority;
@@ -106,25 +107,6 @@ fn run_engine_once(segments: usize) -> f64 {
     };
     let report = run_pipeline(&mut source, segments, &config).expect("engine");
     report.points_per_sec / SEGMENT_LEN as f64
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite throughput"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
 }
 
 struct Row {

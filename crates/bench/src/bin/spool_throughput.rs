@@ -20,6 +20,7 @@
 //! (`-- --quick` for the CI smoke configuration). Prints a table and a
 //! JSON object suitable for `BENCH_spool.json`.
 
+use adaedge_bench::harness::{median, stddev};
 use adaedge_storage::spool::{ReplayItem, Spool, SpoolConfig};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -101,27 +102,6 @@ fn run_once(cfg: &Cfg) -> Sample {
         recover_mb_per_sec: bytes / recover_secs / 1e6,
         replay_recs_per_sec: cfg.records as f64 / replay_secs,
     }
-}
-
-/// Median of a sample (even lengths average the middle two).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Sample standard deviation (n-1 denominator; 0 for a single run).
-fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
 }
 
 struct Row {

@@ -23,6 +23,7 @@
 //!
 //! Usage: `uplink_goodput [--quick]`
 
+use adaedge_bench::harness::{median, stddev};
 use adaedge_codecs::{CodecId, CodecRegistry};
 use adaedge_core::selector::ArmOutcome;
 use adaedge_core::{
@@ -151,25 +152,6 @@ fn run_once(policy: Policy, loss: f64, seed: u64, ticks: u64) -> Sample {
     out.backlog_end = up.backlog() as u64 + queue.len() as u64;
     out.goodput = (out.segments as usize * RAW_BYTES) as f64 / ticks as f64;
     out
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
 }
 
 struct Row {

@@ -81,6 +81,29 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// Median of a slice, sorting it in place (the mean of the two middle
+/// values for an even count). Panics on NaN or an empty slice.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// Sample standard deviation (n-1 denominator; 0 for fewer than two
+/// samples).
+pub fn stddev(xs: &[f64]) -> f64 {
+    if xs.len() < 2 {
+        return 0.0;
+    }
+    let m = mean(xs);
+    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
+    var.sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,5 +135,15 @@ mod tests {
     fn mean_math() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
+    }
+
+    #[test]
+    fn median_and_stddev_math() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
+        assert_eq!(stddev(&[5.0]), 0.0);
+        assert_eq!(stddev(&[]), 0.0);
+        assert_eq!(stddev(&[1.0, 3.0]), 2f64.sqrt());
     }
 }

@@ -1,22 +1,16 @@
 //! The multithreaded ingest → compress pipeline (§IV-C workflow, §V
 //! scalability experiment), sharded per core.
 //!
-//! The pipeline runs **S independent shards** (S = worker threads): each
-//! shard owns a bounded segment queue, a recycle pool sized by the
-//! per-shard pigeonhole bound ([`crate::shard::shard_pool_size`]), and a
-//! local [`ReplicaSelector`] that makes every arm decision lock-free from
-//! its own copy of the bandit state. Replicas publish per-batch outcome
-//! deltas into a [`SharedOutcomeTable`] with plain `fetch_add`s and fold
-//! foreign deltas back every [`EngineConfig::sync_interval`] decisions —
-//! there is **zero mutex traffic per segment** in the steady state, which
-//! the report's `selector_lock_acquisitions` counter proves.
-//!
-//! The ingestion stage round-robins batches across shard queues (skipping
-//! shards whose pool is momentarily empty, so a slow shard cannot stall
-//! ingest), and workers **steal** from foreign shard queues when their own
-//! runs dry, so a shard pinned on an expensive or quarantined arm cannot
-//! idle the others. A stolen batch is decided by the *stealing* worker's
-//! replica and its buffers return to the *home* shard's recycle pool.
+//! Both engines run on the shard runtime of [`crate::shard`]: S shards
+//! (S = worker threads), each with a bounded queue and a recycle pool
+//! (`ShardQueues`), workers that steal from foreign queues when their
+//! own runs dry, and one contained compress step per batch
+//! (`compress_batch`). What the engines add is the decision: each shard
+//! owns a local [`ReplicaSelector`] that picks arms lock-free from its own
+//! copy of the bandit state, publishes per-batch outcome deltas into a
+//! [`SharedOutcomeTable`] with plain `fetch_add`s and folds foreign deltas
+//! back every [`EngineConfig::sync_interval`] decisions. A stolen batch is
+//! decided by the *stealing* worker's replica.
 //!
 //! Segments move in batches of [`EngineConfig::batch_segments`] (K): one
 //! arm decision held sticky per batch, outcomes accumulated locally and
@@ -26,16 +20,15 @@
 //! scheduling exactly — the bandit-exact mode the equivalence tests pin.
 
 use crate::error::{AdaEdgeError, Result};
-use crate::selector::{ArmOutcome, SelectorConfig};
+use crate::selector::SelectorConfig;
 use crate::shard::{
-    resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable, WorkGate,
+    compress_batch, ReplicaSelector, ShardBatch, ShardProducer, ShardQueues, ShardWorker,
+    SharedOutcomeTable,
 };
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::SegmentSource;
-use crossbeam::channel::{self, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -96,139 +89,31 @@ impl Default for EngineConfig {
 /// rare enough that the O(arms) fold stays invisible in profiles.
 pub const DEFAULT_SYNC_INTERVAL: usize = 32;
 
-/// A batch of recycled segment buffers moving through one shard's queues
-/// as a unit. `home` names the shard whose recycle pool owns the buffers —
-/// a stolen batch is processed by a foreign worker but its buffers always
-/// return home, keeping the per-shard pool accounting intact.
-struct SegmentBatch {
-    home: usize,
-    segs: Vec<Vec<f64>>,
-}
-
-/// Seed shard `home`'s recycle channel with `pool` batches of `k` segment
-/// buffers each.
-fn seed_recycle_pool(
-    recycle_tx: &channel::Sender<SegmentBatch>,
-    home: usize,
-    pool: usize,
+/// The engines' ingestion stage (caller thread): refill recycled buffers
+/// from the round-robin cursor's pool onward and enqueue them on their
+/// home shard. Returns the segments that found their queue full (spills).
+fn ingest(
+    producer: &ShardProducer<'_, ()>,
+    source: &mut dyn SegmentSource,
+    n_segments: usize,
     k: usize,
-    segment_len: usize,
-) -> Result<()> {
-    for _ in 0..pool {
-        let batch = SegmentBatch {
-            home,
-            segs: (0..k).map(|_| Vec::with_capacity(segment_len)).collect(),
+) -> u64 {
+    let mut spills = 0u64;
+    let mut next = 0usize;
+    let mut remaining = n_segments;
+    while remaining > 0 {
+        let take = k.min(remaining);
+        let Some((home, segs)) = producer.acquire(next, take, source) else {
+            break;
         };
-        recycle_tx
-            .send(batch)
-            .map_err(|_| AdaEdgeError::WorkerFailed {
-                stage: "recycle pool seeding",
-            })?;
-    }
-    Ok(())
-}
-
-/// Refill a recycled batch with up to `remaining` fresh segments.
-/// Truncation below `k` only happens on the final partial batch, so the
-/// steady state never sheds buffers.
-fn fill_batch(source: &mut dyn SegmentSource, batch: &mut SegmentBatch, remaining: usize) {
-    batch.segs.truncate(batch.segs.len().min(remaining));
-    for seg in batch.segs.iter_mut() {
-        source.next_segment_into(seg);
-    }
-}
-
-/// One non-blocking sweep for the worker of shard `me`: its own queue
-/// first, then a steal pass over foreign queues, starting just past its
-/// own shard so contending stealers fan out over different victims.
-/// `open` tracks queues not yet known dead.
-fn try_take(
-    me: usize,
-    rxs: &[channel::Receiver<SegmentBatch>],
-    open: &mut [bool],
-    table: &SharedOutcomeTable,
-) -> Option<SegmentBatch> {
-    for off in 0..rxs.len() {
-        let j = (me + off) % rxs.len();
-        if !open[j] {
-            continue;
-        }
-        match rxs[j].try_recv() {
-            Ok(b) => {
-                if j != me {
-                    table.count_steal();
-                }
-                return Some(b);
-            }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => open[j] = false,
+        next = home + 1;
+        remaining -= take;
+        match producer.enqueue(home, (), segs) {
+            Some(spilled) => spills += spilled as u64,
+            None => break,
         }
     }
-    None
-}
-
-/// Receive the next batch for the worker of shard `me`: a non-blocking
-/// sweep over every queue, then a parked wait on `gate` that any enqueue
-/// ends immediately — no worker ever sleeps through an arrival on a
-/// foreign queue (the old scheme blocked on one queue with a 1 ms rescan
-/// timeout, adding up to a millisecond of latency per stolen batch).
-/// Returns `None` once every queue is disconnected and drained.
-fn recv_or_steal(
-    me: usize,
-    rxs: &[channel::Receiver<SegmentBatch>],
-    open: &mut [bool],
-    table: &SharedOutcomeTable,
-    gate: &WorkGate,
-) -> Option<SegmentBatch> {
-    loop {
-        if let Some(b) = try_take(me, rxs, open, table) {
-            return Some(b);
-        }
-        if !open.iter().any(|&o| o) {
-            return None;
-        }
-        // Everything open is momentarily empty. Register as a sleeper
-        // *before* the confirmation sweep: an enqueue that lands after the
-        // sweep either sees the registration (and notifies) or bumps the
-        // epoch before `park` re-checks it — no arrival can slip through.
-        gate.register_sleeper();
-        let ticket = gate.epoch();
-        if let Some(b) = try_take(me, rxs, open, table) {
-            gate.cancel_park();
-            return Some(b);
-        }
-        if !open.iter().any(|&o| o) {
-            gate.cancel_park();
-            return None;
-        }
-        gate.park(ticket);
-    }
-}
-
-/// Take a recycled batch for the producer, sweeping the shard pools from
-/// the round-robin cursor and blocking on the cursor shard only when every
-/// pool is momentarily drained (the per-shard pool bound guarantees a
-/// batch comes back). Advances the cursor past the shard that supplied the
-/// batch. Returns `None` when the pipeline has shut down.
-fn acquire_recycled(
-    next: &mut usize,
-    recycle_rxs: &[channel::Receiver<SegmentBatch>],
-) -> Option<SegmentBatch> {
-    let s = recycle_rxs.len();
-    for off in 0..s {
-        let sh = (*next + off) % s;
-        if let Ok(b) = recycle_rxs[sh].try_recv() {
-            *next = (sh + 1) % s;
-            return Some(b);
-        }
-    }
-    match recycle_rxs[*next].recv() {
-        Ok(b) => {
-            *next = (*next + 1) % s;
-            Some(b)
-        }
-        Err(_) => None,
-    }
+    spills
 }
 
 /// Aggregate pipeline results.
@@ -262,10 +147,6 @@ pub struct EngineReport {
     pub stolen_batches: u64,
     /// Delta-sync folds performed across all shard replicas.
     pub selector_syncs: u64,
-    /// Mutex acquisitions on the per-segment selector hot path. The
-    /// sharded engine has none — this is the lock-freedom proof the
-    /// shard-equivalence suite asserts stays 0.
-    pub selector_lock_acquisitions: u64,
 }
 
 /// Run `n_segments` from `source` through the sharded pipeline and report
@@ -274,7 +155,7 @@ pub struct EngineReport {
 /// Codec errors and panics are contained per segment (the segment is
 /// stored Raw and the arm penalized); `Err(AdaEdgeError::WorkerFailed)`
 /// is returned only if a worker thread dies outside that contained
-/// region, or a recycle pool cannot be seeded.
+/// region.
 pub fn run_pipeline(
     source: &mut dyn SegmentSource,
     n_segments: usize,
@@ -285,176 +166,71 @@ pub fn run_pipeline(
         reg.inject_compress_panic(id);
     }
     let reg = reg;
-    let n_shards = resolve_threads(config.n_compression_threads);
-    let buffer_cap = config.buffer_segments.max(1);
     let k = config.batch_segments.max(1);
-    let sync_interval = config.sync_interval.max(1);
-    // The queues are bounded in *batches*; `buffer_segments` keeps its
-    // meaning (segments of in-flight buffer) by dividing through K and
-    // splitting the result across the shard queues. The floor of two
-    // batches per shard lets a worker drain one batch while the producer
-    // parks the next — a single-slot queue serializes the two stages.
-    let batch_cap = buffer_cap.div_ceil(k).div_ceil(n_shards).max(2);
-    let pool = shard_pool_size(batch_cap, n_shards);
+    let queues = ShardQueues::new(
+        config.n_compression_threads,
+        config.buffer_segments,
+        k,
+        source.segment_len(),
+    );
     let table = SharedOutcomeTable::new(config.lossless_arms.len());
-    let gate = WorkGate::new();
-
-    let mut txs = Vec::with_capacity(n_shards);
-    let mut rxs = Vec::with_capacity(n_shards);
-    let mut recycle_txs = Vec::with_capacity(n_shards);
-    let mut recycle_rxs = Vec::with_capacity(n_shards);
-    for home in 0..n_shards {
-        let (tx, rx) = channel::bounded::<SegmentBatch>(batch_cap);
-        let (rtx, rrx) = channel::bounded::<SegmentBatch>(pool);
-        seed_recycle_pool(&rtx, home, pool, k, source.segment_len())?;
-        txs.push(tx);
-        rxs.push(rx);
-        recycle_txs.push(rtx);
-        recycle_rxs.push(rrx);
-    }
-    let bytes_out = AtomicU64::new(0);
-    let spills = AtomicU64::new(0);
-    let segment_points = source.segment_len() as u64;
+    let mut spills = 0u64;
 
     let start = Instant::now();
-    let mut codec_counts: HashMap<CodecId, u64> = HashMap::new();
-    std::thread::scope(|scope| -> Result<()> {
-        let mut workers = Vec::new();
-        for me in 0..n_shards {
-            let all_rxs = rxs.to_vec();
-            let all_recycle_txs = recycle_txs.to_vec();
-            let reg = &reg;
-            let table = &table;
-            let gate = &gate;
-            let bytes_out = &bytes_out;
-            let arms = config.lossless_arms.clone();
-            let selector_config = config.selector;
-            workers.push(scope.spawn(move || {
-                let mut replica =
-                    ReplicaSelector::new(arms, selector_config, me, table, sync_interval);
-                let mut scratch = CodecScratch::new();
-                let mut local_counts: HashMap<CodecId, u64> = HashMap::new();
-                let mut outcomes: Vec<ArmOutcome> = Vec::with_capacity(k);
-                let mut open = vec![true; n_shards];
-                while let Some(batch) = recv_or_steal(me, &all_rxs, &mut open, table, gate) {
-                    // One lock-free decision per batch, arm held sticky;
-                    // outcomes accumulate locally and publish as one
-                    // atomic delta.
-                    let (arm, codec) = replica.select_arm();
-                    outcomes.clear();
-                    for data in &batch.segs {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            reg.compress_into(codec, data, &mut scratch)
-                                .map(|b| (b.ratio(), b.compressed_bytes()))
-                        }));
-                        match outcome {
-                            Ok(Ok((ratio, bytes))) => {
-                                bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
-                                outcomes.push(ArmOutcome::Ratio(ratio));
-                                *local_counts.entry(codec).or_insert(0) += 1;
-                            }
-                            // Codec error or caught panic: contain it,
-                            // penalize the arm, and degrade this segment to
-                            // Raw so no data is lost. (A panicked compress
-                            // may have left the arena mid-write; Raw
-                            // rebuilds its output from scratch, so the
-                            // fallback is unaffected.)
-                            _ => {
-                                outcomes.push(ArmOutcome::Failure);
-                                if let Ok(block) =
-                                    reg.compress_into(CodecId::Raw, data, &mut scratch)
-                                {
-                                    bytes_out.fetch_add(
-                                        block.compressed_bytes() as u64,
-                                        Ordering::Relaxed,
-                                    );
-                                    *local_counts.entry(CodecId::Raw).or_insert(0) += 1;
-                                }
-                            }
-                        }
-                    }
-                    replica.report_batch(arm, &outcomes);
-                    // Hand the drained batch back to its home shard's pool
-                    // (fails harmlessly once ingestion is done).
-                    let home = batch.home;
-                    let _ = all_recycle_txs[home].send(batch);
-                }
-                // Final fold so the replica's view is complete at exit.
-                replica.sync();
-                local_counts
-            }));
-        }
-        drop(rxs);
-        drop(recycle_txs);
-
-        // Ingestion stage (this thread): refill a recycled batch from the
-        // least-backlogged pool the round-robin sweep finds, enqueue it on
-        // its home shard. A failed `try_send` is the spill signal — it
-        // observes fullness and enqueues in one channel operation; every
-        // segment in the delayed batch counts as spilled.
-        let mut next = 0usize;
-        let mut remaining = n_segments;
-        while remaining > 0 {
-            let Some(mut batch) = acquire_recycled(&mut next, &recycle_rxs) else {
-                break;
-            };
-            fill_batch(source, &mut batch, remaining);
-            remaining -= batch.segs.len();
-            let home = batch.home;
-            match txs[home].try_send(batch) {
-                Ok(()) => gate.notify(),
-                Err(channel::TrySendError::Full(batch)) => {
-                    spills.fetch_add(batch.segs.len() as u64, Ordering::Relaxed);
-                    if txs[home].send(batch).is_err() {
-                        break;
-                    }
-                    gate.notify();
-                }
-                Err(channel::TrySendError::Disconnected(_)) => break,
+    let locals = queues.run(
+        |worker: &mut ShardWorker<()>| {
+            let mut replica = ReplicaSelector::new(
+                config.lossless_arms.clone(),
+                config.selector,
+                worker.shard(),
+                &table,
+                config.sync_interval,
+            );
+            let mut scratch = CodecScratch::new();
+            let mut outcomes = Vec::with_capacity(k);
+            let mut counts: HashMap<CodecId, u64> = HashMap::new();
+            let mut bytes_out = 0u64;
+            while let Some(ShardBatch { home, segs, .. }) = worker.recv() {
+                // One lock-free decision per batch, arm held sticky;
+                // outcomes publish as one atomic delta.
+                let (arm, codec) = replica.select_arm();
+                compress_batch(&reg, codec, &segs, &mut scratch, &mut outcomes, |_, b| {
+                    bytes_out += b.compressed_bytes() as u64;
+                    *counts.entry(b.codec).or_insert(0) += 1;
+                });
+                replica.report_batch(arm, &outcomes);
+                worker.recycle(home, segs);
             }
-        }
-        drop(txs);
-        drop(recycle_rxs);
-        // Wake any parked worker so it observes the disconnected queues.
-        gate.notify();
-
-        // Join every worker before deciding the outcome so a single dead
-        // thread cannot leave the scope with unjoined panics.
-        let mut lost_worker = false;
-        for w in workers {
-            match w.join() {
-                Ok(local) => {
-                    for (codec, count) in local {
-                        *codec_counts.entry(codec).or_insert(0) += count;
-                    }
-                }
-                Err(_) => lost_worker = true,
-            }
-        }
-        if lost_worker {
-            return Err(AdaEdgeError::WorkerFailed {
-                stage: "compression worker",
-            });
-        }
-        Ok(())
-    })?;
+            // Final fold so the replica's view is complete at exit.
+            replica.sync();
+            (counts, bytes_out)
+        },
+        |producer| spills = ingest(producer, source, n_segments, k),
+    )?;
     let elapsed = start.elapsed().as_secs_f64();
-    let points = n_segments as u64 * segment_points;
+    let mut codec_counts: HashMap<CodecId, u64> = HashMap::new();
+    let mut bytes_out = 0u64;
+    for (counts, bytes) in locals {
+        for (codec, count) in counts {
+            *codec_counts.entry(codec).or_insert(0) += count;
+        }
+        bytes_out += bytes;
+    }
+    let points = n_segments as u64 * source.segment_len() as u64;
     Ok(EngineReport {
         segments: n_segments as u64,
         points,
         bytes_in: points * 8,
-        bytes_out: bytes_out.load(Ordering::Relaxed),
+        bytes_out,
         elapsed_seconds: elapsed,
         points_per_sec: points as f64 / elapsed.max(1e-9),
-        spills: spills.load(Ordering::Relaxed),
+        spills,
         codec_counts,
         codec_failures: table.failure_total(),
         quarantined: table.quarantined_arms(&config.lossless_arms),
-        shards: n_shards,
-        stolen_batches: table.stolen_batches(),
+        shards: queues.shards(),
+        stolen_batches: queues.stolen_batches(),
         selector_syncs: table.syncs(),
-        selector_lock_acquisitions: table.selector_locks(),
     })
 }
 
@@ -539,10 +315,6 @@ pub struct OfflineEngineReport {
     pub stolen_batches: u64,
     /// Delta-sync folds performed across all shard replicas.
     pub selector_syncs: u64,
-    /// Mutex acquisitions on the per-segment selector hot path (0: the
-    /// lossless replicas are lock-free and the recoding thread *owns* its
-    /// banded lossy selector outright).
-    pub selector_lock_acquisitions: u64,
 }
 
 /// Run the multithreaded offline pipeline: ingestion (caller thread) →
@@ -568,8 +340,6 @@ pub fn run_offline_pipeline(
     // The recoding thread is the banded lossy selector's only user, so it
     // owns the selector outright — no mutex, no contention.
     let mut lossy = BandedLossySelector::new(config.lossy_arms.clone(), config.selector, evaluator);
-    let n_shards = resolve_threads(config.n_compression_threads);
-    let buffer_cap = config.buffer_segments.max(1);
     let workers_done = std::sync::atomic::AtomicBool::new(false);
     // Signals any change to the store's occupancy: workers wake the recoder
     // after a put, the recoder wakes blocked workers after freeing space, and
@@ -579,26 +349,13 @@ pub fn run_offline_pipeline(
     let recodes = AtomicU64::new(0);
     let drops = AtomicU64::new(0);
     let k = config.batch_segments.max(1);
-    let sync_interval = config.sync_interval.max(1);
-    // Two-batch floor per shard, as in `run_pipeline`.
-    let batch_cap = buffer_cap.div_ceil(k).div_ceil(n_shards).max(2);
-    // Same per-shard recycle pools as `run_pipeline`.
-    let pool = shard_pool_size(batch_cap, n_shards);
+    let queues = ShardQueues::new(
+        config.n_compression_threads,
+        config.buffer_segments,
+        k,
+        source.segment_len(),
+    );
     let table = SharedOutcomeTable::new(config.lossless_arms.len());
-    let gate = WorkGate::new();
-    let mut txs = Vec::with_capacity(n_shards);
-    let mut rxs = Vec::with_capacity(n_shards);
-    let mut recycle_txs = Vec::with_capacity(n_shards);
-    let mut recycle_rxs = Vec::with_capacity(n_shards);
-    for home in 0..n_shards {
-        let (tx, rx) = channel::bounded::<SegmentBatch>(batch_cap);
-        let (rtx, rrx) = channel::bounded::<SegmentBatch>(pool);
-        seed_recycle_pool(&rtx, home, pool, k, source.segment_len())?;
-        txs.push(tx);
-        rxs.push(rx);
-        recycle_txs.push(rtx);
-        recycle_rxs.push(rrx);
-    }
     let segment_points = source.segment_len() as u64;
     let threshold = config.recode_threshold;
     let budget = config.storage_budget_bytes;
@@ -706,62 +463,30 @@ pub fn run_offline_pipeline(
             })
         };
 
-        // Compression workers, one shard each.
-        let mut workers = Vec::new();
-        for me in 0..n_shards {
-            let all_rxs = rxs.to_vec();
-            let all_recycle_txs = recycle_txs.to_vec();
-            let reg = &reg;
-            let table = &table;
-            let gate = &gate;
-            let store = &store;
-            let store_cv = &store_cv;
-            let drops = &drops;
-            let arms = config.lossless_arms.clone();
-            let selector_config = config.selector;
-            workers.push(scope.spawn(move || {
-                let mut replica =
-                    ReplicaSelector::new(arms, selector_config, me, table, sync_interval);
+        let workers = queues.run(
+            |worker: &mut ShardWorker<()>| {
+                let mut replica = ReplicaSelector::new(
+                    config.lossless_arms.clone(),
+                    config.selector,
+                    worker.shard(),
+                    &table,
+                    config.sync_interval,
+                );
                 let mut scratch = CodecScratch::new();
-                let mut outcomes: Vec<ArmOutcome> = Vec::with_capacity(k);
+                let mut outcomes = Vec::with_capacity(k);
                 let mut blocks = Vec::with_capacity(k);
-                let mut open = vec![true; n_shards];
-                while let Some(batch) = recv_or_steal(me, &all_rxs, &mut open, table, gate) {
+                while let Some(ShardBatch { home, segs, .. }) = worker.recv() {
                     // One lock-free decision per batch (arm held sticky),
-                    // one replica report, then the store puts.
+                    // one replica report, then the store puts. The store
+                    // takes ownership, so each block is materialized.
                     let (arm, codec) = replica.select_arm();
-                    outcomes.clear();
-                    blocks.clear();
-                    for data in &batch.segs {
-                        // The store takes ownership, so the scratch-backed
-                        // block is materialized once inside the contained
-                        // region.
-                        let compressed = catch_unwind(AssertUnwindSafe(|| {
-                            reg.compress_into(codec, data, &mut scratch)
-                                .map(|b| (b.ratio(), b.to_block()))
-                        }));
-                        match compressed {
-                            Ok(Ok((ratio, block))) => {
-                                outcomes.push(ArmOutcome::Ratio(ratio));
-                                blocks.push(block);
-                            }
-                            // Codec error or caught panic: penalize the arm
-                            // and degrade the segment to Raw instead of
-                            // losing it.
-                            _ => {
-                                outcomes.push(ArmOutcome::Failure);
-                                match reg.compress_into(CodecId::Raw, data, &mut scratch) {
-                                    Ok(b) => blocks.push(b.to_block()),
-                                    Err(_) => {
-                                        drops.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    compress_batch(&reg, codec, &segs, &mut scratch, &mut outcomes, |_, b| {
+                        blocks.push(b.to_block())
+                    });
+                    // A segment even Raw rejected is lost.
+                    drops.fetch_add((segs.len() - blocks.len()) as u64, Ordering::Relaxed);
                     replica.report_batch(arm, &outcomes);
-                    let home = batch.home;
-                    let _ = all_recycle_txs[home].send(batch);
+                    worker.recycle(home, segs);
                     for block in blocks.drain(..) {
                         // Wait (bounded) for the recoder to clear space,
                         // sleeping on the condvar between attempts instead
@@ -790,45 +515,18 @@ pub fn run_offline_pipeline(
                     }
                 }
                 replica.sync();
-            }));
-        }
-        drop(rxs);
-        drop(recycle_txs);
-
-        let mut next = 0usize;
-        let mut remaining = n_segments;
-        while remaining > 0 {
-            let Some(mut batch) = acquire_recycled(&mut next, &recycle_rxs) else {
-                break;
-            };
-            fill_batch(source, &mut batch, remaining);
-            remaining -= batch.segs.len();
-            let home = batch.home;
-            if txs[home].send(batch).is_err() {
-                break;
-            }
-            gate.notify();
-        }
-        drop(txs);
-        drop(recycle_rxs);
-        // Wake any parked worker so it observes the disconnected queues.
-        gate.notify();
-        // Join everything before deciding the outcome so the scope never
-        // exits with an unjoined panicked thread.
-        let mut lost_worker = false;
-        for w in workers {
-            if w.join().is_err() {
-                lost_worker = true;
-            }
-        }
+            },
+            |producer| {
+                ingest(producer, source, n_segments, k);
+            },
+        );
+        // Workers are joined: stop the recoder, and join it too before
+        // deciding the outcome so the scope never exits with an unjoined
+        // panicked thread.
         workers_done.store(true, Ordering::Release);
         store_cv.notify_all();
         let lost_recoder = recoder.join().is_err();
-        if lost_worker {
-            return Err(AdaEdgeError::WorkerFailed {
-                stage: "compression worker",
-            });
-        }
+        workers?;
         if lost_recoder {
             return Err(AdaEdgeError::WorkerFailed {
                 stage: "recoding thread",
@@ -851,10 +549,9 @@ pub fn run_offline_pipeline(
         points_per_sec: points as f64 / elapsed.max(1e-9),
         codec_failures: table.failure_total(),
         quarantined: table.quarantined_arms(&config.lossless_arms),
-        shards: n_shards,
-        stolen_batches: table.stolen_batches(),
+        shards: queues.shards(),
+        stolen_batches: queues.stolen_batches(),
         selector_syncs: table.syncs(),
-        selector_lock_acquisitions: table.selector_locks(),
     })
 }
 
@@ -885,7 +582,6 @@ mod tests {
         assert_eq!(report.codec_failures, 0);
         assert!(report.quarantined.is_empty());
         assert_eq!(report.shards, 2);
-        assert_eq!(report.selector_lock_acquisitions, 0);
     }
 
     #[test]
@@ -954,7 +650,6 @@ mod tests {
         assert!(report.utilization <= 1.0 + 1e-9);
         assert!(report.recodes > 0, "recoder never ran");
         assert!(report.stored_bytes <= 60_000);
-        assert_eq!(report.selector_lock_acquisitions, 0);
     }
 
     #[test]
@@ -978,7 +673,6 @@ mod tests {
             let total: u64 = report.codec_counts.values().sum();
             assert_eq!(total, 40, "{threads} threads");
             assert_eq!(report.shards, threads);
-            assert_eq!(report.selector_lock_acquisitions, 0);
         }
     }
 }

@@ -15,13 +15,17 @@
 //!   hot path never touches the table at all — workers lock exactly one
 //!   uncontended per-stream mutex around `select_arm` and once more
 //!   around `report_batch`, microseconds apiece.
+//! * **One shard runtime.** Batches travel the same per-shard queues,
+//!   recycle pools and parked-wake work stealing as the engines'
+//!   (`shard::ShardQueues`), each tagged with its stream handle, and every
+//!   segment goes through the engines' contained compress step
+//!   (`shard::compress_batch`). What the fleet adds is the
+//!   decision under the stream's own mutex and what it emits.
 //! * **Fair, work-conserving scheduling.** The producer round-robins
-//!   ready streams into the per-shard bounded queues of the PR-5
-//!   machinery (recycle pools, [`WorkGate`]-parked work stealing): a hot
-//!   stream gets one batch per turn and goes to the back of its queue, so
-//!   it cannot starve others; a stream with nothing to send sits in no
-//!   queue and costs zero cycles; an idle shard steals batches from busy
-//!   ones.
+//!   ready streams into the shard queues: a hot stream gets one batch per
+//!   turn and goes to the back of its queue, so it cannot starve others;
+//!   a stream with nothing to send sits in no queue and costs zero
+//!   cycles; an idle shard steals batches from busy ones.
 //! * **Per-stream ordering.** At most one batch per stream is in flight
 //!   at a time, so a stream's select→report pairs never interleave —
 //!   its posterior after a multi-stream run is *identical* to a solo run
@@ -41,15 +45,14 @@
 use crate::error::{AdaEdgeError, Result};
 use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamEgress};
 use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
-use crate::shard::{resolve_threads, shard_pool_size, WorkGate};
+use crate::shard::{compress_batch, ShardQueues, ShardWorker, WorkGate};
 use crate::uplink::{LinkPressure, PressureGauge, UplinkRollup};
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::SegmentSource;
 use adaedge_storage::posterior::{load_posteriors, save_posteriors, StreamPosterior};
-use crossbeam::channel::{self, TryRecvError};
+use crossbeam::channel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -438,18 +441,6 @@ impl FleetReport {
     }
 }
 
-/// A batch of segments dispatched for one stream. `home` names the shard
-/// whose recycle pool owns the buffers (and whose queue carried the
-/// batch); the entry handle rides along so workers never look anything up.
-struct FleetBatch {
-    home: usize,
-    entry: Arc<StreamEntry>,
-    /// Fleet-wide ingest sequence of the first segment (deadline proxy
-    /// for frame packing).
-    base_seq: u64,
-    segs: Vec<Vec<f64>>,
-}
-
 /// Producer-side driver for one resident stream.
 struct StreamDriver {
     entry: Arc<StreamEntry>,
@@ -457,63 +448,6 @@ struct StreamDriver {
     remaining: usize,
     home: usize,
     restored: bool,
-}
-
-/// Non-blocking sweep over every work queue for the worker of shard `me`
-/// (own queue first, then steals), as in the engine.
-fn try_take(
-    me: usize,
-    rxs: &[channel::Receiver<FleetBatch>],
-    open: &mut [bool],
-    steals: &AtomicU64,
-) -> Option<FleetBatch> {
-    for off in 0..rxs.len() {
-        let j = (me + off) % rxs.len();
-        if !open[j] {
-            continue;
-        }
-        match rxs[j].try_recv() {
-            Ok(b) => {
-                if j != me {
-                    steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(b);
-            }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => open[j] = false,
-        }
-    }
-    None
-}
-
-/// Blocking receive with gate-parked work stealing (the engine's
-/// protocol: register as sleeper, confirmation sweep, park on the ticket).
-fn recv_or_steal(
-    me: usize,
-    rxs: &[channel::Receiver<FleetBatch>],
-    open: &mut [bool],
-    steals: &AtomicU64,
-    gate: &WorkGate,
-) -> Option<FleetBatch> {
-    loop {
-        if let Some(b) = try_take(me, rxs, open, steals) {
-            return Some(b);
-        }
-        if !open.iter().any(|&o| o) {
-            return None;
-        }
-        gate.register_sleeper();
-        let ticket = gate.epoch();
-        if let Some(b) = try_take(me, rxs, open, steals) {
-            gate.cancel_park();
-            return Some(b);
-        }
-        if !open.iter().any(|&o| o) {
-            gate.cancel_park();
-            return None;
-        }
-        gate.park(ticket);
-    }
 }
 
 /// Resident bytes one admitted stream costs: its entry, its selector
@@ -565,45 +499,18 @@ fn snapshot_posterior(entry: &StreamEntry, arms: &[CodecId]) -> (StreamPosterior
 /// frames. See the module docs for the scheduling and equivalence
 /// guarantees.
 pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetReport> {
-    let n_shards = resolve_threads(config.n_compression_threads);
+    let k = config.batch_segments.max(1);
+    let segment_len = specs.first().map_or(0, |s| s.source.segment_len());
+    let queues = ShardQueues::new(
+        config.n_compression_threads,
+        config.buffer_segments,
+        k,
+        segment_len,
+    );
+    let n_shards = queues.shards();
     let arms = config.lossless_arms.clone();
     let state_bytes = per_stream_state_bytes(arms.len());
-    if specs.is_empty() {
-        return Ok(FleetReport {
-            streams: 0,
-            segments: 0,
-            points: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            elapsed_seconds: 0.0,
-            segments_per_sec: 0.0,
-            points_per_sec: 0.0,
-            codec_counts: HashMap::new(),
-            codec_failures: 0,
-            shards: n_shards,
-            stolen_batches: 0,
-            evictions: 0,
-            restores: 0,
-            peak_resident: 0,
-            per_stream_state_bytes: state_bytes,
-            arms,
-            frames: FrameSummary {
-                frames: 0,
-                bytes: 0,
-                max_frame_used: 0,
-                payload_cap: config.frame.payload_cap,
-            },
-            degraded_batches: 0,
-            uplink: UplinkRollup::default(),
-            stream_reports: Vec::new(),
-        });
-    }
     let reg = CodecRegistry::new(config.precision);
-    let k = config.batch_segments.max(1);
-    let buffer_cap = config.buffer_segments.max(1);
-    let batch_cap = buffer_cap.div_ceil(k).div_ceil(n_shards).max(2);
-    let pool = shard_pool_size(batch_cap, n_shards);
-    let seg_len_hint = specs[0].source.segment_len();
 
     // Posterior archive: evicted streams park their learned state here;
     // re-admitted ids resume from it. Optionally seeded from / persisted
@@ -624,181 +531,112 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         }
     }
 
-    let gate = WorkGate::new(); // wakes parked workers on enqueue
     let done_gate = WorkGate::new(); // wakes the producer on batch completion
-    let steals = AtomicU64::new(0);
-    let degraded_total = AtomicU64::new(0);
     let table = ShardedStreamTable::new(n_shards, config.max_resident_streams);
-
-    let mut txs = Vec::with_capacity(n_shards);
-    let mut rxs = Vec::with_capacity(n_shards);
-    let mut recycle_txs = Vec::with_capacity(n_shards);
-    let mut recycle_rxs = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let (tx, rx) = channel::bounded::<FleetBatch>(batch_cap);
-        let (rtx, rrx) = channel::bounded::<Vec<Vec<f64>>>(pool);
-        for _ in 0..pool {
-            let bufs: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(seg_len_hint)).collect();
-            rtx.send(bufs).map_err(|_| AdaEdgeError::WorkerFailed {
-                stage: "recycle pool seeding",
-            })?;
-        }
-        txs.push(tx);
-        rxs.push(rx);
-        recycle_txs.push(rtx);
-        recycle_rxs.push(rrx);
-    }
     let (frame_tx, frame_rx) = channel::unbounded::<Vec<FrameItem>>();
     let frame_config = config.frame;
 
     let start = Instant::now();
     let mut codec_counts: HashMap<CodecId, u64> = HashMap::new();
+    let mut degraded_batches = 0u64;
     let mut stream_reports: Vec<StreamReport> = Vec::new();
     let mut evictions = 0u64;
     let mut restores = 0u64;
     let mut peak_resident = 0usize;
     let mut streams_completed = 0u64;
-    let mut packer_out: Option<FramePacker> = None;
 
-    std::thread::scope(|scope| -> Result<()> {
+    let packer = std::thread::scope(|scope| -> Result<FramePacker> {
         // Egress stage: packs every compressed-segment descriptor into
         // bounded frames in priority-then-deadline order. Emits full
         // frames as soon as enough data is buffered and flushes the
         // partial tail when the workers disconnect.
-        let egress = {
-            let frame_rx = frame_rx;
-            scope.spawn(move || {
-                let mut packer = FramePacker::new(frame_config);
-                while let Ok(items) = frame_rx.recv() {
-                    for item in items {
-                        packer.push(item);
-                    }
-                    while packer.frame_ready() && packer.next_frame().is_some() {}
+        let egress = scope.spawn(move || {
+            let mut packer = FramePacker::new(frame_config);
+            while let Ok(items) = frame_rx.recv() {
+                for item in items {
+                    packer.push(item);
                 }
-                packer.flush();
-                packer
-            })
-        };
+                while packer.frame_ready() && packer.next_frame().is_some() {}
+            }
+            packer.flush();
+            packer
+        });
 
-        let mut workers = Vec::new();
-        for me in 0..n_shards {
-            let all_rxs = rxs.to_vec();
-            let all_recycle_txs = recycle_txs.to_vec();
-            let frame_tx = frame_tx.clone();
-            let reg = &reg;
-            let gate = &gate;
-            let done_gate = &done_gate;
-            let steals = &steals;
-            let degraded_total = &degraded_total;
-            let gauge = config.pressure.clone();
-            workers.push(scope.spawn(move || {
-                let mut scratch = CodecScratch::new();
-                let mut local_counts: HashMap<CodecId, u64> = HashMap::new();
-                let mut local_degraded = 0u64;
-                let mut outcomes: Vec<ArmOutcome> = Vec::with_capacity(k);
-                let mut open = vec![true; n_shards];
-                // Frame descriptors are flushed to the egress stage in
-                // chunks, not per batch: a per-batch send wakes the parked
-                // egress thread every few microseconds of work, and on a
-                // single core that wakeup pair costs more than the batch.
-                let mut items: Vec<FrameItem> = Vec::with_capacity(FRAME_FLUSH_ITEMS);
-                while let Some(batch) = recv_or_steal(me, &all_rxs, &mut open, steals, gate) {
-                    let FleetBatch {
-                        home,
-                        entry,
-                        base_seq,
-                        segs,
-                    } = batch;
-                    // One decision per batch, arm sticky. The stream lock
-                    // is held only for the decision itself; per-stream
-                    // ordering (one batch in flight) keeps the
-                    // select→report pair atomic with respect to this
-                    // stream's other batches. Under link pressure the
-                    // decision is biased toward higher-ratio arms; the
-                    // Nominal path is bit-identical to plain select_arm.
-                    let level = gauge
-                        .as_ref()
-                        .map(|g| g.level())
-                        .unwrap_or(LinkPressure::Nominal);
-                    if level != LinkPressure::Nominal {
-                        local_degraded += 1;
-                    }
-                    let (arm, codec) = entry.state.lock().selector.select_arm_biased(level);
-                    outcomes.clear();
-                    let mut points = 0u64;
-                    let mut bytes_out = 0u64;
-                    let mut failures = 0u64;
-                    for (i, data) in segs.iter().enumerate() {
-                        points += data.len() as u64;
-                        let seq = base_seq + i as u64;
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            reg.compress_into(codec, data, &mut scratch)
-                                .map(|b| (b.ratio(), b.compressed_bytes()))
-                        }));
-                        match out {
-                            Ok(Ok((ratio, bytes))) => {
-                                outcomes.push(ArmOutcome::Ratio(ratio));
-                                *local_counts.entry(codec).or_insert(0) += 1;
-                                bytes_out += bytes as u64;
-                                items.push(FrameItem {
-                                    stream: entry.id,
-                                    priority: entry.priority,
-                                    seq,
-                                    len: bytes,
-                                });
-                            }
-                            // Codec error or caught panic: contain it,
-                            // penalize the arm, ship the segment Raw.
-                            _ => {
-                                outcomes.push(ArmOutcome::Failure);
-                                failures += 1;
-                                if let Ok(b) = reg.compress_into(CodecId::Raw, data, &mut scratch) {
-                                    let bytes = b.compressed_bytes();
-                                    *local_counts.entry(CodecId::Raw).or_insert(0) += 1;
-                                    bytes_out += bytes as u64;
-                                    items.push(FrameItem {
-                                        stream: entry.id,
-                                        priority: entry.priority,
-                                        seq,
-                                        len: bytes,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    {
-                        let mut st = entry.state.lock();
-                        st.selector.report_batch(arm, &outcomes);
-                        st.segments += segs.len() as u64;
-                        st.bytes_in += points * 8;
-                        st.bytes_out += bytes_out;
-                        st.codec_failures += failures;
-                    }
-                    // Completion order matters: the in-flight decrement
-                    // must be visible before the recycle send / gate
-                    // notify that unblocks the producer, so a woken
-                    // producer always observes the stream as schedulable.
-                    entry.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    drop(entry);
-                    let _ = all_recycle_txs[home].send(segs);
-                    done_gate.notify();
-                    if items.len() >= FRAME_FLUSH_ITEMS {
-                        let _ = frame_tx.send(std::mem::replace(
-                            &mut items,
-                            Vec::with_capacity(FRAME_FLUSH_ITEMS),
-                        ));
-                    }
+        let reg = &reg;
+        let done_gate = &done_gate;
+        // Owns `frame_tx`: the egress stage sees the end of input once the
+        // run is over and this closure is dropped.
+        let compress = move |worker: &mut ShardWorker<'_, (Arc<StreamEntry>, u64)>| {
+            let mut scratch = CodecScratch::new();
+            let mut counts: HashMap<CodecId, u64> = HashMap::new();
+            let mut degraded = 0u64;
+            let mut outcomes = Vec::with_capacity(k);
+            // Frame descriptors are flushed to the egress stage in chunks,
+            // not per batch: a per-batch send wakes the parked egress
+            // thread every few microseconds of work, and on a single core
+            // that wakeup pair costs more than the batch.
+            let mut items: Vec<FrameItem> = Vec::with_capacity(FRAME_FLUSH_ITEMS);
+            while let Some(batch) = worker.recv() {
+                let (entry, base_seq) = batch.tag;
+                let segs = batch.segs;
+                // One decision per batch, arm sticky. The stream lock is
+                // held only for the decision itself; per-stream ordering
+                // (one batch in flight) keeps the select→report pair
+                // atomic with respect to this stream's other batches.
+                // Under link pressure the decision is biased toward
+                // higher-ratio arms; the Nominal path is bit-identical to
+                // plain select_arm.
+                let level = config
+                    .pressure
+                    .as_ref()
+                    .map_or(LinkPressure::Nominal, |g| g.level());
+                if level != LinkPressure::Nominal {
+                    degraded += 1;
                 }
-                if !items.is_empty() {
-                    let _ = frame_tx.send(items);
+                let (arm, codec) = entry.state.lock().selector.select_arm_biased(level);
+                let mut bytes_out = 0u64;
+                compress_batch(reg, codec, &segs, &mut scratch, &mut outcomes, |i, b| {
+                    *counts.entry(b.codec).or_insert(0) += 1;
+                    bytes_out += b.compressed_bytes() as u64;
+                    items.push(FrameItem {
+                        stream: entry.id,
+                        priority: entry.priority,
+                        seq: base_seq + i as u64,
+                        len: b.compressed_bytes(),
+                    });
+                });
+                let failures = outcomes
+                    .iter()
+                    .filter(|&&o| o == ArmOutcome::Failure)
+                    .count();
+                let points: usize = segs.iter().map(Vec::len).sum();
+                {
+                    let mut st = entry.state.lock();
+                    st.selector.report_batch(arm, &outcomes);
+                    st.segments += segs.len() as u64;
+                    st.bytes_in += points as u64 * 8;
+                    st.bytes_out += bytes_out;
+                    st.codec_failures += failures as u64;
                 }
-                degraded_total.fetch_add(local_degraded, Ordering::Relaxed);
-                local_counts
-            }));
-        }
-        drop(rxs);
-        drop(recycle_txs);
-        drop(frame_tx);
+                // Completion order matters: the in-flight decrement must be
+                // visible before the recycle send / gate notify that
+                // unblocks the producer, so a woken producer always
+                // observes the stream as schedulable.
+                entry.in_flight.fetch_sub(1, Ordering::SeqCst);
+                drop(entry);
+                worker.recycle(batch.home, segs);
+                done_gate.notify();
+                if items.len() >= FRAME_FLUSH_ITEMS {
+                    let chunk =
+                        std::mem::replace(&mut items, Vec::with_capacity(FRAME_FLUSH_ITEMS));
+                    let _ = frame_tx.send(chunk);
+                }
+            }
+            if !items.is_empty() {
+                let _ = frame_tx.send(items);
+            }
+            (counts, degraded)
+        };
 
         // ---- Producer: admission, fair scheduling, eviction. ----
         let mut pending: VecDeque<StreamSpec> = specs.into_iter().collect();
@@ -925,167 +763,121 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             };
         }
 
-        admit_pending!();
-
-        'produce: loop {
-            clock += 1;
-            // Reaping scans the draining list; doing it every dispatch is
-            // wasted motion unless admission is actually starved for a
-            // slot. Amortize to every 64th turn — plus unconditionally
-            // below when the ready queues run dry (progress/termination).
-            if clock.is_multiple_of(64) || (!pending.is_empty() && table.is_full()) {
-                reap_completed!();
-            }
-            let total_ready: usize = ready.iter().map(|q| q.len()).sum();
-            if total_ready == 0 {
-                reap_completed!();
-                if draining.is_empty() && pending.is_empty() {
-                    break;
+        let workers = queues.run(compress, |producer| {
+            admit_pending!();
+            'produce: loop {
+                clock += 1;
+                // Reaping scans the draining list; doing it every dispatch
+                // is wasted motion unless admission is actually starved
+                // for a slot. Amortize to every 64th turn — plus
+                // unconditionally below when the ready queues run dry
+                // (progress/termination).
+                if clock.is_multiple_of(64) || (!pending.is_empty() && table.is_full()) {
+                    reap_completed!();
                 }
-                if ready.iter().any(|q| !q.is_empty()) {
-                    // Reaping freed a slot and admission refilled the
-                    // ready queues — dispatch, don't park.
-                    continue;
-                }
-                // Everything left is mid-flight (or waiting on a mid-flight
-                // eviction): park until a worker completes a batch.
-                done_gate.register_sleeper();
-                let ticket = done_gate.epoch();
-                let progress = draining.iter().any(|&s| {
-                    !drivers[s]
-                        .as_ref()
-                        .expect("draining slot live")
-                        .entry
-                        .is_in_flight()
-                });
-                if progress {
-                    done_gate.cancel_park();
-                } else {
-                    done_gate.park(ticket);
-                }
-                continue;
-            }
-            // Fair pick: scan shards round-robin; within a shard rotate
-            // past streams whose previous batch is still in flight.
-            let mut picked: Option<usize> = None;
-            'scan: for off in 0..n_shards {
-                let sh = (rr_shard + off) % n_shards;
-                for _ in 0..ready[sh].len() {
-                    let slot = ready[sh].pop_front().expect("len checked");
-                    if drivers[slot]
-                        .as_ref()
-                        .expect("ready slot live")
-                        .entry
-                        .is_in_flight()
-                    {
-                        ready[sh].push_back(slot);
+                let total_ready: usize = ready.iter().map(|q| q.len()).sum();
+                if total_ready == 0 {
+                    reap_completed!();
+                    if draining.is_empty() && pending.is_empty() {
+                        break;
+                    }
+                    if ready.iter().any(|q| !q.is_empty()) {
+                        // Reaping freed a slot and admission refilled the
+                        // ready queues — dispatch, don't park.
                         continue;
                     }
-                    picked = Some(slot);
-                    rr_shard = (sh + 1) % n_shards;
-                    break 'scan;
+                    // Everything left is mid-flight (or waiting on a
+                    // mid-flight eviction): park until a worker completes
+                    // a batch.
+                    done_gate.register_sleeper();
+                    let ticket = done_gate.epoch();
+                    let progress = draining.iter().any(|&s| {
+                        !drivers[s]
+                            .as_ref()
+                            .expect("draining slot live")
+                            .entry
+                            .is_in_flight()
+                    });
+                    if progress {
+                        done_gate.cancel_park();
+                    } else {
+                        done_gate.park(ticket);
+                    }
+                    continue;
                 }
-            }
-            let Some(slot) = picked else {
-                // Every ready stream has a batch in flight; park for one.
-                done_gate.register_sleeper();
-                let ticket = done_gate.epoch();
-                let progress = ready
-                    .iter()
-                    .flatten()
-                    .chain(draining.iter())
-                    .any(|&s| !drivers[s].as_ref().expect("slot live").entry.is_in_flight());
-                if progress {
-                    done_gate.cancel_park();
-                } else {
-                    done_gate.park(ticket);
-                }
-                continue;
-            };
-            // Acquire buffers, preferring the stream's home pool.
-            let home = drivers[slot].as_ref().expect("picked slot live").home;
-            let mut acquired = None;
-            for off in 0..n_shards {
-                let sh = (home + off) % n_shards;
-                if let Ok(bufs) = recycle_rxs[sh].try_recv() {
-                    acquired = Some((sh, bufs));
-                    break;
-                }
-            }
-            let (bhome, mut segs) = match acquired {
-                Some(got) => got,
-                // Every pool momentarily empty: block on the home pool —
-                // the pigeonhole bound guarantees a batch comes back.
-                None => match recycle_rxs[home].recv() {
-                    Ok(bufs) => (home, bufs),
-                    Err(_) => break 'produce,
-                },
-            };
-            let d = drivers[slot].as_mut().expect("picked slot live");
-            let take = k.min(d.remaining);
-            if segs.len() > take {
-                segs.truncate(take);
-            }
-            while segs.len() < take {
-                // Regrow batches shrunk by earlier partial dispatches so
-                // short streams cannot permanently shed pool buffers.
-                segs.push(Vec::with_capacity(seg_len_hint));
-            }
-            for buf in segs.iter_mut() {
-                d.source.next_segment_into(buf);
-            }
-            d.remaining -= take;
-            let base_seq = seq;
-            seq += take as u64;
-            d.entry.in_flight.fetch_add(1, Ordering::SeqCst);
-            d.entry.last_active.store(clock, Ordering::SeqCst);
-            let batch = FleetBatch {
-                home: bhome,
-                entry: d.entry.clone(),
-                base_seq,
-                segs,
-            };
-            // The slot was popped from its ready queue at pick time and a
-            // slot is never enqueued twice, so this is the only copy:
-            // back of the queue for fairness, or off to draining.
-            if d.remaining > 0 {
-                ready[d.home].push_back(slot);
-            } else {
-                draining.push(slot);
-            }
-            if txs[bhome].send(batch).is_err() {
-                break 'produce;
-            }
-            gate.notify();
-        }
-        drop(txs);
-        drop(recycle_rxs);
-        // Wake any parked worker so it observes the disconnected queues.
-        gate.notify();
-
-        let mut lost_worker = false;
-        for w in workers {
-            match w.join() {
-                Ok(local) => {
-                    for (codec, count) in local {
-                        *codec_counts.entry(codec).or_insert(0) += count;
+                // Fair pick: scan shards round-robin; within a shard rotate
+                // past streams whose previous batch is still in flight.
+                let mut picked: Option<usize> = None;
+                'scan: for off in 0..n_shards {
+                    let sh = (rr_shard + off) % n_shards;
+                    for _ in 0..ready[sh].len() {
+                        let slot = ready[sh].pop_front().expect("len checked");
+                        if drivers[slot]
+                            .as_ref()
+                            .expect("ready slot live")
+                            .entry
+                            .is_in_flight()
+                        {
+                            ready[sh].push_back(slot);
+                            continue;
+                        }
+                        picked = Some(slot);
+                        rr_shard = (sh + 1) % n_shards;
+                        break 'scan;
                     }
                 }
-                Err(_) => lost_worker = true,
+                let Some(slot) = picked else {
+                    // Every ready stream has a batch in flight; park for one.
+                    done_gate.register_sleeper();
+                    let ticket = done_gate.epoch();
+                    let progress =
+                        ready.iter().flatten().chain(draining.iter()).any(|&s| {
+                            !drivers[s].as_ref().expect("slot live").entry.is_in_flight()
+                        });
+                    if progress {
+                        done_gate.cancel_park();
+                    } else {
+                        done_gate.park(ticket);
+                    }
+                    continue;
+                };
+                // Acquire buffers, preferring the stream's home pool.
+                let d = drivers[slot].as_mut().expect("picked slot live");
+                let take = k.min(d.remaining);
+                let Some((bhome, segs)) = producer.acquire(d.home, take, d.source.as_mut()) else {
+                    break 'produce;
+                };
+                d.remaining -= take;
+                let base_seq = seq;
+                seq += take as u64;
+                d.entry.in_flight.fetch_add(1, Ordering::SeqCst);
+                d.entry.last_active.store(clock, Ordering::SeqCst);
+                let tag = (d.entry.clone(), base_seq);
+                // The slot was popped from its ready queue at pick time and
+                // a slot is never enqueued twice, so this is the only copy:
+                // back of the queue for fairness, or off to draining.
+                if d.remaining > 0 {
+                    ready[d.home].push_back(slot);
+                } else {
+                    draining.push(slot);
+                }
+                if producer.enqueue(bhome, tag, segs).is_none() {
+                    break 'produce;
+                }
             }
-        }
+        });
         // Workers are gone: everything still draining is complete now.
         reap_completed!();
-        match egress.join() {
-            Ok(packer) => packer_out = Some(packer),
-            Err(_) => lost_worker = true,
+        let packer = egress.join();
+        for (counts, degraded) in workers? {
+            for (codec, count) in counts {
+                *codec_counts.entry(codec).or_insert(0) += count;
+            }
+            degraded_batches += degraded;
         }
-        if lost_worker {
-            return Err(AdaEdgeError::WorkerFailed {
-                stage: "fleet worker",
-            });
-        }
-        Ok(())
+        packer.map_err(|_| AdaEdgeError::WorkerFailed {
+            stage: "frame egress",
+        })
     })?;
     let elapsed = start.elapsed().as_secs_f64();
 
@@ -1096,7 +888,6 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             .map_err(|_| AdaEdgeError::Config("posterior archive unwritable"))?;
     }
 
-    let packer = packer_out.expect("egress joined");
     stream_reports.sort_by_key(|r| r.id);
     for r in stream_reports.iter_mut() {
         if let Some(e) = packer.stream_egress().get(&r.id) {
@@ -1120,7 +911,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         codec_counts,
         codec_failures,
         shards: n_shards,
-        stolen_batches: steals.load(Ordering::Relaxed),
+        stolen_batches: queues.stolen_batches(),
         evictions,
         restores,
         peak_resident,
@@ -1132,7 +923,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             max_frame_used: packer.max_frame_used(),
             payload_cap: config.frame.payload_cap,
         },
-        degraded_batches: degraded_total.load(Ordering::Relaxed),
+        degraded_batches,
         uplink: UplinkRollup::default(),
         stream_reports,
     })

@@ -13,8 +13,8 @@
 //! * [`baselines`] — fixed pairs, CodecDB-like and TVStore-like baselines.
 //! * [`query`] — aggregation queries over reconstructed segments.
 //! * [`engine`] — the multithreaded ingest/compress/recode runtime.
-//! * [`shard`] — per-shard selector replicas and the delta-sync outcome
-//!   table behind the engine's lock-free hot path.
+//! * [`shard`] — the shard runtime the engines and the fleet share, plus
+//!   per-shard selector replicas and the delta-sync outcome table.
 //! * [`fleet`] — the multi-tenant gateway: thousands of independent
 //!   streams multiplexed over the shared sharded workers.
 //! * [`frame`] — priority-aware packing of compressed segments into

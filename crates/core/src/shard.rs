@@ -1,10 +1,17 @@
-//! Sharded selector replication with delta-sync (the CStream-style
+//! The shard runtime shared by every multithreaded pipeline, and sharded
+//! selector replication with delta-sync (the CStream-style
 //! parallel-scaling layer).
 //!
-//! The engines in [`crate::engine`] run one pipeline *per shard*: each
-//! shard owns a bounded segment queue, a recycle pool, and — the part this
-//! module provides — a **local selector replica** that makes every arm
-//! decision lock-free from its own copy of the bandit state. Replicas stay
+//! [`crate::engine::run_pipeline`], [`crate::engine::run_offline_pipeline`]
+//! and [`crate::fleet::run_fleet`] all run on the same two pieces:
+//! `compress_batch`, the one contained compress step (codec errors and
+//! panics degrade a segment to Raw), and `ShardQueues`, the per-shard
+//! bounded work queues, recycle pools and parked-wake work stealing. Each
+//! entry point supplies only its per-batch decision and what it does with
+//! the compressed blocks.
+//!
+//! The engines make every arm decision lock-free from a **local selector
+//! replica**: each shard's own copy of the bandit state. Replicas stay
 //! coherent through a [`SharedOutcomeTable`]: per-batch outcome deltas are
 //! published with plain `fetch_add`s (no mutex anywhere on the segment hot
 //! path), and every [`ReplicaSelector::sync_interval`] decisions a replica
@@ -28,9 +35,13 @@
 //! one shard's pathological data cannot quarantine a codec that works
 //! elsewhere.
 
+use crate::error::{AdaEdgeError, Result};
 use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
-use adaedge_codecs::CodecId;
+use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch, CompressedBlockRef};
+use adaedge_datasets::SegmentSource;
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::{Condvar, Mutex};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -164,6 +175,318 @@ impl WorkGate {
     }
 }
 
+/// Compress every segment of one batch with the batch's sticky `codec`.
+///
+/// `outcomes` is cleared and gets one [`ArmOutcome`] per segment, in
+/// order, ready for a `report_batch`. Each block goes to `emit` with its
+/// segment index while it still borrows `scratch`. A codec error or panic
+/// is contained to its segment: the arm gets [`ArmOutcome::Failure`] and
+/// the segment is compressed again with [`CodecId::Raw`], so no data is
+/// lost. (A panicked compress may leave the arena mid-write; Raw rebuilds
+/// its output from scratch.) A segment that even Raw rejects emits
+/// nothing. With `outcomes` at capacity and a warm `scratch`, this step
+/// does not allocate.
+pub(crate) fn compress_batch(
+    reg: &CodecRegistry,
+    codec: CodecId,
+    segs: &[Vec<f64>],
+    scratch: &mut CodecScratch,
+    outcomes: &mut Vec<ArmOutcome>,
+    mut emit: impl FnMut(usize, CompressedBlockRef<'_>),
+) {
+    outcomes.clear();
+    for (i, data) in segs.iter().enumerate() {
+        let arena = &mut *scratch;
+        let block = std::panic::catch_unwind(AssertUnwindSafe(move || {
+            let arena = arena;
+            reg.compress_into(codec, data, arena)
+        }))
+        .ok()
+        .and_then(|r| r.ok());
+        match block {
+            Some(block) => {
+                outcomes.push(ArmOutcome::Ratio(block.ratio()));
+                emit(i, block);
+            }
+            None => {
+                outcomes.push(ArmOutcome::Failure);
+                if let Ok(block) = reg.compress_into(CodecId::Raw, data, scratch) {
+                    emit(i, block);
+                }
+            }
+        }
+    }
+}
+
+/// A batch of segment buffers on its way through the shard queues.
+pub(crate) struct ShardBatch<T> {
+    /// The shard whose recycle pool owns the buffers. A stolen batch is
+    /// compressed by a foreign worker, but its buffers always return
+    /// home, which keeps each pool's accounting exact.
+    pub(crate) home: usize,
+    /// What the worker needs besides the data: `()` for the engines, the
+    /// stream handle and ingest sequence for the fleet.
+    pub(crate) tag: T,
+    /// The segments.
+    pub(crate) segs: Vec<Vec<f64>>,
+}
+
+/// The per-shard queue set every sharded pipeline runs on.
+///
+/// Each shard has a bounded work queue and a recycle pool of segment
+/// buffers; the set also owns the [`WorkGate`] parked workers wait on and
+/// the stolen-batch counter. The queues hold `buffer_segments` segments in
+/// K-batches split across the shards, with a floor of two batches per
+/// shard so a worker can drain one batch while the producer fills the
+/// next (a single-slot queue serializes the two stages). Each pool holds
+/// [`shard_pool_size`] batches.
+///
+/// The channels live only for one [`ShardQueues::run`]; the counters stay
+/// readable afterwards.
+pub(crate) struct ShardQueues {
+    n_shards: usize,
+    k: usize,
+    segment_len: usize,
+    batch_cap: usize,
+    gate: WorkGate,
+    stolen_batches: AtomicU64,
+}
+
+impl ShardQueues {
+    /// Size a queue set: `threads` workers (`0` = one per core, see
+    /// [`resolve_threads`]), `buffer_segments` of in-flight buffer,
+    /// `k` segments per batch of `segment_len` points.
+    pub(crate) fn new(
+        threads: usize,
+        buffer_segments: usize,
+        k: usize,
+        segment_len: usize,
+    ) -> Self {
+        let n_shards = resolve_threads(threads);
+        let k = k.max(1);
+        Self {
+            n_shards,
+            k,
+            segment_len,
+            batch_cap: buffer_segments.max(1).div_ceil(k).div_ceil(n_shards).max(2),
+            gate: WorkGate::new(),
+            stolen_batches: AtomicU64::new(0),
+        }
+    }
+
+    /// Number of shards (= worker threads).
+    pub(crate) fn shards(&self) -> usize {
+        self.n_shards
+    }
+
+    /// Batches a worker took from a foreign shard's queue so far.
+    pub(crate) fn stolen_batches(&self) -> u64 {
+        self.stolen_batches.load(Ordering::Relaxed)
+    }
+
+    /// Run one pipeline: spawn a worker thread per shard running `worker`,
+    /// drive `producer` on the calling thread, then close the queues, wake
+    /// parked workers and join them all. Returns each worker's result in
+    /// shard order. Every worker is joined before the outcome is decided,
+    /// so one that panicked yields `Err(AdaEdgeError::WorkerFailed)`
+    /// rather than an unjoined panic.
+    pub(crate) fn run<T, R, W, P>(&self, worker: W, producer: P) -> Result<Vec<R>>
+    where
+        T: Send,
+        R: Send,
+        W: Fn(&mut ShardWorker<'_, T>) -> R + Sync,
+        P: FnOnce(&ShardProducer<'_, T>),
+    {
+        let n = self.n_shards;
+        let pool = shard_pool_size(self.batch_cap, n);
+        let (work_txs, work_rxs): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| channel::bounded(self.batch_cap)).unzip();
+        let (recycle_txs, recycle_rxs): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| channel::bounded(pool)).unzip();
+        for tx in &recycle_txs {
+            for _ in 0..pool {
+                let segs = (0..self.k).map(|_| Vec::with_capacity(self.segment_len));
+                tx.try_send(segs.collect())
+                    .expect("a fresh recycle channel holds its whole pool");
+            }
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|me| {
+                    let mut state = ShardWorker {
+                        me,
+                        rxs: work_rxs.clone(),
+                        open: vec![true; n],
+                        recycle_txs: recycle_txs.clone(),
+                        gate: &self.gate,
+                        stolen: &self.stolen_batches,
+                    };
+                    let worker = &worker;
+                    scope.spawn(move || worker(&mut state))
+                })
+                .collect();
+            drop((work_rxs, recycle_txs));
+            producer(&ShardProducer {
+                work_txs,
+                recycle_rxs,
+                gate: &self.gate,
+                segment_len: self.segment_len,
+            });
+            // The producer's channel ends are gone: wake parked workers so
+            // they observe the disconnected queues and drain out.
+            self.gate.notify();
+            let mut results = Vec::with_capacity(n);
+            let mut lost_worker = false;
+            for handle in handles {
+                match handle.join() {
+                    Ok(r) => results.push(r),
+                    Err(_) => lost_worker = true,
+                }
+            }
+            if lost_worker {
+                return Err(AdaEdgeError::WorkerFailed {
+                    stage: "compression worker",
+                });
+            }
+            Ok(results)
+        })
+    }
+}
+
+/// One worker's end of a [`ShardQueues`] run.
+pub(crate) struct ShardWorker<'q, T> {
+    me: usize,
+    rxs: Vec<Receiver<ShardBatch<T>>>,
+    /// Work queues not yet known to be disconnected.
+    open: Vec<bool>,
+    recycle_txs: Vec<Sender<Vec<Vec<f64>>>>,
+    gate: &'q WorkGate,
+    stolen: &'q AtomicU64,
+}
+
+impl<T> ShardWorker<'_, T> {
+    /// This worker's shard.
+    pub(crate) fn shard(&self) -> usize {
+        self.me
+    }
+
+    /// Receive the next batch: a non-blocking sweep over every queue, then
+    /// a park on the gate that any enqueue ends at once, so no worker ever
+    /// sleeps through an arrival on a foreign queue. Returns `None` once
+    /// every queue is disconnected and drained.
+    pub(crate) fn recv(&mut self) -> Option<ShardBatch<T>> {
+        loop {
+            if let Some(b) = self.try_take() {
+                return Some(b);
+            }
+            if !self.open.contains(&true) {
+                return None;
+            }
+            // Everything open is momentarily empty. Register as a sleeper
+            // *before* the confirmation sweep: an enqueue that lands after
+            // the sweep either sees the registration (and notifies) or
+            // bumps the epoch before `park` re-checks it.
+            self.gate.register_sleeper();
+            let ticket = self.gate.epoch();
+            let found = self.try_take();
+            if found.is_some() || !self.open.contains(&true) {
+                self.gate.cancel_park();
+                return found;
+            }
+            self.gate.park(ticket);
+        }
+    }
+
+    /// One non-blocking sweep: own queue first, then a steal pass over the
+    /// foreign queues starting just past its own shard, so contending
+    /// stealers fan out over different victims.
+    fn try_take(&mut self) -> Option<ShardBatch<T>> {
+        let n = self.rxs.len();
+        for off in 0..n {
+            let j = (self.me + off) % n;
+            if !self.open[j] {
+                continue;
+            }
+            match self.rxs[j].try_recv() {
+                Ok(b) => {
+                    if j != self.me {
+                        self.stolen.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Some(b);
+                }
+                Err(TryRecvError::Empty) => {}
+                Err(TryRecvError::Disconnected) => self.open[j] = false,
+            }
+        }
+        None
+    }
+
+    /// Hand a drained batch's buffers back to their home pool (a no-op
+    /// once the producer is done).
+    pub(crate) fn recycle(&self, home: usize, segs: Vec<Vec<f64>>) {
+        let _ = self.recycle_txs[home].send(segs);
+    }
+}
+
+/// The producer's end of a [`ShardQueues`] run.
+pub(crate) struct ShardProducer<'q, T> {
+    work_txs: Vec<Sender<ShardBatch<T>>>,
+    recycle_rxs: Vec<Receiver<Vec<Vec<f64>>>>,
+    gate: &'q WorkGate,
+    segment_len: usize,
+}
+
+impl<T> ShardProducer<'_, T> {
+    /// Take recycled buffers and fill `take` of them from `source`. The
+    /// pools are swept from shard `start` (mod the shard count), blocking
+    /// on that pool only when every pool is momentarily drained (the pool
+    /// bound guarantees a batch comes back). The buffers are truncated on
+    /// a final partial batch and regrown after one, so the pools never
+    /// shed buffers. Returns the supplying shard, which is the batch's
+    /// home, and the filled segments; `None` once the workers are gone.
+    pub(crate) fn acquire(
+        &self,
+        start: usize,
+        take: usize,
+        source: &mut dyn SegmentSource,
+    ) -> Option<(usize, Vec<Vec<f64>>)> {
+        let n = self.recycle_rxs.len();
+        let start = start % n;
+        let swept = (0..n)
+            .map(|off| (start + off) % n)
+            .find_map(|sh| self.recycle_rxs[sh].try_recv().ok().map(|segs| (sh, segs)));
+        let (home, mut segs) = match swept {
+            Some(found) => found,
+            None => (start, self.recycle_rxs[start].recv().ok()?),
+        };
+        segs.truncate(take);
+        segs.resize_with(take, || Vec::with_capacity(self.segment_len));
+        for seg in segs.iter_mut() {
+            source.next_segment_into(seg);
+        }
+        Some((home, segs))
+    }
+
+    /// Enqueue a batch of `segs` tagged `tag` on shard `home`'s queue and
+    /// wake a parked worker. A full queue blocks until there is room, and
+    /// the batch's segments count as spilled. Returns the spilled segments
+    /// (0 when the queue had room), or `None` once the workers are gone.
+    pub(crate) fn enqueue(&self, home: usize, tag: T, segs: Vec<Vec<f64>>) -> Option<usize> {
+        let tx = &self.work_txs[home];
+        let spilled = match tx.try_send(ShardBatch { home, tag, segs }) {
+            Ok(()) => 0,
+            Err(TrySendError::Full(batch)) => {
+                let len = batch.segs.len();
+                tx.send(batch).ok()?;
+                len
+            }
+            Err(TrySendError::Disconnected(_)) => return None,
+        };
+        self.gate.notify();
+        Some(spilled)
+    }
+}
+
 /// One arm's shared accumulators.
 #[derive(Debug, Default)]
 struct ArmCell {
@@ -178,9 +501,7 @@ struct ArmCell {
 /// The shared, mutex-free outcome table replicas publish to and fold from.
 ///
 /// Every field is an atomic counter: the segment hot path touches it only
-/// through `fetch_add` / `fetch_or`, never a lock. The table also carries
-/// the engine's contention and work-stealing observability counters so a
-/// report can *prove* the hot path stayed lock-free.
+/// through `fetch_add` / `fetch_or`, never a lock.
 #[derive(Debug)]
 pub struct SharedOutcomeTable {
     arms: Vec<ArmCell>,
@@ -188,13 +509,6 @@ pub struct SharedOutcomeTable {
     quarantined_bits: AtomicU64,
     /// Delta-sync folds performed across all replicas.
     syncs: AtomicU64,
-    /// Mutex acquisitions on the per-segment selector hot path. The
-    /// sharded pipelines have no such path, so this stays 0; any engine
-    /// code that reintroduces a shared selector lock must count it here,
-    /// and the shard-equivalence suite asserts the report shows zero.
-    selector_locks: AtomicU64,
-    /// Batches taken from a foreign shard's queue (work-stealing).
-    stolen_batches: AtomicU64,
 }
 
 impl SharedOutcomeTable {
@@ -206,8 +520,6 @@ impl SharedOutcomeTable {
             arms: (0..n_arms).map(|_| ArmCell::default()).collect(),
             quarantined_bits: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
-            selector_locks: AtomicU64::new(0),
-            stolen_batches: AtomicU64::new(0),
         }
     }
 
@@ -279,28 +591,6 @@ impl SharedOutcomeTable {
     /// Delta-sync folds performed so far.
     pub fn syncs(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
-    }
-
-    /// Hot-path selector-mutex acquisitions (0 in the sharded engines).
-    pub fn selector_locks(&self) -> u64 {
-        self.selector_locks.load(Ordering::Relaxed)
-    }
-
-    /// Count one hot-path selector-mutex acquisition. No sharded pipeline
-    /// calls this; it exists so any future locked path is forced to show
-    /// up in the report the equivalence suite pins to zero.
-    pub fn count_selector_lock(&self) {
-        self.selector_locks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Batches stolen from foreign shard queues.
-    pub fn stolen_batches(&self) -> u64 {
-        self.stolen_batches.load(Ordering::Relaxed)
-    }
-
-    /// Count one stolen batch.
-    pub fn count_steal(&self) {
-        self.stolen_batches.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -615,6 +905,71 @@ mod tests {
         // No sleepers: notify must stay on the cheap path and not deadlock.
         gate.notify();
         assert_eq!(gate.epoch(), 1);
+    }
+
+    fn sine_segments(n: usize) -> Vec<Vec<f64>> {
+        let mut source = adaedge_datasets::SineStream::new(256, 0.1, 4, 7);
+        (0..n).map(|_| source.next_segment()).collect()
+    }
+
+    #[test]
+    fn compress_batch_on_healthy_arm_emits_chosen_codec() {
+        let reg = CodecRegistry::new(4);
+        let segs = sine_segments(4);
+        let mut scratch = CodecScratch::new();
+        let mut outcomes = vec![ArmOutcome::Failure; 9]; // stale: must be cleared
+        let mut emitted = Vec::new();
+        compress_batch(
+            &reg,
+            CodecId::Gorilla,
+            &segs,
+            &mut scratch,
+            &mut outcomes,
+            |i, b| emitted.push((i, b.codec)),
+        );
+        let want: Vec<_> = (0..4).map(|i| (i, CodecId::Gorilla)).collect();
+        assert_eq!(emitted, want);
+        assert_eq!(outcomes.len(), 4);
+        assert!(outcomes.iter().all(|o| matches!(o, ArmOutcome::Ratio(_))));
+    }
+
+    #[test]
+    fn compress_batch_contains_codec_panics_and_falls_back_to_raw() {
+        let mut reg = CodecRegistry::new(4);
+        reg.inject_compress_panic(CodecId::Gzip);
+        let segs = sine_segments(3);
+        let mut scratch = CodecScratch::new();
+        let mut outcomes = Vec::new();
+        let mut emitted = Vec::new();
+        compress_batch(
+            &reg,
+            CodecId::Gzip,
+            &segs,
+            &mut scratch,
+            &mut outcomes,
+            |i, b| emitted.push((i, b.to_block())),
+        );
+        assert_eq!(outcomes, vec![ArmOutcome::Failure; 3]);
+        assert_eq!(emitted.len(), 3);
+        for ((i, block), seg) in emitted.iter().zip(&segs) {
+            assert_eq!(block.codec, CodecId::Raw, "segment {i}");
+            assert_eq!(&reg.decompress(block).unwrap(), seg, "segment {i}");
+        }
+        // The arena the panics unwound through still serves a healthy arm.
+        let mut blocks = Vec::new();
+        compress_batch(
+            &reg,
+            CodecId::Gorilla,
+            &segs,
+            &mut scratch,
+            &mut outcomes,
+            |_, b| blocks.push(b.to_block()),
+        );
+        assert!(outcomes.iter().all(|o| matches!(o, ArmOutcome::Ratio(_))));
+        for (block, seg) in blocks.iter().zip(&segs) {
+            assert_eq!(block.codec, CodecId::Gorilla);
+            assert_eq!(&reg.decompress(block).unwrap(), seg);
+        }
     }
 
     #[test]
