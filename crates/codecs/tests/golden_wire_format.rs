@@ -5,7 +5,10 @@
 //! (such as the word-at-a-time rewrite) must keep every codec's compressed
 //! output byte-identical, and these tests prove it: a scripted mixed-op
 //! writer sequence is pinned literally, and each bit-oriented codec's payload
-//! over a fixed signal is pinned by length + FNV-1a hash.
+//! over a fixed signal is pinned by length + FNV-1a hash. A second,
+//! low-entropy input pins the LZ77 matcher's chain depth and lazy matching
+//! for the byte codecs (gzip, zlib-1/6/9, snappy), which the smooth signal
+//! leaves unpinned.
 
 use adaedge_codecs::bitio::BitWriter;
 use adaedge_codecs::{CodecId, CodecRegistry};
@@ -99,6 +102,7 @@ const CODEC_GOLDENS: &[(CodecId, usize, u64)] = &[
     (CodecId::Zlib6, 2956, 0xdbb0_6c91_2524_43c2),
     (CodecId::Zlib9, 2956, 0xdbb0_6c91_2524_43c2),
     (CodecId::Gzip, 2956, 0xdbb0_6c91_2524_43c2),
+    (CodecId::Snappy, 3836, 0x6b2d_54ba_6cc8_9643),
     (CodecId::BuffLossy, 1035, 0xcff2_ded8_fe54_cb47),
     (CodecId::BuffLossy, 587, 0x0703_7bb8_5740_bdb1),
 ];
@@ -119,6 +123,7 @@ fn codec_payloads() -> Vec<(CodecId, Vec<u8>)> {
         CodecId::Zlib6,
         CodecId::Zlib9,
         CodecId::Gzip,
+        CodecId::Snappy,
     ] {
         let block = reg.get(id).compress(&data).unwrap();
         out.push((id, block.payload));
@@ -185,5 +190,68 @@ fn golden_codec_payloads() {
             (*glen, *ghash),
             "{id:?}: compressed payload diverged from the golden wire format"
         );
+    }
+}
+
+/// Low-entropy signal: a seeded random walk over a handful of levels, so
+/// byte 3-grams repeat thousands of times inside the 32 KiB window. Hash
+/// chains grow far past every level's search depth and lazy matching finds
+/// longer matches one byte later, so each DEFLATE level emits a different
+/// payload here (on `signal(512)` zlib-6, zlib-9 and gzip coincide).
+fn low_entropy(n: usize) -> Vec<f64> {
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut level = 0i64;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            level = (level + (state >> 62) as i64 - 1).clamp(0, 5);
+            level as f64 * 0.25
+        })
+        .collect()
+}
+
+/// Expected (length, fnv1a) per byte-codec payload for `low_entropy(4096)`.
+const LOW_ENTROPY_GOLDENS: &[(CodecId, usize, u64)] = &[
+    (CodecId::Zlib1, 1984, 0xc4c4_432d_1466_ba9a),
+    (CodecId::Zlib6, 1553, 0x3576_4781_956d_bd7d),
+    (CodecId::Zlib9, 1357, 0xc3a2_9176_6ff9_3401),
+    (CodecId::Gzip, 1315, 0x982a_503a_038d_ab70),
+    (CodecId::Snappy, 5881, 0xc938_446c_c437_e8e4),
+];
+
+#[test]
+fn golden_low_entropy_payloads() {
+    let reg = CodecRegistry::new(4);
+    let data = low_entropy(4096);
+    let payloads: Vec<(CodecId, Vec<u8>)> = LOW_ENTROPY_GOLDENS
+        .iter()
+        .map(|&(id, _, _)| (id, reg.get(id).compress(&data).unwrap().payload))
+        .collect();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (id, payload) in &payloads {
+            println!(
+                "(CodecId::{id:?}, {}, 0x{:016x}),",
+                payload.len(),
+                fnv1a(payload)
+            );
+        }
+        return;
+    }
+    for ((id, payload), (_, glen, ghash)) in payloads.iter().zip(LOW_ENTROPY_GOLDENS) {
+        assert_eq!(
+            (payload.len(), fnv1a(payload)),
+            (*glen, *ghash),
+            "{id:?}: low-entropy payload diverged from the golden wire format"
+        );
+    }
+    // The fixture only pins chain depth and lazy matching while every
+    // DEFLATE level emits its own bytes.
+    let deflate = &payloads[..4];
+    for (a, (ida, pa)) in deflate.iter().enumerate() {
+        for (idb, pb) in &deflate[a + 1..] {
+            assert_ne!(pa, pb, "{ida:?} and {idb:?} emit the same payload");
+        }
     }
 }
