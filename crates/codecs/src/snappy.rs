@@ -13,7 +13,7 @@
 
 use crate::block::{CodecId, CompressedBlock, CompressedBlockRef};
 use crate::error::{CodecError, Result};
-use crate::lz::{append_match, lz77_tokens_into, LzConfig, LzScratch, Token, MIN_MATCH};
+use crate::lz::{append_match, LzConfig, LzScratch, TokenSink, MIN_MATCH};
 use crate::scratch::CodecScratch;
 use crate::traits::{Codec, CodecKind};
 use crate::util::{bytes_to_f64s_into, f64s_to_bytes_into};
@@ -29,51 +29,71 @@ pub fn snappy_compress_bytes(data: &[u8]) -> Vec<u8> {
 }
 
 /// [`snappy_compress_bytes`] into a reused output buffer, recycling the
-/// LZ77 matcher state. Literal runs are flushed directly from input ranges
-/// (the token stream covers `data` in order), so no staging buffer is
-/// needed.
-// Hot path over trusted input: `lit_start`/`pos` walk the token stream,
-// which covers `data` exactly once in order, so every slice is in bounds.
-#[allow(clippy::indexing_slicing)]
+/// LZ77 matcher state. The greedy depth-1 matcher drives the emitter
+/// directly: literal runs are flushed straight from input ranges when a
+/// copy (or the end of input) closes them, so no token buffer is filled.
 pub fn snappy_compress_bytes_into(data: &[u8], lz: &mut LzScratch, out: &mut Vec<u8>) {
-    lz77_tokens_into(data, LzConfig::fast(), lz);
     out.clear();
     out.reserve(data.len() / 2 + 16);
-    let flush_lits = |out: &mut Vec<u8>, lits: &[u8]| {
-        for chunk in lits.chunks(MAX_LITERAL_RUN) {
-            out.push((chunk.len() - 1) as u8);
-            out.extend_from_slice(chunk);
-        }
+    let mut sink = Emitter {
+        data,
+        out,
+        lit_start: 0,
+        pos: 0,
     };
-    let mut pos = 0usize;
-    let mut lit_start = 0usize;
-    for t in &lz.tokens {
-        match *t {
-            Token::Literal(_) => pos += 1,
-            Token::Match { len, dist } => {
-                flush_lits(out, &data[lit_start..pos]);
-                // Split long matches into <=130-byte chunks.
-                let mut remaining = len as usize;
-                while remaining > 0 {
-                    let take = remaining.min(MAX_COPY_LEN);
-                    // A trailing stub shorter than MIN_MATCH cannot be encoded
-                    // as a copy; emitting it as part of the previous chunk is
-                    // guaranteed possible because MAX_COPY_LEN > 2*MIN_MATCH.
-                    let take = if remaining - take > 0 && remaining - take < MIN_MATCH {
-                        take - (MIN_MATCH - (remaining - take))
-                    } else {
-                        take
-                    };
-                    out.push(128 + (take - MIN_MATCH) as u8);
-                    out.extend_from_slice(&dist.to_le_bytes());
-                    remaining -= take;
-                }
-                pos += len as usize;
-                lit_start = pos;
-            }
+    lz.chains.tokenize(data, LzConfig::fast(), &mut sink);
+    sink.flush_literals();
+}
+
+/// Writes the snappy wire format as the matcher emits tokens. Literals only
+/// advance `pos`; the pending run `data[lit_start..pos]` is written when
+/// the next copy or the end of input closes it.
+struct Emitter<'a> {
+    data: &'a [u8],
+    out: &'a mut Vec<u8>,
+    lit_start: usize,
+    pos: usize,
+}
+
+// The token stream covers `data` exactly once in order, so `lit_start <=
+// pos <= data.len()` and every literal range is in bounds.
+#[allow(clippy::indexing_slicing)]
+impl Emitter<'_> {
+    fn flush_literals(&mut self) {
+        for chunk in self.data[self.lit_start..self.pos].chunks(MAX_LITERAL_RUN) {
+            self.out.push((chunk.len() - 1) as u8);
+            self.out.extend_from_slice(chunk);
         }
     }
-    flush_lits(out, &data[lit_start..pos]);
+}
+
+impl TokenSink for Emitter<'_> {
+    #[inline(always)]
+    fn literal(&mut self, _byte: u8) {
+        self.pos += 1;
+    }
+
+    fn copy(&mut self, len: usize, dist: usize) {
+        self.flush_literals();
+        // Split long matches into <=130-byte chunks.
+        let mut remaining = len;
+        while remaining > 0 {
+            let take = remaining.min(MAX_COPY_LEN);
+            // A trailing stub shorter than MIN_MATCH cannot be encoded as a
+            // copy; emitting it as part of the previous chunk is guaranteed
+            // possible because MAX_COPY_LEN > 2*MIN_MATCH.
+            let take = if remaining - take > 0 && remaining - take < MIN_MATCH {
+                take - (MIN_MATCH - (remaining - take))
+            } else {
+                take
+            };
+            self.out.push(128 + (take - MIN_MATCH) as u8);
+            self.out.extend_from_slice(&(dist as u16).to_le_bytes());
+            remaining -= take;
+        }
+        self.pos += len;
+        self.lit_start = self.pos;
+    }
 }
 
 /// Decompress the snappy-class format, expecting `expected_len` bytes.

@@ -34,6 +34,11 @@ cargo test --release -q -p adaedge-codecs --test decode_fuzz
 echo "==> kernel equivalence proptests (release)"
 cargo test --release -q -p adaedge-codecs --test kernel_equivalence
 
+echo "==> encoder equivalence vs frozen reference (detected, scalar, swar backends)"
+cargo test --release -q -p adaedge-codecs --test encoder_equivalence
+ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test encoder_equivalence
+ADAEDGE_SIMD=swar cargo test --release -q -p adaedge-codecs --test encoder_equivalence
+
 echo "==> batched scheduling equivalence (K>1 engine smoke, release)"
 cargo test --release -q -p adaedge-core --test batch_equivalence
 
