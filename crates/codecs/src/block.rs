@@ -12,7 +12,8 @@ pub const POINT_BYTES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum CodecId {
     // --- lossless byte compression (our DEFLATE-style engine) ---
-    /// Strongest/slowest LZ77 + Huffman configuration (gzip-class).
+    /// Deepest-search LZ77 + Huffman configuration (gzip-class); same
+    /// payload as zlib-6/9 on float segments.
     Gzip,
     /// Fast greedy LZ with byte-oriented output (snappy-class).
     Snappy,
