@@ -8,7 +8,8 @@
 //! over a fixed signal is pinned by length + FNV-1a hash. A second,
 //! low-entropy input pins the LZ77 matcher's chain depth and lazy matching
 //! for the byte codecs (gzip, zlib-1/6/9, snappy), which the smooth signal
-//! leaves unpinned.
+//! leaves unpinned. The lossy FFT arm is pinned at a Bluestein and a
+//! radix-2 length, on its payloads and on the bits of its decoded values.
 
 use adaedge_codecs::bitio::BitWriter;
 use adaedge_codecs::{CodecId, CodecRegistry};
@@ -253,5 +254,151 @@ fn golden_low_entropy_payloads() {
         for (idb, pb) in &deflate[a + 1..] {
             assert_ne!(pa, pb, "{ida:?} and {idb:?} emit the same payload");
         }
+    }
+}
+
+/// One FFT row: which input, its length, the `compress_to_ratio` target,
+/// the `recode` target (or none), then the expected (length, fnv1a) of the
+/// payload and fnv1a of the decoded values' `f64::to_bits` stream.
+type FftRow = (&'static str, usize, f64, Option<f64>, usize, u64, u64);
+
+/// FFT at n = 1000 (Bluestein) and n = 1024 (radix-2), direct and after
+/// `recode` truncation. The decoded digest pins the inverse transform,
+/// which no payload row reaches.
+const FFT_GOLDENS: &[FftRow] = &[
+    (
+        "signal",
+        1000,
+        0.2,
+        None,
+        1600,
+        0x2777_05e1_7d6d_04b1,
+        0xd766_1405_430b_0bad,
+    ),
+    (
+        "signal",
+        1000,
+        0.05,
+        None,
+        400,
+        0xc9d1_a8de_1533_6286,
+        0x3f75_f9eb_c2ad_e6ed,
+    ),
+    (
+        "signal",
+        1000,
+        0.2,
+        Some(0.1),
+        800,
+        0xeac2_8033_c98d_2b91,
+        0x8e4b_cad2_bfff_7771,
+    ),
+    (
+        "signal",
+        1024,
+        0.2,
+        None,
+        1632,
+        0x15dd_25df_5394_61c1,
+        0x4333_5ec9_61cb_99a1,
+    ),
+    (
+        "signal",
+        1024,
+        0.05,
+        None,
+        408,
+        0x2f1e_84f1_0511_430c,
+        0x2ebb_671e_47bb_dea6,
+    ),
+    (
+        "signal",
+        1024,
+        0.2,
+        Some(0.1),
+        816,
+        0x3bb5_ffbe_db1d_0573,
+        0x4348_c9a3_6096_24ff,
+    ),
+    (
+        "low_entropy",
+        1000,
+        0.2,
+        None,
+        1600,
+        0x517f_4252_9d36_6530,
+        0x9a1c_a139_61ef_47cd,
+    ),
+    (
+        "low_entropy",
+        1024,
+        0.2,
+        None,
+        1632,
+        0x1a87_6bcb_5e75_9eaa,
+        0x50f0_9fc2_4358_562a,
+    ),
+];
+
+fn fft_input(name: &str, n: usize) -> Vec<f64> {
+    match name {
+        "signal" => signal(n),
+        _ => low_entropy(n),
+    }
+}
+
+fn fnv1a_bits(values: &[f64]) -> u64 {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+#[test]
+fn golden_fft_payloads_and_decodes() {
+    let reg = CodecRegistry::new(4);
+    let fft = reg.get_lossy(CodecId::Fft).unwrap();
+    let mut rows = Vec::new();
+    for (input, n, ratio, recode) in [
+        ("signal", 1000, 0.2, None),
+        ("signal", 1000, 0.05, None),
+        ("signal", 1000, 0.2, Some(0.1)),
+        ("signal", 1024, 0.2, None),
+        ("signal", 1024, 0.05, None),
+        ("signal", 1024, 0.2, Some(0.1)),
+        ("low_entropy", 1000, 0.2, None),
+        ("low_entropy", 1024, 0.2, None),
+    ] {
+        let mut block = fft.compress_to_ratio(&fft_input(input, n), ratio).unwrap();
+        if let Some(r) = recode {
+            block = fft.recode(&block, r).unwrap();
+        }
+        let decoded = reg.decompress(&block).unwrap();
+        assert_eq!(decoded.len(), n);
+        rows.push((
+            input,
+            n,
+            ratio,
+            recode,
+            block.payload.len(),
+            fnv1a(&block.payload),
+            fnv1a_bits(&decoded),
+        ));
+    }
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (input, n, ratio, recode, len, payload, decoded) in &rows {
+            println!(
+                "(\"{input}\", {n}, {ratio:?}, {recode:?}, {len}, 0x{payload:016x}, 0x{decoded:016x}),"
+            );
+        }
+        return;
+    }
+    assert_eq!(rows.len(), FFT_GOLDENS.len());
+    for (row, golden) in rows.iter().zip(FFT_GOLDENS) {
+        assert_eq!(
+            row, golden,
+            "FFT payload or decode diverged from the golden wire format"
+        );
     }
 }
