@@ -203,3 +203,27 @@ fn empty_input_agrees() {
         );
     }
 }
+
+/// FFT at segment lengths past the proptests' range, Bluestein (999, 1000,
+/// 1001) and radix-2 (1024): both API paths agree through one arena that
+/// other codecs dirty in between, for ratio-targeted and recoded blocks.
+#[test]
+fn fft_segment_lengths_agree() {
+    let reg = CodecRegistry::new(PRECISION);
+    let fft = reg.get_lossy(CodecId::Fft).expect("fft is lossy");
+    let mut scratch = CodecScratch::new();
+    let mut out = vec![f64::NAN; 7];
+    for n in [999, 1000, 1001, 1024] {
+        for profile in 0..5 {
+            let data = generate(profile, n as u64, n);
+            check_codec(&reg, CodecId::Fft, &data, &mut scratch, &mut out);
+            check_codec(&reg, CodecId::Gzip, &data, &mut scratch, &mut out);
+            for ratio in [0.2, 0.05] {
+                let block = fft.compress_to_ratio(&data, ratio).expect("fft ratio");
+                check_decompress(&reg, &block, &mut scratch, &mut out);
+                let recoded = fft.recode(&block, ratio / 4.0).expect("fft recode");
+                check_decompress(&reg, &recoded, &mut scratch, &mut out);
+            }
+        }
+    }
+}
