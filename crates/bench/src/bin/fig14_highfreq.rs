@@ -4,10 +4,12 @@
 //!
 //! Time is simulated: each segment arrives every `SEGMENT_LEN / rate`
 //! seconds and the single compression+recoding thread spends the measured
-//! compute seconds per ingest (reward evaluation is excluded — the paper
-//! gives it its own thread). A method fails when its processing backlog
-//! exceeds the uncompressed-buffer capacity, or when the storage budget is
-//! breached outright.
+//! compute seconds per ingest. For AdaEdge that is the lossless compress
+//! plus the committed recodes (`IngestReport::recode_commit_seconds`):
+//! reward evaluation, which decodes every recode attempt to score it, is
+//! excluded because the paper gives it its own thread. A method fails when
+//! its processing backlog exceeds the uncompressed-buffer capacity, or
+//! when the storage budget is breached outright.
 //!
 //! Run: `cargo run --release -p adaedge-bench --bin fig14_highfreq`
 
@@ -94,7 +96,7 @@ fn main() {
         for i in 0..TOTAL_SEGMENTS {
             match edge.ingest(&src.next_segment()) {
                 Ok(report) => {
-                    let compute = report.selection.seconds + report.recode_seconds;
+                    let compute = report.selection.seconds + report.recode_commit_seconds;
                     match clock.step(i, compute) {
                         Some(b) => max_backlog = max_backlog.max(b),
                         None => {

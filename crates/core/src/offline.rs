@@ -18,6 +18,7 @@ use adaedge_storage::{
     CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy, SegmentId, SegmentStore,
 };
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Which compression-sequencing policy to run (§IV-F).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,8 +107,16 @@ pub struct IngestReport {
     pub selection: Selection,
     /// Recoding passes triggered by this ingest.
     pub recodes: usize,
-    /// Seconds spent recoding.
+    /// Wall-clock seconds spent making room for this segment: the whole
+    /// recoding cascade, including the lossy arms' compress and recode
+    /// calls, the decodes that score each attempt, the decode of a victim
+    /// recoded into another codec, and attempts that were not committed.
     pub recode_seconds: f64,
+    /// The part of `recode_seconds` spent in the committed recodes' own
+    /// compress or recode calls (a cross-codec recode's victim decode
+    /// included). It is the cascade's cost to a compression thread that
+    /// leaves reward evaluation to another thread, as the paper does.
+    pub recode_commit_seconds: f64,
     /// Storage utilization after the ingest.
     pub utilization: f64,
 }
@@ -204,44 +213,31 @@ impl OfflineAdaEdge {
     }
 
     /// Recode the least-valuable shrinkable victim once. Returns the bytes
-    /// freed (0 if nothing could shrink).
+    /// freed (0 if nothing could shrink) and the committed recode's seconds.
     fn recode_one(&mut self) -> Result<(usize, f64)> {
         let r_req = self.required_mean_ratio();
         // Two passes over the LRU order: first only victims still above the
         // globally required mean ratio, then (if space is still needed)
         // anything that can shrink.
-        let victims = self.store.victim_order();
-        let mut ordered: Vec<_> = victims
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.store
-                    .peek(id)
-                    .map(|s| s.ratio() > r_req)
-                    .unwrap_or(false)
-            })
-            .collect();
-        ordered.extend(victims.iter().copied().filter(|&id| {
-            self.store
-                .peek(id)
-                .map(|s| s.ratio() <= r_req)
-                .unwrap_or(false)
-        }));
-        for id in ordered {
-            let Some(seg) = self.store.peek(id) else {
+        let (above, below): (Vec<_>, Vec<_>) = self
+            .store
+            .victim_order()
+            .into_iter()
+            .filter_map(|id| Some((id, self.store.peek(id)?.ratio())))
+            .partition(|&(_, ratio)| ratio > r_req);
+        for (id, ratio) in above.into_iter().chain(below) {
+            let Some(block) = self.store.peek(id).and_then(|s| s.block()) else {
                 continue;
             };
-            let Some(block) = seg.block() else { continue };
             let old_bytes = block.compressed_bytes();
             // Halve by default (§IV-C2), but never push a victim far below
             // the globally required mean ratio: compressing harder than the
             // budget demands only costs accuracy.
-            let target = (seg.ratio() * self.recode_factor).max(r_req.min(seg.ratio() * 0.9));
-            let original = self.originals.as_ref().and_then(|m| m.get(&id)).cloned();
-            let block = block.clone();
+            let target = (ratio * self.recode_factor).max(r_req.min(ratio * 0.9));
+            let original = self.originals.as_ref().and_then(|m| m.get(&id));
             match self
                 .lossy
-                .recode(&self.reg, &block, original.as_deref(), target)
+                .recode(&self.reg, block, original.map(Vec::as_slice), target)
             {
                 Ok(sel) => {
                     let freed = old_bytes.saturating_sub(sel.block.compressed_bytes());
@@ -261,7 +257,8 @@ impl OfflineAdaEdge {
     }
 
     /// Make room so `incoming` more bytes keep usage at or below the
-    /// recoding threshold (or at least within the budget).
+    /// recoding threshold (or at least within the budget). Returns the
+    /// number of recoding passes and their committed seconds.
     fn ensure_space(&mut self, incoming: usize) -> Result<(usize, f64)> {
         let budget = self
             .store
@@ -296,7 +293,10 @@ impl OfflineAdaEdge {
     /// Ingest one segment: lossless-compress, make room, store.
     pub fn ingest(&mut self, data: &[f64]) -> Result<IngestReport> {
         let selection = self.lossless.compress(&self.reg, data)?;
-        let (recodes, recode_seconds) = self.ensure_space(selection.block.compressed_bytes())?;
+        let t0 = Instant::now();
+        let (recodes, recode_commit_seconds) =
+            self.ensure_space(selection.block.compressed_bytes())?;
+        let recode_seconds = t0.elapsed().as_secs_f64();
         let id = self.store.put_compressed(selection.block.clone())?;
         if let Some(originals) = self.originals.as_mut() {
             originals.insert(id, data.to_vec());
@@ -306,6 +306,7 @@ impl OfflineAdaEdge {
             selection,
             recodes,
             recode_seconds,
+            recode_commit_seconds,
             utilization: self.store.utilization(),
         })
     }
@@ -453,6 +454,24 @@ mod tests {
             .map(|s| s.ratio())
             .fold(f64::INFINITY, f64::min);
         assert!(min_ratio < 0.2, "cascade should compress hard: {min_ratio}");
+    }
+
+    #[test]
+    fn recode_seconds_times_the_cascade_within_the_ingest() {
+        let mut edge = pipeline(10_000);
+        let mut recoding_ingests = 0;
+        for s in 0..30 {
+            let t0 = Instant::now();
+            let report = edge.ingest(&smooth_segment(s, 1000)).unwrap();
+            let wall = t0.elapsed().as_secs_f64();
+            assert!(report.recode_seconds <= wall, "{report:?} vs {wall}");
+            assert!(report.recode_commit_seconds <= report.recode_seconds);
+            if report.recodes > 0 {
+                recoding_ingests += 1;
+                assert!(report.recode_seconds > 0.0, "{report:?}");
+            }
+        }
+        assert!(recoding_ingests > 0, "cascade never ran");
     }
 
     #[test]
