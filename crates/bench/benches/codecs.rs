@@ -5,9 +5,13 @@
 //! Lossless compression is measured the way the engine runs it:
 //! `compress_into` with one `CodecScratch` reused across iterations, on a
 //! CBF segment and on the 1000-point precision-4 `SineStream` segment the
-//! online workload compresses.
+//! online workload compresses. Lossy arms are timed both ways: compress to
+//! a ratio, and `decompress_into` as the recoding cascade scores each
+//! attempt; the bare FFT is timed at a Bluestein (1000) and a radix-2
+//! (1024) length.
 
 use adaedge_bandit::{EpsilonGreedy, Policy};
+use adaedge_codecs::fft::{dft, idft_inplace, Complex};
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource, SineStream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -92,6 +96,62 @@ fn bench_lossy_compress(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_lossy_decompress(c: &mut Criterion) {
+    // The recoding cascade decodes every lossy attempt to score it, through
+    // one reused scratch and output buffer.
+    let reg = CodecRegistry::new(4);
+    let data = segment();
+    let mut scratch = CodecScratch::new();
+    let mut out = Vec::new();
+    let mut group = quick(c);
+    group.throughput(Throughput::Bytes((SEGMENT * 8) as u64));
+    for id in CodecRegistry::lossy_candidates() {
+        let block = reg
+            .get_lossy(id)
+            .unwrap()
+            .compress_to_ratio(&data, 0.2)
+            .unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("decompress_into_r0.2", id.name()),
+            &block,
+            |b, blk| {
+                b.iter(|| {
+                    reg.decompress_into(black_box(blk), &mut scratch, &mut out)
+                        .unwrap();
+                    black_box(&out);
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_fft(c: &mut Criterion) {
+    // The bare transforms at the offline segment length (n = 1000, a
+    // Bluestein length) and the nearest power of two (radix-2).
+    let mut group = quick(c);
+    for n in [1000, 1024] {
+        let input: Vec<Complex> = segment()
+            .iter()
+            .cycle()
+            .take(n)
+            .map(|&v| Complex::new(v, 0.0))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("fft/forward", n), &input, |b, x| {
+            b.iter(|| black_box(dft(black_box(x))))
+        });
+        let mut buf = input.clone();
+        group.bench_with_input(BenchmarkId::new("fft/inverse", n), &input, |b, x| {
+            b.iter(|| {
+                buf.copy_from_slice(x);
+                idft_inplace(black_box(&mut buf));
+                black_box(&buf);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_recode_virtual_vs_full(c: &mut Criterion) {
     // The §IV-E ablation: recoding PAA→PAA via virtual decompression vs a
     // full decompress + re-compress round trip.
@@ -144,6 +204,8 @@ criterion_group!(
     bench_lossless_compress,
     bench_lossless_decompress,
     bench_lossy_compress,
+    bench_lossy_decompress,
+    bench_fft,
     bench_recode_virtual_vs_full,
     bench_mab_overhead
 );
