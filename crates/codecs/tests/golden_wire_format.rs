@@ -10,6 +10,8 @@
 //! for the byte codecs (gzip, zlib-1/6/9, snappy), which the smooth signal
 //! leaves unpinned. The lossy FFT arm is pinned at a Bluestein and a
 //! radix-2 length, on its payloads and on the bits of its decoded values.
+//! A tie-heavy input pins the quantizing codecs (Sprintz, BUFF) on exact
+//! `k + 0.5` rounding ties, signed zeros and the fixed-point range edge.
 
 use adaedge_codecs::bitio::BitWriter;
 use adaedge_codecs::{CodecId, CodecRegistry};
@@ -255,6 +257,93 @@ fn golden_low_entropy_payloads() {
             assert_ne!(pa, pb, "{ida:?} and {idb:?} emit the same payload");
         }
     }
+}
+
+/// The input closest to `target / scale` (searching a few ulps either
+/// side) whose product with `scale` is exactly `target`, if one exists.
+fn scaled_to(target: f64, scale: f64) -> Option<f64> {
+    let mut lo = target / scale;
+    let mut hi = lo;
+    for _ in 0..8 {
+        for v in [lo, hi] {
+            if v * scale == target {
+                return Some(v);
+            }
+        }
+        lo = lo.next_down();
+        hi = hi.next_up();
+    }
+    None
+}
+
+/// Tie-heavy input at `10^precision`: points whose scaled form is exactly
+/// `k + 0.5` (both signs), their one-ulp neighbours, signed zeros, the
+/// largest double below one half, and magnitudes just under the
+/// `4.5e15 / scale` fixed-point bound. The smooth `signal` is already at
+/// precision 4, so it never reaches a rounding tie.
+fn tie_heavy(precision: i32) -> Vec<f64> {
+    let scale = 10f64.powi(precision);
+    let half_down = 0.5f64.next_down();
+    let mut out = vec![0.0, -0.0];
+    for target in [half_down, -half_down] {
+        out.push(scaled_to(target, scale).unwrap_or(target / scale));
+    }
+    for k in -40i32..40 {
+        let tie = k as f64 + 0.5;
+        if let Some(v) = scaled_to(tie, scale) {
+            out.extend([v, v.next_up(), v.next_down()]);
+        }
+    }
+    let mut edge = 4.5e15 / scale;
+    for _ in 0..6 {
+        edge = edge.next_down();
+        out.extend([edge, -edge]);
+    }
+    // Ties at the top of the range, where one unit is two ulps.
+    for tie in [4_499_999_999_999_998.5, 1_125_899_906_842_623.5] {
+        if let Some(v) = scaled_to(tie, scale) {
+            out.extend([v, -v]);
+        }
+    }
+    out
+}
+
+/// Expected (precision, codec, length, fnv1a) per payload for
+/// `tie_heavy(precision)` compressed at that precision.
+const TIE_GOLDENS: &[(u8, CodecId, usize, u64)] = &[
+    (0, CodecId::Sprintz, 1009, 0xa004_f513_e473_123a),
+    (0, CodecId::Buff, 1734, 0x3630_4603_8818_19b7),
+    (4, CodecId::Sprintz, 792, 0x5a1f_b991_d172_a344),
+    (4, CodecId::Buff, 1522, 0x0ccf_4d03_4837_03be),
+];
+
+#[test]
+fn golden_tie_heavy_payloads() {
+    let mut rows = Vec::new();
+    for precision in [0u8, 4] {
+        let reg = CodecRegistry::new(precision);
+        let data = tie_heavy(precision as i32);
+        let scale = 10f64.powi(precision as i32);
+        let ties = data
+            .iter()
+            .filter(|&&v| (v * scale).abs().fract() == 0.5)
+            .count();
+        assert!(ties >= 80, "precision {precision}: only {ties} exact ties");
+        for id in [CodecId::Sprintz, CodecId::Buff] {
+            let payload = reg.get(id).compress(&data).unwrap().payload;
+            rows.push((precision, id, payload.len(), fnv1a(&payload)));
+        }
+    }
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (precision, id, len, hash) in &rows {
+            println!("({precision}, CodecId::{id:?}, {len}, 0x{hash:016x}),");
+        }
+        return;
+    }
+    assert_eq!(
+        rows, TIE_GOLDENS,
+        "tie-heavy quantized payload diverged from the golden wire format"
+    );
 }
 
 /// One FFT row: which input, its length, the `compress_to_ratio` target,
