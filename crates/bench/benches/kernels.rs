@@ -6,7 +6,7 @@
 //! what the engine actually moves (segment payloads of a few KB).
 //! `pack_run`/`unpack_run` are benched at widths 7 and 12 — inside the
 //! AVX2 fast-path range and typical of Sprintz delta lanes; `quantize`
-//! has no SIMD tier and keeps its single fused row.
+//! is timed on the same precision-4 segment the transforms use.
 
 use adaedge_codecs::simd;
 use adaedge_codecs::util::quantize_into;
@@ -171,13 +171,19 @@ fn bench_quantize(c: &mut Criterion) {
     let mut group = quick(c);
     group.throughput(Throughput::Bytes((N_POINTS * 8) as u64));
     let data = smooth_points(N_POINTS);
-    group.bench_with_input(BenchmarkId::new("quantize", "fused"), &data, |b, data| {
-        let mut out = Vec::with_capacity(N_POINTS);
-        b.iter(|| {
-            quantize_into(data, 4, &mut out).unwrap();
-            black_box(out.last().copied())
-        })
-    });
+    for &backend in simd::supported() {
+        group.bench_with_input(
+            BenchmarkId::new("quantize", backend.name()),
+            &data,
+            |b, data| {
+                let mut out = Vec::with_capacity(N_POINTS);
+                b.iter(|| {
+                    backend.quantize(data, 1e4, &mut out).unwrap();
+                    black_box(out.last().copied())
+                })
+            },
+        );
+    }
     group.finish();
 }
 

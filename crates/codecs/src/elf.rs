@@ -23,7 +23,7 @@ use crate::error::{CodecError, Result};
 use crate::gorilla::{gorilla_decode_into, gorilla_encode};
 use crate::scratch::CodecScratch;
 use crate::traits::{Codec, CodecKind};
-use crate::util::round_to_precision;
+use crate::util::{pow10, round_to_precision};
 
 /// Elf codec at a fixed decimal precision.
 #[derive(Debug, Clone, Copy)]
@@ -119,6 +119,7 @@ impl Codec for Elf {
         if data.is_empty() {
             return Err(CodecError::EmptyInput);
         }
+        pow10(self.precision)?;
         for v in data {
             if !v.is_finite() {
                 return Err(CodecError::UnsupportedValue("non-finite float"));
@@ -155,7 +156,7 @@ impl Codec for Elf {
         let mut r = BitReader::new(&block.payload[1..]);
         gorilla_decode_into(&mut r, block.n_points as usize, out)?;
         for v in out.iter_mut() {
-            *v = round_to_precision(*v, precision.min(12));
+            *v = round_to_precision(*v, precision);
         }
         Ok(())
     }

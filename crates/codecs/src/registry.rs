@@ -246,6 +246,33 @@ mod tests {
     }
 
     #[test]
+    fn precision_past_the_table_is_an_error_not_a_panic() {
+        // Every codec that reads the precision rejects 13 with the same
+        // error; the others ignore it. None may panic.
+        let reg = CodecRegistry::new(13);
+        let data = sample(300);
+        let quantizing = [
+            CodecId::Sprintz,
+            CodecId::Elf,
+            CodecId::Buff,
+            CodecId::BuffLossy,
+        ];
+        for id in CodecId::ALL {
+            let got = std::panic::catch_unwind(|| match reg.get_lossy(id) {
+                Some(lossy) => lossy.compress_to_ratio(&data, 0.5).map(drop),
+                None => reg.get(id).compress(&data).map(drop),
+            })
+            .unwrap_or_else(|_| panic!("{id} panicked at precision 13"));
+            if quantizing.contains(&id) {
+                let want = Err(CodecError::InvalidParameter("precision must be <= 12"));
+                assert_eq!(got, want, "{id}");
+            } else {
+                assert_eq!(got, Ok(()), "{id}");
+            }
+        }
+    }
+
+    #[test]
     fn lossless_arms_roundtrip_exactly_at_precision() {
         let reg = CodecRegistry::new(4);
         let data: Vec<f64> = sample(400)

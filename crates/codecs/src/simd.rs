@@ -9,7 +9,8 @@
 //! | `Scalar`   | naive per-element reference (byte/bit loops)            |
 //! | `Swar`     | portable word-at-a-time kernels (the PR 1–4 hot loops)  |
 //! | `Sse42`    | x86-64 hardware CRC-32C (3-stream `crc32` interleave)   |
-//! | `Avx2`     | x86-64 256-bit kernels (match, pack/unpack, transforms) |
+//! | `Avx2`     | x86-64 256-bit kernels (match, pack/unpack, transforms, |
+//! |            | quantize, dequantize)                                   |
 //! | `Neon`     | aarch64 hardware CRC-32C + 128-bit match extension      |
 //!
 //! # Dispatch
@@ -18,8 +19,8 @@
 //! backend in a `OnceLock` on first use, so steady-state dispatch is one
 //! atomic load plus a predictable jump. The hot wrappers
 //! (`crc32c::crc32c_append`, `lz::match_len`, `BitWriter::write_run`,
-//! `BitReader::read_run`, `util::dequantize_into`, …) all route through
-//! it; no call site does its own detection.
+//! `BitReader::read_run`, `util::quantize_into`, `util::dequantize_into`,
+//! …) all route through it; no call site does its own detection.
 //!
 //! Tiers degrade, never fail: a backend that lacks a kernel for the
 //! current ISA, width or length falls down the ladder (`Avx2 → Sse42 →
@@ -43,12 +44,12 @@
 //! # Wire-format safety
 //!
 //! Every kernel here is a drop-in for its scalar twin: CRC-32C digests,
-//! packed bit streams and decoded floats are **bit-identical** across
-//! backends (the wire polynomial is already CRC-32C, so hardware CRC
-//! changes nothing on the wire). This is pinned three ways: per-backend
-//! proptests over lengths/alignments/ragged tails, the golden
-//! wire-format fixtures, and forced-`scalar` vs detected-backend runs of
-//! the full suite in CI and `scripts/verify.sh`.
+//! packed bit streams, quantized integers (values and errors) and decoded
+//! floats are **bit-identical** across backends (the wire polynomial is
+//! already CRC-32C, so hardware CRC changes nothing on the wire). This is
+//! pinned three ways: per-backend proptests over lengths/alignments/ragged
+//! tails, the golden wire-format fixtures, and forced-`scalar` vs
+//! detected-backend runs of the full suite in CI and `scripts/verify.sh`.
 //!
 //! # Adding a kernel
 //!
@@ -70,6 +71,7 @@ mod aarch64;
 #[cfg(target_arch = "x86_64")]
 mod x86_64;
 
+use crate::error::Result;
 use crate::{bitio, crc32c, lz, util};
 
 /// One tier of the kernel ladder. See the [module docs](self) for the
@@ -84,7 +86,7 @@ pub enum Backend {
     /// x86-64 SSE4.2: hardware CRC-32C with 3-stream interleaving.
     Sse42,
     /// x86-64 AVX2: 256-bit match extension, bit pack/unpack, fused
-    /// transforms and dequantize (CRC rides the SSE4.2 kernel).
+    /// transforms, quantize and dequantize (CRC rides the SSE4.2 kernel).
     Avx2,
     /// aarch64: hardware CRC-32C and NEON match extension.
     Neon,
@@ -374,6 +376,42 @@ impl Backend {
             }
             _ => util::unzigzag_undelta_swar(prev, zs, out),
         }
+    }
+
+    /// Float to fixed-point: `out[i] = round(data[i] * scale)`, rounding
+    /// half away from zero exactly as [`f64::round`] (the `Scalar`
+    /// reference), with `out` cleared and refilled. The other tiers fuse
+    /// the scale, the checks, the rounding and the conversion into one
+    /// pass with no call to a software `round`.
+    ///
+    /// Points are checked in chunks of 64. Within a chunk a non-finite
+    /// input is reported before a scaled magnitude at or above `4.5e15`;
+    /// the earliest failing chunk is reported, and on `Err` `out` holds
+    /// exactly the chunks before it. Every tier returns the same values
+    /// and the same errors.
+    pub fn quantize(self, data: &[f64], scale: f64, out: &mut Vec<i64>) -> Result<()> {
+        out.clear();
+        out.resize(data.len(), 0);
+        let mut done = 0;
+        for chunk in data.chunks(util::QUANT_CHUNK) {
+            let dst = &mut out[done..done + chunk.len()];
+            let status = match self {
+                Backend::Scalar => util::quantize_scalar(chunk, scale, dst),
+                #[cfg(target_arch = "x86_64")]
+                Backend::Avx2 if caps().avx2 => {
+                    // SAFETY: AVX2 detected at runtime; `dst` was cut to
+                    // `chunk.len()` above.
+                    unsafe { x86_64::quantize_avx2(chunk, scale, dst) }
+                }
+                _ => util::quantize_swar(chunk, scale, dst),
+            };
+            if let Err(e) = status {
+                out.truncate(done);
+                return Err(e);
+            }
+            done += chunk.len();
+        }
+        Ok(())
     }
 
     /// Fixed-point to float: `out[i] = q[i] as f64 / scale`, bit-exact

@@ -1,6 +1,6 @@
 //! x86-64 kernels for the SIMD dispatch layer: hardware CRC-32C (SSE4.2)
-//! and 256-bit (AVX2) match extension, bit pack/unpack, fused transforms
-//! and dequantize.
+//! and 256-bit (AVX2) match extension, bit pack/unpack, fused transforms,
+//! quantize and dequantize.
 //!
 //! Every function is `#[target_feature]`-gated and reached only through
 //! the guarded arms in [`super::Backend`], which verify the feature at
@@ -11,7 +11,9 @@
 
 use super::crc_shift::{self, LONG, SHORT};
 use crate::bitio;
+use crate::error::Result;
 use crate::lz;
+use crate::util::{self, QUANT_LIMIT, TWO52};
 use core::arch::x86_64::*;
 
 #[inline]
@@ -279,4 +281,54 @@ pub(super) fn dequantize_avx2(q: &[i64], scale: f64, out: &mut [f64]) {
         i += 4;
     }
     crate::util::dequantize_scalar(&q[i..], scale, &mut out[i..]);
+}
+
+/// AVX2 fused quantize of one chunk ([`super::Backend::quantize`]
+/// semantics): per four lanes, scale, check `|v| < inf` and
+/// `|x| < QUANT_LIMIT`, truncate `|x|`, add one where the exact fraction
+/// is at least one half (half away from zero), convert through the 2^52
+/// bit trick and restore the sign. The ragged tail rides the SWAR lanes.
+#[target_feature(enable = "avx2")]
+pub(super) fn quantize_avx2(chunk: &[f64], scale: f64, out: &mut [i64]) -> Result<()> {
+    debug_assert_eq!(chunk.len(), out.len());
+    let sign_bit = _mm256_set1_pd(-0.0);
+    let inf = _mm256_set1_pd(f64::INFINITY);
+    let limit = _mm256_set1_pd(QUANT_LIMIT);
+    let half = _mm256_set1_pd(0.5);
+    let one = _mm256_set1_pd(1.0);
+    let two52 = _mm256_set1_pd(TWO52);
+    let vscale = _mm256_set1_pd(scale);
+    let zero = _mm256_setzero_si256();
+    let all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    let (mut finite, mut in_range) = (all, all);
+    let mut i = 0;
+    while i + 4 <= chunk.len() {
+        // SAFETY: `i + 4 <= chunk.len()` keeps the load in bounds.
+        let v = unsafe { _mm256_loadu_pd(chunk.as_ptr().add(i)) };
+        let abs_v = _mm256_andnot_pd(sign_bit, v);
+        finite = _mm256_and_pd(finite, _mm256_cmp_pd::<_CMP_LT_OQ>(abs_v, inf));
+        let x = _mm256_mul_pd(v, vscale);
+        let a = _mm256_andnot_pd(sign_bit, x);
+        in_range = _mm256_and_pd(in_range, _mm256_cmp_pd::<_CMP_LT_OQ>(a, limit));
+        // Below 2^52 both the truncation and `a - t` are exact.
+        let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(a);
+        let up = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(a, t), half);
+        let r = _mm256_add_pd(t, _mm256_and_pd(up, one));
+        let mag = _mm256_sub_epi64(
+            _mm256_castpd_si256(_mm256_add_pd(r, two52)),
+            _mm256_castpd_si256(two52),
+        );
+        // All-ones in lanes whose sign bit is set: `(m ^ s) - s` negates.
+        let neg = _mm256_cmpgt_epi64(zero, _mm256_castpd_si256(x));
+        let q = _mm256_sub_epi64(_mm256_xor_si256(mag, neg), neg);
+        // SAFETY: `i + 4 <= chunk.len() == out.len()` keeps the store in
+        // bounds.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(i).cast::<__m256i>(), q) };
+        i += 4;
+    }
+    let (tail_finite, tail_in_range) = util::quantize_lanes(&chunk[i..], scale, &mut out[i..]);
+    util::quantize_status(
+        tail_finite && _mm256_movemask_pd(finite) == 0b1111,
+        tail_in_range && _mm256_movemask_pd(in_range) == 0b1111,
+    )
 }

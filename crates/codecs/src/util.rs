@@ -2,15 +2,29 @@
 //! and the delta/zigzag preprocessing shared by the quantizing codecs.
 //!
 //! The `_into` variants write into caller-owned buffers (cleared, capacity
-//! kept) and run their validation and transform passes over fixed-size
-//! chunks so the loops auto-vectorize; the allocating forms wrap them.
+//! kept); the allocating forms wrap them. The per-point loops are published
+//! as tiers of [`crate::simd::Backend`], whose portable (`Swar`) and
+//! reference (`Scalar`) forms live here.
 
 use crate::bitio::{zigzag_decode, zigzag_encode};
 use crate::error::{CodecError, Result};
 
-/// Chunk size for the validate-then-transform quantization loops: big
-/// enough to amortize the per-chunk branch, small enough to stay in L1.
-const CHUNK: usize = 64;
+/// Points per validation chunk of [`quantize_into`]: a chunk is checked
+/// as a whole, and an error leaves exactly the chunks before it in the
+/// output.
+pub(crate) const QUANT_CHUNK: usize = 64;
+
+/// Exclusive bound on a scaled magnitude `|v * 10^p|`. It sits below
+/// 2^52, so every accepted value rounds and converts exactly.
+pub(crate) const QUANT_LIMIT: f64 = 4.5e15;
+
+/// 2^52: adding it to a magnitude below 2^52 rounds to an integer (the
+/// ulp there is 1), and the sum's bit pattern minus its own is that
+/// integer.
+pub(crate) const TWO52: f64 = 4_503_599_627_370_496.0;
+
+/// Largest decimal precision the quantizing codecs accept.
+const MAX_PRECISION: u8 = 12;
 
 /// Serialize a segment of doubles to little-endian bytes.
 pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
@@ -55,8 +69,8 @@ pub fn bytes_to_f64s_into(bytes: &[u8], out: &mut Vec<f64>) -> Result<()> {
     Ok(())
 }
 
-/// Powers of ten for decimal precision 0..=12.
-const POW10: [f64; 13] = [
+/// Powers of ten for decimal precision 0..=[`MAX_PRECISION`].
+const POW10: [f64; MAX_PRECISION as usize + 1] = [
     1.0,
     10.0,
     100.0,
@@ -94,36 +108,78 @@ pub fn quantize(data: &[f64], precision: u8) -> Result<Vec<i64>> {
 
 /// [`quantize`] into a reused buffer (cleared, capacity kept).
 ///
-/// Validation (finiteness, fixed-point range) and the round step run as
-/// separate passes over each chunk so both loops stay branch-free and
-/// auto-vectorize; the scaled values are staged in a stack buffer so the
-/// multiply happens once per element.
+/// Dispatches through [`crate::simd`]: each tier scales, validates,
+/// rounds half away from zero and converts in one pass, and every tier
+/// returns the same values and errors (see
+/// [`crate::simd::Backend::quantize`] for the chunked error contract).
 pub fn quantize_into(data: &[f64], precision: u8, out: &mut Vec<i64>) -> Result<()> {
     let scale = pow10(precision)?;
-    out.clear();
-    out.reserve(data.len());
-    let mut scaled = [0.0f64; CHUNK];
-    for chunk in data.chunks(CHUNK) {
-        let mut finite = true;
-        let mut max_abs = 0.0f64;
-        for (slot, &v) in scaled.iter_mut().zip(chunk) {
-            finite &= v.is_finite();
-            let x = v * scale;
-            *slot = x;
-            let a = x.abs();
-            max_abs = if a > max_abs { a } else { max_abs };
-        }
-        if !finite {
-            return Err(CodecError::UnsupportedValue("non-finite float"));
-        }
-        if max_abs >= 4.5e15 {
-            return Err(CodecError::UnsupportedValue(
-                "magnitude overflows fixed-point range at this precision",
-            ));
-        }
-        out.extend(scaled[..chunk.len()].iter().map(|&x| x.round() as i64));
+    crate::simd::active().quantize(data, scale, out)
+}
+
+/// The two quantization errors in their reporting order: a non-finite
+/// input wins over an out-of-range magnitude in the same chunk.
+#[inline]
+pub(crate) fn quantize_status(finite: bool, in_range: bool) -> Result<()> {
+    if !finite {
+        Err(CodecError::UnsupportedValue("non-finite float"))
+    } else if !in_range {
+        Err(CodecError::UnsupportedValue(
+            "magnitude overflows fixed-point range at this precision",
+        ))
+    } else {
+        Ok(())
+    }
+}
+
+/// Reference quantize of one chunk (the `Backend::Scalar` tier): a
+/// validation pass, then `round` per point. Requires
+/// `chunk.len() == out.len()`.
+pub(crate) fn quantize_scalar(chunk: &[f64], scale: f64, out: &mut [i64]) -> Result<()> {
+    let mut finite = true;
+    let mut max_abs = 0.0f64;
+    for &v in chunk {
+        finite &= v.is_finite();
+        let a = (v * scale).abs();
+        max_abs = if a > max_abs { a } else { max_abs };
+    }
+    quantize_status(finite, max_abs < QUANT_LIMIT)?;
+    for (dst, &v) in out.iter_mut().zip(chunk) {
+        *dst = (v * scale).round() as i64;
     }
     Ok(())
+}
+
+/// Portable fused quantize of one chunk (the `Backend::Swar` tier).
+/// Requires `chunk.len() == out.len()`.
+pub(crate) fn quantize_swar(chunk: &[f64], scale: f64, out: &mut [i64]) -> Result<()> {
+    let (finite, in_range) = quantize_lanes(chunk, scale, out);
+    quantize_status(finite, in_range)
+}
+
+/// Branch-free scale, check, round and convert; returns whether every
+/// input was finite and every scaled magnitude below [`QUANT_LIMIT`].
+/// Outputs are exact for accepted points and unspecified for the rest.
+/// Also the ragged-tail kernel of the AVX2 tier.
+#[inline]
+pub(crate) fn quantize_lanes(chunk: &[f64], scale: f64, out: &mut [i64]) -> (bool, bool) {
+    let mut finite = true;
+    let mut in_range = true;
+    for (dst, &v) in out.iter_mut().zip(chunk) {
+        finite &= v.is_finite();
+        let x = v * scale;
+        let a = x.abs();
+        in_range &= a < QUANT_LIMIT;
+        // Below 2^52 the sum rounds `a` to the nearest integer, ties to
+        // even, and the subtraction is exact.
+        let r = (a + TWO52) - TWO52;
+        // A tie that went down to the even neighbour goes up instead:
+        // half away from zero, as `f64::round`.
+        let r = if a - r == 0.5 { r + 1.0 } else { r };
+        let mag = (r + TWO52).to_bits().wrapping_sub(TWO52.to_bits()) as i64;
+        *dst = if x < 0.0 { mag.wrapping_neg() } else { mag };
+    }
+    (finite, in_range)
 }
 
 /// Inverse of [`quantize`].
@@ -240,9 +296,10 @@ pub fn min_max_i64(q: &[i64]) -> (i64, i64) {
 }
 
 /// Round a float to `precision` decimal digits (the value a quantizing codec
-/// will reproduce).
+/// will reproduce). Precisions above 12, the finest [`pow10`] supports,
+/// round at 12.
 pub fn round_to_precision(v: f64, precision: u8) -> f64 {
-    let scale = POW10[precision as usize];
+    let scale = pow10(precision.min(MAX_PRECISION)).expect("precision clamped to the table");
     (v * scale).round() / scale
 }
 
@@ -292,5 +349,8 @@ mod tests {
         let v = 1.23456789;
         assert_eq!(round_to_precision(v, 4), 1.2346);
         assert_eq!(round_to_precision(v, 0), 1.0);
+        // Past the table, rounding clamps instead of indexing out of it.
+        assert_eq!(round_to_precision(v, 13), round_to_precision(v, 12));
+        assert_eq!(round_to_precision(v, u8::MAX), round_to_precision(v, 12));
     }
 }

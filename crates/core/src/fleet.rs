@@ -47,6 +47,7 @@ use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamEgress};
 use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
 use crate::shard::{compress_batch, ShardQueues, ShardWorker, WorkGate};
 use crate::uplink::{LinkPressure, PressureGauge, UplinkRollup};
+use adaedge_bandit::EpsilonGreedy;
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::SegmentSource;
 use adaedge_storage::posterior::{load_posteriors, save_posteriors, StreamPosterior};
@@ -450,13 +451,16 @@ struct StreamDriver {
     restored: bool,
 }
 
-/// Resident bytes one admitted stream costs: its entry, its selector
-/// state, and the per-arm posterior vectors. Reported so capacity
-/// planning for `max_resident_streams` has a number to multiply.
+/// Resident bytes one admitted stream costs, each nested type counted
+/// once: the entry's `Arc` allocation (the two reference counts, then the
+/// entry, which holds its `StreamState` inline, which holds the
+/// `LosslessSelector` inline), the boxed ε-greedy policy, and the per-arm
+/// heap vectors. Reported so capacity planning for `max_resident_streams`
+/// has a number to multiply.
 fn per_stream_state_bytes(n_arms: usize) -> usize {
-    std::mem::size_of::<StreamEntry>()
-        + std::mem::size_of::<StreamState>()
-        + std::mem::size_of::<LosslessSelector>()
+    2 * std::mem::size_of::<usize>()
+        + std::mem::size_of::<StreamEntry>()
+        + std::mem::size_of::<EpsilonGreedy>()
         // q + n (policy), failure totals, consecutive streaks, codec ids,
         // quarantine + mask bools.
         + n_arms * (8 + 8 + 8 + 4 + std::mem::size_of::<CodecId>() + 2)
@@ -933,6 +937,56 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
 mod tests {
     use super::*;
     use adaedge_datasets::SineStream;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Heap bytes live from this thread's allocations (net of frees).
+        static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    }
+
+    fn track(delta: isize) {
+        // `try_with`: allocations during thread teardown go uncounted.
+        let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + delta));
+    }
+
+    /// Wraps the system allocator and tracks live bytes per thread, so a
+    /// test can measure what one construction leaves on the heap while
+    /// other tests run on other threads.
+    struct PerThreadBytes;
+
+    // SAFETY: every call forwards to `System` with the caller's arguments;
+    // the counter is a thread-local `Cell` with a const initializer, so
+    // tracking never allocates or re-enters the allocator.
+    unsafe impl GlobalAlloc for PerThreadBytes {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            track(layout.size() as isize);
+            // SAFETY: forwarded unchanged; the caller upholds `alloc`'s
+            // contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            track(-(layout.size() as isize));
+            // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            track(layout.size() as isize);
+            // SAFETY: forwarded unchanged.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            track(new_size as isize - layout.size() as isize);
+            // SAFETY: forwarded unchanged; `ptr` came from `System`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: PerThreadBytes = PerThreadBytes;
 
     fn entry(id: u64) -> Arc<StreamEntry> {
         Arc::new(StreamEntry {
@@ -951,6 +1005,24 @@ mod tests {
                 codec_failures: 0,
             }),
         })
+    }
+
+    #[test]
+    fn state_bytes_match_what_admitting_a_stream_allocates() {
+        // The formula must equal the heap one admitted stream really
+        // holds: the `Arc` allocation (entry, state and selector nested
+        // inline, counted once) plus the selector's own heap parts.
+        let arms = CodecRegistry::lossless_candidates().len();
+        let before = LIVE_BYTES.with(Cell::get);
+        let e = entry(1);
+        let held = LIVE_BYTES.with(Cell::get) - before;
+        assert_eq!(held as usize, per_stream_state_bytes(arms));
+        drop(e);
+        assert_eq!(
+            LIVE_BYTES.with(Cell::get),
+            before,
+            "entry frees all it holds"
+        );
     }
 
     #[test]

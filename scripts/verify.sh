@@ -25,6 +25,9 @@ cargo fmt --check
 echo "==> forced-scalar backend gate (ADAEDGE_SIMD=scalar, full codec suite)"
 ADAEDGE_SIMD=scalar cargo test -q -p adaedge-codecs
 
+echo "==> forced-swar backend gate (ADAEDGE_SIMD=swar, full codec suite)"
+ADAEDGE_SIMD=swar cargo test -q -p adaedge-codecs
+
 echo "==> forced-scalar decode-fuzz (reference tier must survive the same corpus)"
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test decode_fuzz
 
