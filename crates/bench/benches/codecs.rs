@@ -97,8 +97,9 @@ fn bench_lossy_compress(c: &mut Criterion) {
 }
 
 fn bench_lossy_decompress(c: &mut Criterion) {
-    // The recoding cascade decodes every lossy attempt to score it, through
-    // one reused scratch and output buffer.
+    // Reconstructions, queries and the reward fallback (ML targets, FFT
+    // MAX/MIN) decode lossy blocks through one reused scratch and output
+    // buffer.
     let reg = CodecRegistry::new(4);
     let data = segment();
     let mut scratch = CodecScratch::new();

@@ -6,8 +6,8 @@
 //! seconds and the single compression+recoding thread spends the measured
 //! compute seconds per ingest. For AdaEdge that is the lossless compress
 //! plus the committed recodes (`IngestReport::recode_commit_seconds`):
-//! reward evaluation, which decodes every recode attempt to score it, is
-//! excluded because the paper gives it its own thread. A method fails when
+//! reward evaluation, which scores every recode attempt, is excluded
+//! because the paper gives it its own thread. A method fails when
 //! its processing backlog exceeds the uncompressed-buffer capacity, or
 //! when the storage budget is breached outright.
 //!

@@ -459,9 +459,10 @@ fn feasibility_mask(
         .collect()
 }
 
-/// Run one lossy compression attempt and score it. The reconstruction used
-/// for scoring goes through `scratch`/`buf` so repeated attempts reuse the
-/// same arena.
+/// Run one lossy compression attempt and score it through
+/// [`RewardEvaluator::evaluate_block`]: from compressed-domain aggregates
+/// when the target allows, else from a decode through `scratch`/`buf`, so
+/// repeated attempts reuse the same arena.
 #[allow(clippy::too_many_arguments)]
 fn lossy_attempt(
     reg: &CodecRegistry,
@@ -476,9 +477,24 @@ fn lossy_attempt(
     let t0 = Instant::now();
     let block = lossy.compress_to_ratio(data, ratio)?;
     let seconds = t0.elapsed().as_secs_f64();
-    reg.decompress_into(&block, scratch, buf)?;
-    let reward = evaluator.evaluate(data, buf, seconds);
+    let reward = evaluator.evaluate_block(reg, data, &block, seconds, scratch, buf)?;
     Ok((block, seconds, reward))
+}
+
+/// Decode a recode victim into `out` unless `*decoded` says `out` already
+/// holds it.
+fn decode_victim(
+    reg: &CodecRegistry,
+    block: &CompressedBlock,
+    scratch: &mut CodecScratch,
+    out: &mut Vec<f64>,
+    decoded: &mut bool,
+) -> std::result::Result<(), CodecError> {
+    if !*decoded {
+        reg.decompress_into(block, scratch, out)?;
+        *decoded = true;
+    }
+    Ok(())
 }
 
 /// MAB over lossy arms at a single operating ratio (online mode).
@@ -592,10 +608,12 @@ pub struct BandedLossySelector {
     bands: BandedBandits<Box<dyn Policy>>,
     evaluator: RewardEvaluator,
     rng: SmallRng,
-    /// Reused decompression arena for reward scoring.
+    /// Reused decompression arena for reward scoring and victim decodes.
     scratch: CodecScratch,
     /// Reused reconstruction buffer for reward scoring.
     buf: Vec<f64>,
+    /// Reused buffer for a recode victim's decode.
+    victim: Vec<f64>,
 }
 
 impl std::fmt::Debug for BandedLossySelector {
@@ -630,6 +648,7 @@ impl BandedLossySelector {
             rng: SmallRng::seed_from_u64(config.seed.wrapping_add(2)),
             scratch: CodecScratch::new(),
             buf: Vec::new(),
+            victim: Vec::new(),
         }
     }
 
@@ -746,7 +765,8 @@ impl BandedLossySelector {
 
         let n = block.n_points as usize;
         let mut mask = feasibility_mask(reg, &self.arms, n, ratio);
-        let mut decoded: Option<Vec<f64>> = None;
+        // Whether `self.victim` holds this call's decode of `block`.
+        let mut decoded = false;
 
         // One recode attempt with a specific arm: returns the new block,
         // its wall time and its measured reward.
@@ -759,29 +779,43 @@ impl BandedLossySelector {
                 let attempt: std::result::Result<CompressedBlock, CodecError> = if same_family {
                     reg.recode(block, ratio)
                 } else {
-                    if decoded.is_none() {
-                        decoded = Some(reg.decompress(block)?);
-                    }
+                    decode_victim(
+                        reg,
+                        block,
+                        &mut self.scratch,
+                        &mut self.victim,
+                        &mut decoded,
+                    )?;
                     reg.get_lossy(codec)
                         .expect("arm must be lossy")
-                        .compress_to_ratio(decoded.as_ref().expect("just decoded"), ratio)
+                        .compress_to_ratio(&self.victim, ratio)
                 };
                 match attempt {
                     Ok(new_block) => {
                         let seconds = t0.elapsed().as_secs_f64();
-                        reg.decompress_into(&new_block, &mut self.scratch, &mut self.buf)?;
                         // Score against the raw points when the caller
                         // still has them; else the pre-recode decode.
                         let reference: &[f64] = match original_hint {
                             Some(orig) => orig,
                             None => {
-                                if decoded.is_none() {
-                                    decoded = Some(reg.decompress(block)?);
-                                }
-                                decoded.as_ref().expect("decoded above")
+                                decode_victim(
+                                    reg,
+                                    block,
+                                    &mut self.scratch,
+                                    &mut self.victim,
+                                    &mut decoded,
+                                )?;
+                                &self.victim
                             }
                         };
-                        let reward = self.evaluator.evaluate(reference, &self.buf, seconds);
+                        let reward = self.evaluator.evaluate_block(
+                            reg,
+                            reference,
+                            &new_block,
+                            seconds,
+                            &mut self.scratch,
+                            &mut self.buf,
+                        )?;
                         updates.push(($arm, reward));
                         Ok(Some((new_block, seconds, reward)))
                     }
@@ -1026,6 +1060,33 @@ mod tests {
         let recoded = sel.recode(&reg, &first.block, Some(&data), 0.1).unwrap();
         assert_eq!(recoded.codec, CodecId::Paa);
         assert!(recoded.block.ratio() <= 0.1 + 1e-9);
+    }
+
+    #[test]
+    fn recode_without_originals_scores_against_the_victim() {
+        let reg = reg();
+        let data = smooth(1000);
+        // RRD sampling does not keep the sum; PAA of its decode does.
+        let victim = reg
+            .get_lossy(CodecId::RrdSample)
+            .unwrap()
+            .compress_to_ratio(&data, 0.4)
+            .unwrap();
+        let recode = |hint: Option<&[f64]>| {
+            let evaluator = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Sum), None, 0);
+            let mut sel =
+                BandedLossySelector::new(vec![CodecId::Paa], SelectorConfig::offline(), evaluator);
+            sel.recode(&reg, &victim, hint, 0.1).unwrap()
+        };
+        let without = recode(None);
+        assert_eq!(without.codec, CodecId::Paa);
+        assert_eq!(without.reward, 1.0, "PAA keeps the victim's sum");
+        let with = recode(Some(&data));
+        let mut eval = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Sum), None, 0);
+        let recoded = reg.decompress(&with.block).unwrap();
+        let against_original = eval.evaluate(&data, &recoded, 0.0);
+        assert!(with.reward < 1.0, "{}", with.reward);
+        assert!((with.reward - against_original).abs() < 1e-9);
     }
 
     #[test]

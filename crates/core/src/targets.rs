@@ -6,6 +6,7 @@
 
 use crate::query::AggKind;
 use adaedge_bandit::Normalizer;
+use adaedge_codecs::{direct_agg, CodecError, CodecRegistry, CodecScratch, CompressedBlock};
 use adaedge_ml::{metrics, Model};
 
 /// One component of an optimization target.
@@ -73,6 +74,103 @@ impl OptimizationTarget {
     }
 }
 
+/// Two float sums of the same `n` values, added in different orders or
+/// through different but exact formulas, differ by at most
+/// `n · SUM_ERROR_FACTOR · Σ|xᵢ|`.
+const SUM_ERROR_FACTOR: f64 = 2.0 * f64::EPSILON;
+
+/// Accuracy of one aggregate `value` against the aggregate of `reference`,
+/// at float resolution.
+///
+/// A SUM or AVG error no larger than the summation error bound of the
+/// reference (`2·n·ε·Σ|xᵢ|`, over `n` for AVG) scores exactly 1.0, so a
+/// codec that preserves the sum ties with the reference however its sum is
+/// formed: from the decoded points or from the compressed domain. MAX and
+/// MIN compare exactly.
+fn agg_score(kind: AggKind, reference: &[f64], value: f64) -> f64 {
+    let truth = kind.eval(reference);
+    let abs_sum = || reference.iter().map(|x| x.abs()).sum::<f64>();
+    let floor = match kind {
+        AggKind::Sum => SUM_ERROR_FACTOR * reference.len() as f64 * abs_sum(),
+        AggKind::Avg => SUM_ERROR_FACTOR * abs_sum(),
+        AggKind::Max | AggKind::Min => 0.0,
+    };
+    if (value - truth).abs() <= floor {
+        1.0
+    } else {
+        metrics::agg_accuracy(truth, value).max(0.0)
+    }
+}
+
+/// Cut a segment into model-input rows of `instance_len` points
+/// (remainder points dropped).
+fn rows(instance_len: usize, data: &[f64]) -> Vec<Vec<f64>> {
+    data.chunks_exact(instance_len)
+        .map(|c| c.to_vec())
+        .collect()
+}
+
+fn ml_accuracy(
+    model: Option<&Model>,
+    instance_len: usize,
+    original: &[f64],
+    reconstructed: &[f64],
+) -> f64 {
+    let model = model.expect("ml_accuracy requires a model");
+    metrics::ml_accuracy(
+        model,
+        &rows(instance_len, original),
+        &rows(instance_len, reconstructed),
+    )
+}
+
+/// What an attempt is scored from: its decoded points, or its compressed
+/// block, decoded only when a component cannot be answered from the
+/// compressed domain.
+enum Attempt<'a> {
+    Points(&'a [f64]),
+    Block {
+        reg: &'a CodecRegistry,
+        block: &'a CompressedBlock,
+        scratch: &'a mut CodecScratch,
+        buf: &'a mut Vec<f64>,
+        decoded: bool,
+    },
+}
+
+impl Attempt<'_> {
+    /// The reconstruction, decoded into `buf` on first use.
+    fn points(&mut self) -> Result<&[f64], CodecError> {
+        match self {
+            Attempt::Points(points) => Ok(points),
+            Attempt::Block {
+                reg,
+                block,
+                scratch,
+                buf,
+                decoded,
+            } => {
+                if !*decoded {
+                    reg.decompress_into(block, scratch, buf)?;
+                    *decoded = true;
+                }
+                Ok(buf.as_slice())
+            }
+        }
+    }
+
+    /// The reconstruction's aggregate: compressed-domain when the codec
+    /// answers `kind` directly (`direct_agg`), else over the decoded points.
+    fn agg(&mut self, kind: AggKind) -> Result<f64, CodecError> {
+        if let Attempt::Block { block, .. } = self {
+            if let Some(value) = direct_agg(block, kind.op())? {
+                return Ok(value);
+            }
+        }
+        Ok(kind.eval(self.points()?))
+    }
+}
+
 /// Evaluates the optimization target for one compressed segment, producing
 /// the MAB reward in [0, 1].
 pub struct RewardEvaluator {
@@ -120,24 +218,20 @@ impl RewardEvaluator {
         self.model.as_ref()
     }
 
-    /// Cut a segment into model-input rows (remainder points dropped).
-    fn rows(&self, data: &[f64]) -> Vec<Vec<f64>> {
-        data.chunks_exact(self.instance_len)
-            .map(|c| c.to_vec())
-            .collect()
-    }
-
     /// ML accuracy of a reconstruction against the original segment.
     pub fn ml_accuracy(&self, original: &[f64], reconstructed: &[f64]) -> f64 {
-        let model = self.model.as_ref().expect("ml_accuracy requires a model");
-        let orig_rows = self.rows(original);
-        let lossy_rows = self.rows(reconstructed);
-        metrics::ml_accuracy(model, &orig_rows, &lossy_rows)
+        ml_accuracy(
+            self.model.as_ref(),
+            self.instance_len,
+            original,
+            reconstructed,
+        )
     }
 
-    /// Aggregation accuracy of a reconstruction.
+    /// Aggregation accuracy of a reconstruction, at float resolution (an
+    /// error within the reference's summation error bound scores 1.0).
     pub fn agg_accuracy(&self, kind: AggKind, original: &[f64], reconstructed: &[f64]) -> f64 {
-        metrics::agg_accuracy(kind.eval(original), kind.eval(reconstructed)).max(0.0)
+        agg_score(kind, original, kind.eval(reconstructed))
     }
 
     /// Evaluate the full target for one segment.
@@ -151,21 +245,65 @@ impl RewardEvaluator {
         reconstructed: &[f64],
         compress_seconds: f64,
     ) -> f64 {
+        self.score(original, Attempt::Points(reconstructed), compress_seconds)
+            .expect("decoded points need no decode")
+    }
+
+    /// Evaluate the full target for `block`, a compressed form of
+    /// `original`, without decoding it when the target allows: each
+    /// aggregation component is answered in the compressed domain
+    /// (`direct_agg`), and the block is decoded into `buf` (through
+    /// `scratch`) only for an ML component or an aggregate the codec cannot
+    /// answer directly (FFT MAX/MIN). Either way the reward is the one
+    /// [`Self::evaluate`] gives on the decoded block, bit for bit when the
+    /// aggregate error is inside the float-resolution floor.
+    pub fn evaluate_block(
+        &mut self,
+        reg: &CodecRegistry,
+        original: &[f64],
+        block: &CompressedBlock,
+        compress_seconds: f64,
+        scratch: &mut CodecScratch,
+        buf: &mut Vec<f64>,
+    ) -> Result<f64, CodecError> {
+        let attempt = Attempt::Block {
+            reg,
+            block,
+            scratch,
+            buf,
+            decoded: false,
+        };
+        self.score(original, attempt, compress_seconds)
+    }
+
+    /// The weighted target over one attempt, clamped to [0, 1].
+    fn score(
+        &mut self,
+        original: &[f64],
+        mut attempt: Attempt<'_>,
+        compress_seconds: f64,
+    ) -> Result<f64, CodecError> {
+        let Self {
+            target,
+            model,
+            instance_len,
+            throughput_norm,
+        } = self;
         let mut reward = 0.0;
-        for &(w, component) in self.target.components.clone().iter() {
+        for &(w, component) in &target.components {
             let value = match component {
-                TargetComponent::AggAccuracy(kind) => {
-                    self.agg_accuracy(kind, original, reconstructed)
+                TargetComponent::AggAccuracy(kind) => agg_score(kind, original, attempt.agg(kind)?),
+                TargetComponent::MlAccuracy => {
+                    ml_accuracy(model.as_ref(), *instance_len, original, attempt.points()?)
                 }
-                TargetComponent::MlAccuracy => self.ml_accuracy(original, reconstructed),
                 TargetComponent::Throughput => {
                     let thr = metrics::compression_throughput(original.len() * 8, compress_seconds);
-                    self.throughput_norm.observe_and_normalize(thr)
+                    throughput_norm.observe_and_normalize(thr)
                 }
             };
             reward += w * value;
         }
-        reward.clamp(0.0, 1.0)
+        Ok(reward.clamp(0.0, 1.0))
     }
 }
 
@@ -225,6 +363,142 @@ mod tests {
         let close = vec![9.0, 10.0];
         let r = eval.evaluate(&data, &close, 1.0);
         assert!((r - 0.95).abs() < 1e-9, "{r}");
+    }
+
+    #[test]
+    fn sum_within_float_resolution_scores_exactly_one() {
+        // The same values added in another order: 0.1 + 0.2 + 0.3 rounds
+        // to 0.6000000000000001, 0.3 + 0.2 + 0.1 to 0.6.
+        let data = [0.1, 0.2, 0.3];
+        let reordered = [0.3, 0.2, 0.1];
+        assert_ne!(AggKind::Sum.eval(&data), AggKind::Sum.eval(&reordered));
+        for kind in [AggKind::Sum, AggKind::Avg] {
+            let mut eval = RewardEvaluator::new(OptimizationTarget::agg(kind), None, 0);
+            assert_eq!(eval.evaluate(&data, &reordered, 1.0), 1.0, "{kind:?}");
+        }
+        // A real error is still scored: 10,10 vs 9,10.
+        let mut eval = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Sum), None, 0);
+        let r = eval.evaluate(&[10.0, 10.0], &[9.0, 10.0], 1.0);
+        assert!((r - 0.95).abs() < 1e-9, "{r}");
+        // MAX/MIN compare exactly: one ulp off is an error.
+        let mut eval = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Max), None, 0);
+        let r = eval.evaluate(&[1.0, 2.0], &[1.0, 2.0f64.next_up()], 1.0);
+        assert!(r < 1.0, "{r}");
+    }
+
+    fn sine(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i as f64 * 0.013).sin() * 3.0 * 1e4).round() / 1e4)
+            .collect()
+    }
+
+    fn cbf(n: usize) -> Vec<f64> {
+        use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
+        CbfStream::new(CbfConfig::default(), n).next_segment()
+    }
+
+    /// Every compressed block with a compressed-domain aggregate path:
+    /// the lossy codecs at ratios 0.5/0.2/0.1 (where reachable) and
+    /// lossless BUFF.
+    fn direct_path_blocks(reg: &CodecRegistry, data: &[f64]) -> Vec<CompressedBlock> {
+        use adaedge_codecs::CodecId;
+        let mut blocks = vec![reg.get(CodecId::Buff).compress(data).unwrap()];
+        for id in [
+            CodecId::Paa,
+            CodecId::Pla,
+            CodecId::Fft,
+            CodecId::BuffLossy,
+            CodecId::RrdSample,
+            CodecId::Lttb,
+        ] {
+            for ratio in [0.5, 0.2, 0.1] {
+                match reg.get_lossy(id).unwrap().compress_to_ratio(data, ratio) {
+                    Ok(block) => blocks.push(block),
+                    Err(CodecError::RatioUnreachable { .. }) => {}
+                    Err(e) => panic!("{id} at {ratio}: {e}"),
+                }
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn direct_reward_matches_decode_reward() {
+        let reg = CodecRegistry::new(4);
+        let (mut scratch, mut buf) = (CodecScratch::new(), Vec::new());
+        let (mut inside_floor, mut direct_scored) = (0, 0);
+        for data in [sine(1000), cbf(1000)] {
+            for block in direct_path_blocks(&reg, &data) {
+                let decoded = reg.decompress(&block).unwrap();
+                for kind in [AggKind::Sum, AggKind::Max, AggKind::Min, AggKind::Avg] {
+                    let mut eval = RewardEvaluator::new(OptimizationTarget::agg(kind), None, 0);
+                    let via_decode = eval.evaluate(&data, &decoded, 1.0);
+                    buf.clear();
+                    let direct = eval
+                        .evaluate_block(&reg, &data, &block, 1.0, &mut scratch, &mut buf)
+                        .unwrap();
+                    let has_direct = adaedge_codecs::direct_agg(&block, kind.op())
+                        .unwrap()
+                        .is_some();
+                    // The direct path never decodes; the fallback does.
+                    assert_eq!(buf.is_empty(), has_direct, "{} {kind:?}", block.codec);
+                    direct_scored += has_direct as usize;
+                    let what = format!("{} ratio {} {kind:?}", block.codec, block.ratio());
+                    if via_decode == 1.0 || direct == 1.0 {
+                        inside_floor += 1;
+                        assert_eq!(direct.to_bits(), via_decode.to_bits(), "{what}");
+                    } else {
+                        let tol = 1e-9 * direct.abs().max(via_decode.abs());
+                        assert!(
+                            (direct - via_decode).abs() <= tol,
+                            "{what}: direct {direct} vs decode {via_decode}"
+                        );
+                    }
+                }
+            }
+        }
+        // Sum-preserving codecs (PAA, FFT, BUFF) land inside the floor.
+        assert!(
+            inside_floor >= 40,
+            "only {inside_floor} rewards inside the floor"
+        );
+        assert!(direct_scored >= 120, "only {direct_scored} direct scores");
+    }
+
+    #[test]
+    fn ml_targets_and_fft_extrema_decode() {
+        use adaedge_codecs::CodecId;
+        let reg = CodecRegistry::new(4);
+        let data = sine(1000);
+        let fft = reg
+            .get_lossy(CodecId::Fft)
+            .unwrap()
+            .compress_to_ratio(&data, 0.2)
+            .unwrap();
+        let paa = reg
+            .get_lossy(CodecId::Paa)
+            .unwrap()
+            .compress_to_ratio(&data, 0.2)
+            .unwrap();
+        let ml_target = OptimizationTarget::complex(vec![
+            (0.5, TargetComponent::AggAccuracy(AggKind::Sum)),
+            (0.5, TargetComponent::MlAccuracy),
+        ]);
+        let cases = [
+            (OptimizationTarget::agg(AggKind::Max), None, &fft),
+            (OptimizationTarget::agg(AggKind::Min), None, &fft),
+            (ml_target, Some(model()), &paa),
+        ];
+        for (target, model, block) in cases {
+            let mut eval = RewardEvaluator::new(target, model, 2);
+            let (mut scratch, mut buf) = (CodecScratch::new(), Vec::new());
+            let direct = eval
+                .evaluate_block(&reg, &data, block, 1.0, &mut scratch, &mut buf)
+                .unwrap();
+            assert_eq!(buf, reg.decompress(block).unwrap(), "{:?}", eval.target());
+            let via_decode = eval.evaluate(&data, &buf, 1.0);
+            assert_eq!(direct.to_bits(), via_decode.to_bits());
+        }
     }
 
     #[test]

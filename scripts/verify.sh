@@ -22,11 +22,13 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> forced-scalar backend gate (ADAEDGE_SIMD=scalar, full codec suite)"
+echo "==> forced-scalar backend gate (ADAEDGE_SIMD=scalar, full codec suite, core unit tests)"
 ADAEDGE_SIMD=scalar cargo test -q -p adaedge-codecs
+ADAEDGE_SIMD=scalar cargo test -q -p adaedge-core --lib
 
-echo "==> forced-swar backend gate (ADAEDGE_SIMD=swar, full codec suite)"
+echo "==> forced-swar backend gate (ADAEDGE_SIMD=swar, full codec suite, core unit tests)"
 ADAEDGE_SIMD=swar cargo test -q -p adaedge-codecs
+ADAEDGE_SIMD=swar cargo test -q -p adaedge-core --lib
 
 echo "==> forced-scalar decode-fuzz (reference tier must survive the same corpus)"
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test decode_fuzz
