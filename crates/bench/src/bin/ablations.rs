@@ -14,7 +14,7 @@
 //! Run: `cargo run --release -p adaedge-bench --bin ablations`
 
 use adaedge_bench::{frozen_model, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
-use adaedge_codecs::{CodecId, CodecRegistry};
+use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_core::{
     AggKind, BanditAlgorithm, LosslessSelector, LossySelector, OfflineAdaEdge, OfflineConfig,
     OptimizationTarget, PolicyKind, RewardEvaluator, SelectorConfig,
@@ -134,9 +134,11 @@ fn main() {
                 ..Default::default()
             },
         );
+        let mut scratch = CodecScratch::new();
         let mut ratios = Vec::new();
         for seg in &segments {
-            ratios.push(sel.compress(&reg, seg).expect("compresses").block.ratio());
+            let picked = sel.compress(&reg, seg, &mut scratch).expect("compresses");
+            ratios.push(picked.block.ratio());
         }
         let mean: f64 = ratios.iter().sum::<f64>() / ratios.len() as f64;
         println!(

@@ -11,7 +11,7 @@
 
 use adaedge_bandit::StepSize;
 use adaedge_bench::harness::mean;
-use adaedge_codecs::{CodecId, CodecRegistry};
+use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_core::{LosslessSelector, SelectorConfig};
 use adaedge_datasets::{CbfConfig, SegmentSource, ShiftStream};
 
@@ -21,6 +21,7 @@ const SHIFT_AT: usize = 200;
 
 fn run(epsilon: f64, step: StepSize) -> (Vec<(usize, String, f64)>, f64, f64, usize) {
     let reg = CodecRegistry::new(4);
+    let mut scratch = CodecScratch::new();
     let mut selector = LosslessSelector::new(
         CodecRegistry::extended_lossless_candidates(),
         SelectorConfig {
@@ -37,7 +38,9 @@ fn run(epsilon: f64, step: StepSize) -> (Vec<(usize, String, f64)>, f64, f64, us
     let mut switch_lag = None;
     for i in 0..TOTAL {
         let seg = stream.next_segment();
-        let sel = selector.compress(&reg, &seg).expect("compresses");
+        let sel = selector
+            .compress(&reg, &seg, &mut scratch)
+            .expect("compresses");
         if i < SHIFT_AT {
             first_half.push(sel.block.ratio());
         } else {

@@ -5,14 +5,14 @@
 //!
 //! Total work is held constant across stream counts (~20k segments split
 //! evenly), so the sweep isolates the *multiplexing overhead*: per-stream
-//! selector decisions, the one-batch-in-flight scheduler, stream-table
-//! traffic, and egress packing. The scale target is that 10k streams
+//! selector decisions, the one-batch-in-flight scheduler, admission and
+//! eviction, and egress packing. The scale target is that 10k streams
 //! sustain at least 80 % of the single-stream engine's aggregate seg/s.
 //!
 //! All streams cycle one shared pre-generated segment pool
 //! (`SharedCycleSource`) at different phases, so signal generation cost
 //! and memory stay flat no matter the stream count; per-stream *resident
-//! fleet state* (entry + selector posterior) is reported from the run.
+//! fleet state* (stream + selector posterior) is reported from the run.
 //!
 //! Each configuration reports the **median of N timed runs** with the
 //! sample standard deviation alongside (the repo-wide bench convention —
@@ -253,8 +253,8 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(
         "  \"notes\": [\n    \
-         \"Total work is constant across rows (~total_segments split evenly), so rows isolate multiplexing overhead: per-stream selector decisions, one-batch-in-flight scheduling, stream-table traffic, frame packing. vs_engine is the row's median over the same-run single-stream engine baseline; the scale target is >= 0.80 at 10k streams.\",\n    \
-         \"All streams cycle one shared pre-generated segment pool at distinct phases (SharedCycleSource), so generation cost and pool memory are flat in the stream count; per_stream_state_bytes is the fleet's own resident cost per admitted stream (entry + selector posterior).\",\n    \
+         \"Total work is constant across rows (~total_segments split evenly), so rows isolate multiplexing overhead: per-stream selector decisions, one-batch-in-flight scheduling, admission and eviction, frame packing. vs_engine is the row's median over the same-run single-stream engine baseline; the scale target is >= 0.80 at 10k streams.\",\n    \
+         \"All streams cycle one shared pre-generated segment pool at distinct phases (SharedCycleSource), so generation cost and pool memory are flat in the stream count; per_stream_state_bytes is the fleet's own resident cost per admitted stream (stream + selector posterior).\",\n    \
          \"Every stream warm-starts from a converged posterior through the fleet's evict/restore path (restores == streams is asserted), modelling a gateway whose tenants resume learned state. Without warm-start, rows with few segments per stream measure bandit cold-start - thousands of fresh selectors burning their only segments exploring expensive codecs - which is inherent to the bandit, not to the multiplexing machinery. The engine baseline self-converges within ~50 of its segments, which is negligible at this scale.\",\n    \
          \"At high stream counts segments_per_stream falls below K, so the effective batch shrinks and the fleet pays more selector decisions per segment than the engine row - that, plus frame packing, is the overhead being measured.\",\n    \
          \"Each figure is the median of N timed runs after one untimed warm-up; the sample standard deviation (n-1) is reported alongside.\"\n  ]\n",

@@ -37,8 +37,8 @@
 //! byte-copy loop when both the cursor and the width are byte-aligned
 //! (`width % 8 == 0`). Outside the byte-aligned fast path they dispatch
 //! through [`crate::simd`]: hosts with AVX2 pack/unpack four fields per
-//! step ([`pack_run_swar`] / [`unpack_run_swar`] are the portable tiers,
-//! [`pack_run_scalar`] / [`unpack_run_scalar`] the bit-by-bit
+//! step (`pack_run_swar` / `unpack_run_swar` are the portable tiers,
+//! `pack_run_scalar` / `unpack_run_scalar` the bit-by-bit
 //! references), and every tier's output is bit-identical.
 
 /// Append-only bit writer over a growable byte buffer.

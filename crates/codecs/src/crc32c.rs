@@ -7,10 +7,10 @@
 //! through [`crate::simd::active`]: hosts with hardware CRC instructions
 //! (SSE4.2 `crc32`, aarch64 FEAT_CRC32) run a 3-stream interleaved
 //! hardware kernel, and everything else takes the portable slicing-by-8
-//! kernel ([`append_swar`]) — eight input bytes folded per iteration
+//! kernel (`append_swar`) — eight input bytes folded per iteration
 //! through eight precomputed tables, turning the classic one-table byte
 //! loop's serial dependency chain into eight independent lookups per
-//! load. [`append_scalar`] keeps the table-driven byte-at-a-time kernel
+//! load. `append_scalar` keeps the table-driven byte-at-a-time kernel
 //! as the reference implementation. All tiers produce identical digests;
 //! they are equivalence-tested here and property-tested per backend in
 //! `tests/kernel_equivalence.rs`.

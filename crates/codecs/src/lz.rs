@@ -117,7 +117,7 @@ fn hash3(data: &[u8], i: usize) -> usize {
 ///
 /// Dispatches through [`crate::simd`]: AVX2/NEON hosts compare 32/16
 /// bytes per step with a movemask-style mismatch locate, everything else
-/// takes the portable 8-bytes-per-step [`match_len_swar`] kernel. All
+/// takes the portable 8-bytes-per-step `match_len_swar` kernel. All
 /// tiers agree; equivalence is pinned by unit tests here and per-backend
 /// property tests in `tests/kernel_equivalence.rs`.
 #[inline]

@@ -10,7 +10,7 @@
 //!
 //! Ownership contract: buffers are *cleared* (length reset) at the start of
 //! each use but never shrunk, so capacity persists across segments. The
-//! payload written by `compress_into` lives in [`CodecScratch::out`] and is
+//! payload written by `compress_into` lives in `CodecScratch::out` and is
 //! only valid until the next call that uses the arena; callers that need to
 //! keep it copy it out (`CompressedBlockRef::to_block`).
 

@@ -56,7 +56,7 @@
 //! 1. Land the `Swar` (portable) form in its home module as a
 //!    `pub(crate)` free function, plus a naive `Scalar` reference.
 //! 2. Add a `Backend` method here that matches the tier ladder, with the
-//!    SIMD arms guarded on [`caps`] so an out-of-ladder `Backend` value
+//!    SIMD arms guarded on `caps` so an out-of-ladder `Backend` value
 //!    degrades instead of hitting undefined behaviour.
 //! 3. Put the intrinsics in `simd::x86_64` / `simd::aarch64` behind
 //!    `#[target_feature]`, with a `debug_assert!` precondition at entry

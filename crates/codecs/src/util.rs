@@ -195,7 +195,7 @@ pub fn dequantize(q: &[i64], precision: u8) -> Result<Vec<f64>> {
 /// lanes per step (full-range exact `i64 → f64` conversion; the division
 /// keeps the exact rounding of the scalar reference — a reciprocal
 /// multiply would not be bit-identical), everything else takes the
-/// autovectorizable [`dequantize_swar`] loop.
+/// autovectorizable `dequantize_swar` loop.
 pub fn dequantize_into(q: &[i64], precision: u8, out: &mut Vec<f64>) -> Result<()> {
     let scale = pow10(precision)?;
     out.clear();

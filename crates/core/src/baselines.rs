@@ -51,27 +51,6 @@ impl FixedPair {
         })
     }
 
-    /// Compress to a target ratio with the lossy half.
-    pub fn compress_lossy(
-        &self,
-        reg: &CodecRegistry,
-        data: &[f64],
-        ratio: f64,
-    ) -> Result<Selection> {
-        let lossy = reg
-            .get_lossy(self.lossy)
-            .expect("lossy role checked at construction");
-        let t0 = Instant::now();
-        let block = lossy.compress_to_ratio(data, ratio)?;
-        let seconds = t0.elapsed().as_secs_f64();
-        Ok(Selection {
-            codec: self.lossy,
-            block,
-            seconds,
-            reward: 0.0,
-        })
-    }
-
     /// Recode an existing block to a tighter ratio: virtual decompression
     /// when the block already uses the pair's lossy codec, otherwise a full
     /// decompress + re-compress (this is where slow decompressors — e.g.
@@ -100,13 +79,6 @@ impl FixedPair {
             seconds,
             reward: 0.0,
         })
-    }
-
-    /// Whether the lossy half can reach `ratio` on `n`-point segments.
-    pub fn lossy_feasible(&self, reg: &CodecRegistry, n: usize, ratio: f64) -> bool {
-        reg.get_lossy(self.lossy)
-            .map(|c| c.min_ratio(n) <= ratio)
-            .unwrap_or(false)
     }
 }
 

@@ -59,11 +59,6 @@ impl Constraints {
             (b / raw_bits).min(1.0)
         })
     }
-
-    /// Raw ingest volume in bytes per second.
-    pub fn ingest_bytes_per_sec(&self) -> f64 {
-        self.ingest_points_per_sec * 8.0
-    }
 }
 
 /// Named network profiles used in Figure 3's capacity lines.

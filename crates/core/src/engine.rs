@@ -20,7 +20,7 @@
 //! scheduling exactly — the bandit-exact mode the equivalence tests pin.
 
 use crate::error::{AdaEdgeError, Result};
-use crate::selector::SelectorConfig;
+use crate::selector::{check_lossless_arms, SelectorConfig};
 use crate::shard::{
     compress_batch, ReplicaSelector, ShardBatch, ShardProducer, ShardQueues, ShardWorker,
     SharedOutcomeTable,
@@ -155,12 +155,14 @@ pub struct EngineReport {
 /// Codec errors and panics are contained per segment (the segment is
 /// stored Raw and the arm penalized); `Err(AdaEdgeError::WorkerFailed)`
 /// is returned only if a worker thread dies outside that contained
-/// region.
+/// region. A bad `lossless_arms` roster is an [`AdaEdgeError::Config`]
+/// error.
 pub fn run_pipeline(
     source: &mut dyn SegmentSource,
     n_segments: usize,
     config: &EngineConfig,
 ) -> Result<EngineReport> {
+    check_lossless_arms(&config.lossless_arms)?;
     let mut reg = CodecRegistry::new(config.precision);
     if let Some(id) = config.fault_injection {
         reg.inject_compress_panic(id);
@@ -324,7 +326,8 @@ pub struct OfflineEngineReport {
 ///
 /// Codec failures are contained per segment exactly as in
 /// [`run_pipeline`]; `Err(AdaEdgeError::WorkerFailed)` means a worker or
-/// the recoding thread died outside the contained region.
+/// the recoding thread died outside the contained region. A bad
+/// `lossless_arms` roster is an [`AdaEdgeError::Config`] error.
 pub fn run_offline_pipeline(
     source: &mut dyn SegmentSource,
     n_segments: usize,
@@ -334,6 +337,7 @@ pub fn run_offline_pipeline(
     use crate::targets::RewardEvaluator;
     use adaedge_storage::SegmentStore;
 
+    check_lossless_arms(&config.lossless_arms)?;
     let reg = CodecRegistry::new(config.precision);
     let store = Mutex::new(SegmentStore::with_budget(config.storage_budget_bytes));
     let evaluator = RewardEvaluator::new(config.target.clone(), None, 0);

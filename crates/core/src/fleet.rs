@@ -8,34 +8,34 @@
 //! lose on another's), sharing a worker pool sized to the hardware, not to
 //! the tenant count. This module provides that layer:
 //!
-//! * **Per-stream selector state, no global lock.** Each admitted stream
-//!   owns a [`crate::selector::LosslessSelector`] behind its own mutex,
-//!   indexed through a [`ShardedStreamTable`] hashed by stream id. The
-//!   handle (an `Arc`) travels *inside* every dispatched batch, so the
-//!   hot path never touches the table at all — workers lock exactly one
-//!   uncontended per-stream mutex around `select_arm` and once more
-//!   around `report_batch`, microseconds apiece.
+//! * **Single-owner stream state.** Each admitted stream is one boxed
+//!   value: id, priority, its own [`crate::selector::LosslessSelector`]
+//!   and its counters. It lives either in its producer-side driver or in
+//!   the tag of its one in-flight batch. A worker selects, compresses and
+//!   reports on the stream it was handed, with no lock, and sends it back
+//!   with the batch's completion.
 //! * **One shard runtime.** Batches travel the same per-shard queues,
 //!   recycle pools and parked-wake work stealing as the engines'
-//!   (`shard::ShardQueues`), each tagged with its stream handle, and every
-//!   segment goes through the engines' contained compress step
-//!   (`shard::compress_batch`). What the fleet adds is the
-//!   decision under the stream's own mutex and what it emits.
+//!   (`shard::ShardQueues`), and every segment goes through the engines'
+//!   contained compress step (`shard::compress_batch`). What the fleet
+//!   adds is the per-stream decision and what it emits.
 //! * **Fair, work-conserving scheduling.** The producer round-robins
-//!   ready streams into the shard queues: a hot stream gets one batch per
-//!   turn and goes to the back of its queue, so it cannot starve others;
-//!   a stream with nothing to send sits in no queue and costs zero
-//!   cycles; an idle shard steals batches from busy ones.
-//! * **Per-stream ordering.** At most one batch per stream is in flight
-//!   at a time, so a stream's select→report pairs never interleave —
-//!   its posterior after a multi-stream run is *identical* to a solo run
-//!   over the same segments (the fleet-equivalence suite pins this, and a
-//!   1-stream fleet is bit-identical to the single-stream engine).
-//! * **Bounded residency with evict/restore.** The stream table holds at
-//!   most [`FleetConfig::max_resident_streams`]; finished streams are
-//!   evicted, their posterior archived (optionally persisted via
-//!   [`adaedge_storage::posterior`], CRC-framed) and restored bit-exactly
-//!   if the stream returns ([`adaedge_bandit::Policy::restore`]).
+//!   ready streams into the shard queues: a stream dispatches one batch
+//!   per turn and rejoins the back of its home queue when that batch
+//!   completes, so a hot stream cannot starve others; a stream with
+//!   nothing to send sits in no queue and costs zero cycles; an idle
+//!   shard steals batches from busy ones.
+//! * **Per-stream ordering.** A stream's state travels inside its batch,
+//!   so it has at most one batch in flight and its select→report pairs
+//!   never interleave — its posterior after a multi-stream run is
+//!   *identical* to a solo run over the same segments (the
+//!   fleet-equivalence suite pins this, and a 1-stream fleet is
+//!   bit-identical to the single-stream engine).
+//! * **Bounded residency with evict/restore.** At most
+//!   [`FleetConfig::max_resident_streams`] streams are resident; finished
+//!   streams are evicted, their posterior archived (optionally persisted
+//!   via [`adaedge_storage::posterior`], CRC-framed) and restored
+//!   bit-exactly if the stream returns ([`adaedge_bandit::Policy::restore`]).
 //! * **Priority-aware egress.** Workers emit compressed-segment
 //!   descriptors to a dedicated egress stage that packs them into bounded
 //!   transport frames in priority-then-deadline order
@@ -44,18 +44,15 @@
 
 use crate::error::{AdaEdgeError, Result};
 use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamEgress};
-use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
-use crate::shard::{compress_batch, ShardQueues, ShardWorker, WorkGate};
-use crate::uplink::{LinkPressure, PressureGauge, UplinkRollup};
+use crate::selector::{check_lossless_arms, ArmOutcome, LosslessSelector, SelectorConfig};
+use crate::shard::{compress_batch, ShardQueues, ShardWorker};
+use crate::uplink::{LinkPressure, PressureGauge};
 use adaedge_bandit::EpsilonGreedy;
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::SegmentSource;
 use adaedge_storage::posterior::{load_posteriors, save_posteriors, StreamPosterior};
 use crossbeam::channel;
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
 /// Knuth's multiplicative hash constant, also used by the shard replicas'
@@ -127,8 +124,8 @@ pub struct FleetConfig {
     pub precision: u8,
     /// Segments per scheduling batch (K); one arm decision per batch.
     pub batch_segments: usize,
-    /// Stream-table residency bound; `0` = unbounded (every spec admitted
-    /// immediately). With a bound, further specs wait for an eviction.
+    /// Residency bound; `0` = unbounded (every spec admitted immediately).
+    /// With a bound, further specs wait for an eviction.
     pub max_resident_streams: usize,
     /// Transport-frame packing parameters for the egress stage.
     pub frame: FrameConfig,
@@ -163,8 +160,13 @@ impl Default for FleetConfig {
     }
 }
 
-/// Mutable per-stream state, behind the stream's own mutex.
-struct StreamState {
+/// A resident stream's state. It has one owner at a time: its driver on
+/// the producer while the stream waits for a turn, or the tag of its one
+/// in-flight batch while a worker compresses it.
+#[derive(Debug)]
+struct Stream {
+    id: u64,
+    priority: Priority,
     selector: LosslessSelector,
     segments: u64,
     bytes_in: u64,
@@ -172,166 +174,74 @@ struct StreamState {
     codec_failures: u64,
 }
 
-/// A resident stream's shared handle: everything a worker needs travels
-/// here, inside the batch — the hot path never consults the table.
-pub struct StreamEntry {
-    id: u64,
-    priority: Priority,
-    /// Batches currently dispatched and not yet reported (0 or 1 — the
-    /// per-stream ordering guarantee). Checked by the scheduler and the
-    /// table's idle-eviction scan.
-    in_flight: AtomicU32,
-    /// Producer-side activity clock for LRU eviction.
-    last_active: AtomicU64,
-    state: Mutex<StreamState>,
+impl Stream {
+    /// A fresh stream whose selector is seeded `seed ^ id·φ`.
+    fn new(
+        id: u64,
+        priority: Priority,
+        arms: Vec<CodecId>,
+        mut config: SelectorConfig,
+    ) -> Box<Self> {
+        config.seed ^= id.wrapping_mul(HASH_MULT);
+        Box::new(Self {
+            id,
+            priority,
+            selector: LosslessSelector::new(arms, config),
+            segments: 0,
+            bytes_in: 0,
+            bytes_out: 0,
+            codec_failures: 0,
+        })
+    }
+
+    /// The evicted stream's final rollup and the posterior to archive.
+    fn retire(
+        self: Box<Self>,
+        arms: &[CodecId],
+        restored: bool,
+    ) -> (StreamReport, StreamPosterior) {
+        let sel = &self.selector;
+        let posterior = StreamPosterior {
+            stream_id: self.id,
+            arms: arms.to_vec(),
+            pulls: sel.pulls().to_vec(),
+            estimates: sel.estimates().to_vec(),
+            failure_totals: sel.failure_totals().to_vec(),
+            quarantine_bits: sel.quarantine_bits(),
+        };
+        let report = StreamReport {
+            id: self.id,
+            priority: self.priority,
+            segments: self.segments,
+            bytes_in: self.bytes_in,
+            bytes_out: self.bytes_out,
+            codec_failures: self.codec_failures,
+            pulls: posterior.pulls.clone(),
+            estimates: posterior.estimates.clone(),
+            failure_totals: posterior.failure_totals.clone(),
+            quarantine_bits: posterior.quarantine_bits,
+            restored,
+            egress: StreamEgress::default(),
+        };
+        (report, posterior)
+    }
 }
 
-impl StreamEntry {
-    /// The stream's id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The stream's priority class.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// Whether a batch of this stream is currently in flight.
-    pub fn is_in_flight(&self) -> bool {
-        self.in_flight.load(Ordering::SeqCst) != 0
-    }
+/// Resident bytes one admitted stream costs: its `Box<Stream>` (the
+/// selector nests inline), the boxed ε-greedy policy, and the per-arm
+/// heap vectors. Reported so capacity planning for `max_resident_streams`
+/// has a number to multiply.
+fn per_stream_state_bytes(n_arms: usize) -> usize {
+    std::mem::size_of::<Stream>()
+        + std::mem::size_of::<EpsilonGreedy>()
+        // q + n (policy), failure totals, consecutive streaks, codec ids,
+        // quarantine + mask bools.
+        + n_arms * (8 + 8 + 8 + 4 + std::mem::size_of::<CodecId>() + 2)
 }
 
-impl std::fmt::Debug for StreamEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamEntry")
-            .field("id", &self.id)
-            .field("priority", &self.priority)
-            .finish()
-    }
-}
-
-/// Which map shard a stream id lives in.
+/// A stream's home shard.
 fn map_shard(id: u64, n: usize) -> usize {
     ((id.wrapping_mul(HASH_MULT) >> 32) as usize) % n
-}
-
-/// The bounded resident-stream index: per-stream selector state in
-/// sharded maps hashed by stream id, so concurrent admission, stats
-/// rollups and eviction scans contend only per shard — there is no
-/// global table lock (the worker hot path holds no table reference at
-/// all; entries travel inside batches).
-pub struct ShardedStreamTable {
-    shards: Vec<Mutex<HashMap<u64, Arc<StreamEntry>>>>,
-    capacity: usize,
-    len: AtomicUsize,
-}
-
-impl std::fmt::Debug for ShardedStreamTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedStreamTable")
-            .field("shards", &self.shards.len())
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl ShardedStreamTable {
-    /// Create a table with `n_shards` map shards holding at most
-    /// `capacity` streams (`0` = unbounded).
-    pub fn new(n_shards: usize, capacity: usize) -> Self {
-        let n = n_shards.max(1);
-        Self {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            capacity,
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Resident streams.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
-    }
-
-    /// Whether no stream is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the residency bound is reached (never true when unbounded).
-    pub fn is_full(&self) -> bool {
-        self.capacity != 0 && self.len() >= self.capacity
-    }
-
-    /// Whether `id` is resident.
-    pub fn contains(&self, id: u64) -> bool {
-        self.shards[map_shard(id, self.shards.len())]
-            .lock()
-            .contains_key(&id)
-    }
-
-    /// Look up a resident stream's handle.
-    pub fn get(&self, id: u64) -> Option<Arc<StreamEntry>> {
-        self.shards[map_shard(id, self.shards.len())]
-            .lock()
-            .get(&id)
-            .cloned()
-    }
-
-    /// Admit a stream. Fails (returns `false`, entry untouched) when the
-    /// table is full or the id is already resident.
-    pub fn insert(&self, entry: Arc<StreamEntry>, now: u64) -> bool {
-        if self.is_full() {
-            return false;
-        }
-        let mut shard = self.shards[map_shard(entry.id, self.shards.len())].lock();
-        if shard.contains_key(&entry.id) {
-            return false;
-        }
-        entry.last_active.store(now, Ordering::SeqCst);
-        shard.insert(entry.id, entry);
-        self.len.fetch_add(1, Ordering::SeqCst);
-        true
-    }
-
-    /// Record activity for LRU bookkeeping.
-    pub fn touch(&self, id: u64, now: u64) {
-        if let Some(e) = self.get(id) {
-            e.last_active.store(now, Ordering::SeqCst);
-        }
-    }
-
-    /// Evict `id`, returning its handle.
-    pub fn remove(&self, id: u64) -> Option<Arc<StreamEntry>> {
-        let removed = self.shards[map_shard(id, self.shards.len())]
-            .lock()
-            .remove(&id);
-        if removed.is_some() {
-            self.len.fetch_sub(1, Ordering::SeqCst);
-        }
-        removed
-    }
-
-    /// The least-recently-active resident stream with nothing in flight —
-    /// the LRU/idle eviction candidate. Streams mid-batch are never
-    /// offered (evicting one would lose its pending report).
-    pub fn lru_idle(&self) -> Option<Arc<StreamEntry>> {
-        let mut best: Option<(u64, Arc<StreamEntry>)> = None;
-        for shard in &self.shards {
-            for entry in shard.lock().values() {
-                if entry.is_in_flight() {
-                    continue;
-                }
-                let at = entry.last_active.load(Ordering::SeqCst);
-                if best.as_ref().map(|(t, _)| at < *t).unwrap_or(true) {
-                    best = Some((at, entry.clone()));
-                }
-            }
-        }
-        best.map(|(_, e)| e)
-    }
 }
 
 /// One stream's final rollup. Posterior vectors align with
@@ -405,13 +315,13 @@ pub struct FleetReport {
     pub shards: usize,
     /// Batches a worker took from a foreign shard's queue.
     pub stolen_batches: u64,
-    /// Streams evicted from the table (every completed stream is).
+    /// Streams evicted (every completed stream is).
     pub evictions: u64,
     /// Streams that resumed from an archived posterior.
     pub restores: u64,
     /// Peak resident streams observed.
     pub peak_resident: usize,
-    /// Bytes of per-stream resident state (entry + selector posterior) —
+    /// Bytes of per-stream resident state (stream + selector posterior) —
     /// the bounded cost of one admitted stream.
     pub per_stream_state_bytes: usize,
     /// The arm roster every stream's posterior vectors align with.
@@ -422,78 +332,142 @@ pub struct FleetReport {
     /// link pressure (pressure-biased selection; see
     /// [`FleetConfig::pressure`]). Zero when no gauge is attached.
     pub degraded_batches: u64,
-    /// Uplink transport rollup: retries, breaker trips, replay outcomes.
-    /// Populated by the caller via [`FleetReport::absorb_session`] /
-    /// [`FleetReport::absorb_replay`] after driving the transport.
-    pub uplink: UplinkRollup,
     /// Per-stream rollups, sorted by id.
     pub stream_reports: Vec<StreamReport>,
 }
 
-impl FleetReport {
-    /// Fold an uplink session's transport counters into this report.
-    pub fn absorb_session(&mut self, session: &crate::uplink::SessionReport) {
-        self.uplink.absorb_session(session);
-    }
+/// A dispatched batch's tag: the stream's driver slot, the stream itself,
+/// and the ingest sequence of the batch's first segment.
+type Dispatch = (usize, Box<Stream>, u64);
 
-    /// Fold a spool reconnect-replay report into this report.
-    pub fn absorb_replay(&mut self, replay: &crate::spooling::ReplayReport) {
-        self.uplink.absorb_replay(replay);
-    }
-}
+/// A completed batch, sent back to the producer: the driver slot and the
+/// stream.
+type Completion = (usize, Box<Stream>);
 
 /// Producer-side driver for one resident stream.
 struct StreamDriver {
-    entry: Arc<StreamEntry>,
+    /// The stream's state, or `None` while its batch is in flight.
+    stream: Option<Box<Stream>>,
     source: Box<dyn SegmentSource>,
     remaining: usize,
     home: usize,
     restored: bool,
 }
 
-/// Resident bytes one admitted stream costs, each nested type counted
-/// once: the entry's `Arc` allocation (the two reference counts, then the
-/// entry, which holds its `StreamState` inline, which holds the
-/// `LosslessSelector` inline), the boxed ε-greedy policy, and the per-arm
-/// heap vectors. Reported so capacity planning for `max_resident_streams`
-/// has a number to multiply.
-fn per_stream_state_bytes(n_arms: usize) -> usize {
-    2 * std::mem::size_of::<usize>()
-        + std::mem::size_of::<StreamEntry>()
-        + std::mem::size_of::<EpsilonGreedy>()
-        // q + n (policy), failure totals, consecutive streaks, codec ids,
-        // quarantine + mask bools.
-        + n_arms * (8 + 8 + 8 + 4 + std::mem::size_of::<CodecId>() + 2)
+/// The producer's bookkeeping: admission, the ready queues and eviction.
+/// Only the producer thread touches it.
+struct Scheduler<'a> {
+    config: &'a FleetConfig,
+    pending: VecDeque<StreamSpec>,
+    /// Ids of the resident streams: the residency bound, and the rule that
+    /// a repeated id waits for its previous session's eviction.
+    resident: HashSet<u64>,
+    drivers: Vec<Option<StreamDriver>>,
+    free_slots: Vec<usize>,
+    /// Per-shard queues of the driver slots whose stream is home with
+    /// segments left.
+    ready: Vec<VecDeque<usize>>,
+    rr_shard: usize,
+    in_flight: usize,
+    /// Posteriors of evicted streams, keyed by id; re-admitted ids resume
+    /// from here.
+    archive: HashMap<u64, StreamPosterior>,
+    reports: Vec<StreamReport>,
+    restores: u64,
+    peak_resident: usize,
 }
 
-/// Stream stats copied out at eviction (the selector stays behind in the
-/// posterior snapshot).
-struct StreamStats {
-    segments: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    codec_failures: u64,
-}
+impl Scheduler<'_> {
+    /// Admit waiting specs while there is room. A spec whose id is still
+    /// resident rotates behind the others until that session is evicted.
+    fn admit(&mut self) {
+        let cap = self.config.max_resident_streams;
+        let mut skipped = 0;
+        while skipped < self.pending.len() && (cap == 0 || self.resident.len() < cap) {
+            let spec = self.pending.pop_front().expect("non-empty");
+            if !self.resident.insert(spec.id) {
+                self.pending.push_back(spec);
+                skipped += 1;
+                continue;
+            }
+            self.peak_resident = self.peak_resident.max(self.resident.len());
+            let arms = self.config.lossless_arms.clone();
+            let mut stream = Stream::new(spec.id, spec.priority, arms, self.config.selector);
+            let restored = match self.archive.get(&spec.id) {
+                Some(p) => {
+                    stream.selector.restore_posterior(
+                        &p.pulls,
+                        &p.estimates,
+                        &p.failure_totals,
+                        p.quarantine_bits,
+                    );
+                    self.restores += 1;
+                    true
+                }
+                None => false,
+            };
+            let driver = StreamDriver {
+                stream: None,
+                source: spec.source,
+                remaining: spec.n_segments,
+                home: map_shard(spec.id, self.ready.len()),
+                restored,
+            };
+            let slot = match self.free_slots.pop() {
+                Some(s) => {
+                    self.drivers[s] = Some(driver);
+                    s
+                }
+                None => {
+                    self.drivers.push(Some(driver));
+                    self.drivers.len() - 1
+                }
+            };
+            self.requeue_or_evict(slot, stream);
+        }
+    }
 
-/// Snapshot a stream's posterior and counters under its lock.
-fn snapshot_posterior(entry: &StreamEntry, arms: &[CodecId]) -> (StreamPosterior, StreamStats) {
-    let st = entry.state.lock();
-    let posterior = StreamPosterior {
-        stream_id: entry.id,
-        arms: arms.to_vec(),
-        pulls: st.selector.pulls().to_vec(),
-        estimates: st.selector.estimates().to_vec(),
-        failure_totals: st.selector.failure_totals().to_vec(),
-        quarantine_bits: st.selector.quarantine_bits(),
-    };
-    let stats = StreamStats {
-        segments: st.segments,
-        bytes_in: st.bytes_in,
-        bytes_out: st.bytes_out,
-        codec_failures: st.codec_failures,
-    };
-    drop(st);
-    (posterior, stats)
+    /// Hand a stream back to its driver: to the back of its home ready
+    /// queue while it has segments left, else evicted and archived.
+    /// Returns whether it was evicted.
+    fn requeue_or_evict(&mut self, slot: usize, stream: Box<Stream>) -> bool {
+        let d = self.drivers[slot].as_mut().expect("live slot");
+        if d.remaining > 0 {
+            d.stream = Some(stream);
+            self.ready[d.home].push_back(slot);
+            return false;
+        }
+        let restored = d.restored;
+        self.drivers[slot] = None;
+        self.free_slots.push(slot);
+        self.resident.remove(&stream.id);
+        let (report, posterior) = stream.retire(&self.config.lossless_arms, restored);
+        self.archive.insert(posterior.stream_id, posterior);
+        self.reports.push(report);
+        true
+    }
+
+    /// Take back a completed batch's stream, admitting waiting specs if
+    /// that evicted it.
+    fn complete(&mut self, (slot, stream): Completion) {
+        self.in_flight -= 1;
+        if self.requeue_or_evict(slot, stream) {
+            self.admit();
+        }
+    }
+
+    /// The next ready stream's slot, round-robin over the shards.
+    fn next_ready(&mut self) -> Option<usize> {
+        let n = self.ready.len();
+        for off in 0..n {
+            let sh = (self.rr_shard + off) % n;
+            if let Some(slot) = self.ready[sh].pop_front() {
+                self.rr_shard = (sh + 1) % n;
+                return Some(slot);
+            }
+        }
+        None
+    }
 }
 
 /// Run every spec through the fleet: admit up to the residency bound,
@@ -501,8 +475,10 @@ fn snapshot_posterior(entry: &StreamEntry, arms: &[CodecId]) -> (StreamPosterior
 /// completed streams (archiving their posterior), admit waiting specs in
 /// their place, and pack all compressed output into bounded transport
 /// frames. See the module docs for the scheduling and equivalence
-/// guarantees.
+/// guarantees. A bad `lossless_arms` roster is a
+/// [`AdaEdgeError::Config`] error.
 pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetReport> {
+    check_lossless_arms(&config.lossless_arms)?;
     let k = config.batch_segments.max(1);
     let segment_len = specs.first().map_or(0, |s| s.source.segment_len());
     let queues = ShardQueues::new(
@@ -512,20 +488,17 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         segment_len,
     );
     let n_shards = queues.shards();
-    let arms = config.lossless_arms.clone();
-    let state_bytes = per_stream_state_bytes(arms.len());
     let reg = CodecRegistry::new(config.precision);
 
-    // Posterior archive: evicted streams park their learned state here;
-    // re-admitted ids resume from it. Optionally seeded from / persisted
-    // to disk in the CRC-framed format.
+    // Posterior archive: optionally seeded from disk in the CRC-framed
+    // format, and written back after the run.
     let mut archive: HashMap<u64, StreamPosterior> = HashMap::new();
     if let Some(path) = &config.posterior_path {
         if path.exists() {
             let loaded = load_posteriors(path)
                 .map_err(|_| AdaEdgeError::Config("posterior archive unreadable"))?;
             for p in loaded {
-                if p.arms != arms {
+                if p.arms != config.lossless_arms {
                     return Err(AdaEdgeError::Config(
                         "posterior archive arm roster mismatch",
                     ));
@@ -535,19 +508,40 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         }
     }
 
-    let done_gate = WorkGate::new(); // wakes the producer on batch completion
-    let table = ShardedStreamTable::new(n_shards, config.max_resident_streams);
-    let (frame_tx, frame_rx) = channel::unbounded::<Vec<FrameItem>>();
+    // Completed batches return their stream here. Bound: the producer
+    // drains this channel with `try_recv` at the top of every turn, before
+    // any call that can block, and dispatches at most one batch per turn.
+    // So the completions that can arrive between two drains are those of
+    // the batches unreported at the first — each in a shard's work queue
+    // (at most `batch_cap` per shard) or in a worker's hands (at most one
+    // per worker) — plus the one batch dispatched in between:
+    // `S·batch_cap + S + 1 ≤ S·shard_pool_size`, the total recycle-pool
+    // batches. A worker's send therefore never blocks.
+    let (done_tx, done_rx) = channel::bounded::<Completion>(queues.pool_batches());
+    // Frame descriptors in `FRAME_FLUSH_ITEMS` chunks: two chunks per
+    // worker, so a worker can run one chunk ahead of the egress stage. The
+    // egress thread only consumes, so a full channel stalls a worker only
+    // until egress catches up, never into a deadlock.
+    let (frame_tx, frame_rx) = channel::bounded::<Vec<FrameItem>>(2 * n_shards);
     let frame_config = config.frame;
 
     let start = Instant::now();
     let mut codec_counts: HashMap<CodecId, u64> = HashMap::new();
     let mut degraded_batches = 0u64;
-    let mut stream_reports: Vec<StreamReport> = Vec::new();
-    let mut evictions = 0u64;
-    let mut restores = 0u64;
-    let mut peak_resident = 0usize;
-    let mut streams_completed = 0u64;
+    let mut sched = Scheduler {
+        config,
+        pending: specs.into_iter().collect(),
+        resident: HashSet::new(),
+        drivers: Vec::new(),
+        free_slots: Vec::new(),
+        ready: (0..n_shards).map(|_| VecDeque::new()).collect(),
+        rr_shard: 0,
+        in_flight: 0,
+        archive,
+        reports: Vec::new(),
+        restores: 0,
+        peak_resident: 0,
+    };
 
     let packer = std::thread::scope(|scope| -> Result<FramePacker> {
         // Egress stage: packs every compressed-segment descriptor into
@@ -567,10 +561,9 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         });
 
         let reg = &reg;
-        let done_gate = &done_gate;
         // Owns `frame_tx`: the egress stage sees the end of input once the
         // run is over and this closure is dropped.
-        let compress = move |worker: &mut ShardWorker<'_, (Arc<StreamEntry>, u64)>| {
+        let compress = move |worker: &mut ShardWorker<'_, Dispatch>| {
             let mut scratch = CodecScratch::new();
             let mut counts: HashMap<CodecId, u64> = HashMap::new();
             let mut degraded = 0u64;
@@ -581,15 +574,12 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             // that wakeup pair costs more than the batch.
             let mut items: Vec<FrameItem> = Vec::with_capacity(FRAME_FLUSH_ITEMS);
             while let Some(batch) = worker.recv() {
-                let (entry, base_seq) = batch.tag;
+                let (slot, mut stream, base_seq) = batch.tag;
                 let segs = batch.segs;
-                // One decision per batch, arm sticky. The stream lock is
-                // held only for the decision itself; per-stream ordering
-                // (one batch in flight) keeps the select→report pair
-                // atomic with respect to this stream's other batches.
-                // Under link pressure the decision is biased toward
-                // higher-ratio arms; the Nominal path is bit-identical to
-                // plain select_arm.
+                let (id, priority) = (stream.id, stream.priority);
+                // One decision per batch, arm sticky. Under link pressure
+                // the decision is biased toward higher-ratio arms; the
+                // Nominal path is bit-identical to plain select_arm.
                 let level = config
                     .pressure
                     .as_ref()
@@ -597,39 +587,32 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                 if level != LinkPressure::Nominal {
                     degraded += 1;
                 }
-                let (arm, codec) = entry.state.lock().selector.select_arm_biased(level);
+                let (arm, codec) = stream.selector.select_arm_biased(level);
                 let mut bytes_out = 0u64;
                 compress_batch(reg, codec, &segs, &mut scratch, &mut outcomes, |i, b| {
                     *counts.entry(b.codec).or_insert(0) += 1;
                     bytes_out += b.compressed_bytes() as u64;
                     items.push(FrameItem {
-                        stream: entry.id,
-                        priority: entry.priority,
+                        stream: id,
+                        priority,
                         seq: base_seq + i as u64,
                         len: b.compressed_bytes(),
                     });
                 });
-                let failures = outcomes
+                stream.selector.report_batch(arm, &outcomes);
+                let points: usize = segs.iter().map(Vec::len).sum();
+                stream.segments += segs.len() as u64;
+                stream.bytes_in += points as u64 * 8;
+                stream.bytes_out += bytes_out;
+                stream.codec_failures += outcomes
                     .iter()
                     .filter(|&&o| o == ArmOutcome::Failure)
-                    .count();
-                let points: usize = segs.iter().map(Vec::len).sum();
-                {
-                    let mut st = entry.state.lock();
-                    st.selector.report_batch(arm, &outcomes);
-                    st.segments += segs.len() as u64;
-                    st.bytes_in += points as u64 * 8;
-                    st.bytes_out += bytes_out;
-                    st.codec_failures += failures as u64;
-                }
-                // Completion order matters: the in-flight decrement must be
-                // visible before the recycle send / gate notify that
-                // unblocks the producer, so a woken producer always
-                // observes the stream as schedulable.
-                entry.in_flight.fetch_sub(1, Ordering::SeqCst);
-                drop(entry);
+                    .count() as u64;
+                // Never blocks, by the channel's bound.
+                done_tx
+                    .send((slot, stream))
+                    .expect("the completion receiver outlives the workers");
                 worker.recycle(batch.home, segs);
-                done_gate.notify();
                 if items.len() >= FRAME_FLUSH_ITEMS {
                     let chunk =
                         std::mem::replace(&mut items, Vec::with_capacity(FRAME_FLUSH_ITEMS));
@@ -643,235 +626,40 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         };
 
         // ---- Producer: admission, fair scheduling, eviction. ----
-        let mut pending: VecDeque<StreamSpec> = specs.into_iter().collect();
-        let mut drivers: Vec<Option<StreamDriver>> = Vec::new();
-        let mut free_slots: Vec<usize> = Vec::new();
-        // Per-shard ready queues of driver slots. A slot in a queue may
-        // still be in flight (it is re-enqueued at dispatch for fairness);
-        // the scheduler rotates past those.
-        let mut ready: Vec<VecDeque<usize>> = (0..n_shards).map(|_| VecDeque::new()).collect();
-        let mut draining: Vec<usize> = Vec::new();
-        let mut clock = 0u64;
-        let mut seq = 0u64;
-        let mut rr_shard = 0usize;
-
-        macro_rules! admit_pending {
-            () => {
-                let mut attempts = pending.len();
-                while attempts > 0 && !table.is_full() && !pending.is_empty() {
-                    attempts -= 1;
-                    if table.contains(pending.front().expect("non-empty").id) {
-                        // A live session of this id is still resident;
-                        // rotate the spec behind the others until the
-                        // eviction frees its identity.
-                        pending.rotate_left(1);
-                        continue;
-                    }
-                    let spec = pending.pop_front().expect("non-empty");
-                    let mut sel_config = config.selector;
-                    sel_config.seed ^= spec.id.wrapping_mul(HASH_MULT);
-                    let mut selector = LosslessSelector::new(arms.clone(), sel_config);
-                    let restored = if let Some(p) = archive.get(&spec.id) {
-                        selector.restore_posterior(
-                            &p.pulls,
-                            &p.estimates,
-                            &p.failure_totals,
-                            p.quarantine_bits,
-                        );
-                        restores += 1;
-                        true
-                    } else {
-                        false
-                    };
-                    let entry = Arc::new(StreamEntry {
-                        id: spec.id,
-                        priority: spec.priority,
-                        in_flight: AtomicU32::new(0),
-                        last_active: AtomicU64::new(clock),
-                        state: Mutex::new(StreamState {
-                            selector,
-                            segments: 0,
-                            bytes_in: 0,
-                            bytes_out: 0,
-                            codec_failures: 0,
-                        }),
-                    });
-                    assert!(table.insert(entry.clone(), clock), "admission raced");
-                    peak_resident = peak_resident.max(table.len());
-                    let home = map_shard(spec.id, n_shards);
-                    let driver = StreamDriver {
-                        entry,
-                        source: spec.source,
-                        remaining: spec.n_segments,
-                        home,
-                        restored,
-                    };
-                    let slot = match free_slots.pop() {
-                        Some(s) => {
-                            drivers[s] = Some(driver);
-                            s
-                        }
-                        None => {
-                            drivers.push(Some(driver));
-                            drivers.len() - 1
-                        }
-                    };
-                    if drivers[slot].as_ref().expect("just set").remaining > 0 {
-                        ready[home].push_back(slot);
-                    } else {
-                        draining.push(slot);
-                    }
-                }
-            };
-        }
-
-        macro_rules! reap_completed {
-            () => {
-                let mut i = 0;
-                while i < draining.len() {
-                    let slot = draining[i];
-                    let done = {
-                        let d = drivers[slot].as_ref().expect("draining slot live");
-                        !d.entry.is_in_flight()
-                    };
-                    if !done {
-                        i += 1;
-                        continue;
-                    }
-                    draining.swap_remove(i);
-                    let d = drivers[slot].take().expect("draining slot live");
-                    let (posterior, stats) = snapshot_posterior(&d.entry, &arms);
-                    stream_reports.push(StreamReport {
-                        id: d.entry.id,
-                        priority: d.entry.priority,
-                        segments: stats.segments,
-                        bytes_in: stats.bytes_in,
-                        bytes_out: stats.bytes_out,
-                        codec_failures: stats.codec_failures,
-                        pulls: posterior.pulls.clone(),
-                        estimates: posterior.estimates.clone(),
-                        failure_totals: posterior.failure_totals.clone(),
-                        quarantine_bits: posterior.quarantine_bits,
-                        restored: d.restored,
-                        egress: StreamEgress::default(),
-                    });
-                    archive.insert(d.entry.id, posterior);
-                    table.remove(d.entry.id);
-                    evictions += 1;
-                    streams_completed += 1;
-                    free_slots.push(slot);
-                }
-                if !pending.is_empty() {
-                    admit_pending!();
-                }
-            };
-        }
-
+        let sched = &mut sched;
         let workers = queues.run(compress, |producer| {
-            admit_pending!();
-            'produce: loop {
-                clock += 1;
-                // Reaping scans the draining list; doing it every dispatch
-                // is wasted motion unless admission is actually starved
-                // for a slot. Amortize to every 64th turn — plus
-                // unconditionally below when the ready queues run dry
-                // (progress/termination).
-                if clock.is_multiple_of(64) || (!pending.is_empty() && table.is_full()) {
-                    reap_completed!();
+            sched.admit();
+            let mut seq = 0u64;
+            loop {
+                while let Ok(done) = done_rx.try_recv() {
+                    sched.complete(done);
                 }
-                let total_ready: usize = ready.iter().map(|q| q.len()).sum();
-                if total_ready == 0 {
-                    reap_completed!();
-                    if draining.is_empty() && pending.is_empty() {
+                let Some(slot) = sched.next_ready() else {
+                    // Every resident stream is in flight; with none in
+                    // flight, nothing is resident or waiting.
+                    if sched.in_flight == 0 {
                         break;
                     }
-                    if ready.iter().any(|q| !q.is_empty()) {
-                        // Reaping freed a slot and admission refilled the
-                        // ready queues — dispatch, don't park.
-                        continue;
-                    }
-                    // Everything left is mid-flight (or waiting on a
-                    // mid-flight eviction): park until a worker completes
-                    // a batch.
-                    done_gate.register_sleeper();
-                    let ticket = done_gate.epoch();
-                    let progress = draining.iter().any(|&s| {
-                        !drivers[s]
-                            .as_ref()
-                            .expect("draining slot live")
-                            .entry
-                            .is_in_flight()
-                    });
-                    if progress {
-                        done_gate.cancel_park();
-                    } else {
-                        done_gate.park(ticket);
-                    }
-                    continue;
-                }
-                // Fair pick: scan shards round-robin; within a shard rotate
-                // past streams whose previous batch is still in flight.
-                let mut picked: Option<usize> = None;
-                'scan: for off in 0..n_shards {
-                    let sh = (rr_shard + off) % n_shards;
-                    for _ in 0..ready[sh].len() {
-                        let slot = ready[sh].pop_front().expect("len checked");
-                        if drivers[slot]
-                            .as_ref()
-                            .expect("ready slot live")
-                            .entry
-                            .is_in_flight()
-                        {
-                            ready[sh].push_back(slot);
-                            continue;
-                        }
-                        picked = Some(slot);
-                        rr_shard = (sh + 1) % n_shards;
-                        break 'scan;
-                    }
-                }
-                let Some(slot) = picked else {
-                    // Every ready stream has a batch in flight; park for one.
-                    done_gate.register_sleeper();
-                    let ticket = done_gate.epoch();
-                    let progress =
-                        ready.iter().flatten().chain(draining.iter()).any(|&s| {
-                            !drivers[s].as_ref().expect("slot live").entry.is_in_flight()
-                        });
-                    if progress {
-                        done_gate.cancel_park();
-                    } else {
-                        done_gate.park(ticket);
-                    }
+                    let done = done_rx.recv().expect("the workers hold a sender");
+                    sched.complete(done);
                     continue;
                 };
                 // Acquire buffers, preferring the stream's home pool.
-                let d = drivers[slot].as_mut().expect("picked slot live");
+                let d = sched.drivers[slot].as_mut().expect("ready slot live");
                 let take = k.min(d.remaining);
                 let Some((bhome, segs)) = producer.acquire(d.home, take, d.source.as_mut()) else {
-                    break 'produce;
+                    break;
                 };
                 d.remaining -= take;
-                let base_seq = seq;
+                let stream = d.stream.take().expect("a ready stream is home");
+                sched.in_flight += 1;
+                let tag = (slot, stream, seq);
                 seq += take as u64;
-                d.entry.in_flight.fetch_add(1, Ordering::SeqCst);
-                d.entry.last_active.store(clock, Ordering::SeqCst);
-                let tag = (d.entry.clone(), base_seq);
-                // The slot was popped from its ready queue at pick time and
-                // a slot is never enqueued twice, so this is the only copy:
-                // back of the queue for fairness, or off to draining.
-                if d.remaining > 0 {
-                    ready[d.home].push_back(slot);
-                } else {
-                    draining.push(slot);
-                }
                 if producer.enqueue(bhome, tag, segs).is_none() {
-                    break 'produce;
+                    break;
                 }
             }
         });
-        // Workers are gone: everything still draining is complete now.
-        reap_completed!();
         let packer = egress.join();
         for (counts, degraded) in workers? {
             for (codec, count) in counts {
@@ -884,6 +672,13 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         })
     })?;
     let elapsed = start.elapsed().as_secs_f64();
+    let Scheduler {
+        archive,
+        reports: mut stream_reports,
+        restores,
+        peak_resident,
+        ..
+    } = sched;
 
     if let Some(path) = &config.posterior_path {
         let mut all: Vec<&StreamPosterior> = archive.values().collect();
@@ -898,13 +693,14 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             r.egress = *e;
         }
     }
+    let completed = stream_reports.len() as u64;
     let segments: u64 = stream_reports.iter().map(|r| r.segments).sum();
     let bytes_in: u64 = stream_reports.iter().map(|r| r.bytes_in).sum();
     let bytes_out: u64 = stream_reports.iter().map(|r| r.bytes_out).sum();
     let codec_failures: u64 = stream_reports.iter().map(|r| r.codec_failures).sum();
     let points = bytes_in / 8;
     Ok(FleetReport {
-        streams: streams_completed,
+        streams: completed,
         segments,
         points,
         bytes_in,
@@ -916,11 +712,11 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         codec_failures,
         shards: n_shards,
         stolen_batches: queues.stolen_batches(),
-        evictions,
+        evictions: completed,
         restores,
         peak_resident,
-        per_stream_state_bytes: state_bytes,
-        arms,
+        per_stream_state_bytes: per_stream_state_bytes(config.lossless_arms.len()),
+        arms: config.lossless_arms.clone(),
         frames: FrameSummary {
             frames: packer.frames_emitted(),
             bytes: packer.bytes_emitted(),
@@ -928,7 +724,6 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             payload_cap: config.frame.payload_cap,
         },
         degraded_batches,
-        uplink: UplinkRollup::default(),
         stream_reports,
     })
 }
@@ -987,83 +782,22 @@ mod tests {
 
     #[global_allocator]
     static GLOBAL: PerThreadBytes = PerThreadBytes;
-
-    fn entry(id: u64) -> Arc<StreamEntry> {
-        Arc::new(StreamEntry {
-            id,
-            priority: Priority::Normal,
-            in_flight: AtomicU32::new(0),
-            last_active: AtomicU64::new(0),
-            state: Mutex::new(StreamState {
-                selector: LosslessSelector::new(
-                    CodecRegistry::lossless_candidates(),
-                    SelectorConfig::default(),
-                ),
-                segments: 0,
-                bytes_in: 0,
-                bytes_out: 0,
-                codec_failures: 0,
-            }),
-        })
-    }
-
     #[test]
     fn state_bytes_match_what_admitting_a_stream_allocates() {
         // The formula must equal the heap one admitted stream really
-        // holds: the `Arc` allocation (entry, state and selector nested
-        // inline, counted once) plus the selector's own heap parts.
-        let arms = CodecRegistry::lossless_candidates().len();
+        // holds: the `Box<Stream>` (selector nested inline, counted once)
+        // plus the selector's own heap parts.
+        let arms = CodecRegistry::lossless_candidates();
         let before = LIVE_BYTES.with(Cell::get);
-        let e = entry(1);
+        let s = Stream::new(1, Priority::Normal, arms.clone(), SelectorConfig::default());
         let held = LIVE_BYTES.with(Cell::get) - before;
-        assert_eq!(held as usize, per_stream_state_bytes(arms));
-        drop(e);
+        assert_eq!(held as usize, per_stream_state_bytes(arms.len()));
+        drop(s);
         assert_eq!(
             LIVE_BYTES.with(Cell::get),
             before,
-            "entry frees all it holds"
+            "stream frees all it holds"
         );
-    }
-
-    #[test]
-    fn table_bounds_residency_and_rejects_duplicates() {
-        let t = ShardedStreamTable::new(4, 2);
-        assert!(t.insert(entry(1), 0));
-        assert!(!t.insert(entry(1), 1), "duplicate id must be rejected");
-        assert!(t.insert(entry(2), 1));
-        assert!(t.is_full());
-        assert!(!t.insert(entry(3), 2), "full table must reject");
-        assert_eq!(t.len(), 2);
-        assert!(t.contains(1) && t.contains(2) && !t.contains(3));
-        t.remove(1).expect("resident");
-        assert!(!t.is_full());
-        assert!(t.insert(entry(3), 3));
-    }
-
-    #[test]
-    fn lru_idle_skips_in_flight_streams() {
-        let t = ShardedStreamTable::new(2, 0);
-        t.insert(entry(10), 5);
-        t.insert(entry(20), 1); // least recently active…
-        t.insert(entry(30), 3);
-        t.get(20).unwrap().in_flight.store(1, Ordering::SeqCst); // …but busy
-        let victim = t.lru_idle().expect("idle stream exists");
-        assert_eq!(victim.id(), 30, "oldest *idle* stream wins");
-        t.get(20).unwrap().in_flight.store(0, Ordering::SeqCst);
-        assert_eq!(t.lru_idle().unwrap().id(), 20);
-        // touch() refreshes recency.
-        t.touch(20, 9);
-        assert_eq!(t.lru_idle().unwrap().id(), 30);
-    }
-
-    #[test]
-    fn unbounded_table_never_full() {
-        let t = ShardedStreamTable::new(3, 0);
-        for id in 0..100 {
-            assert!(t.insert(entry(id), id));
-        }
-        assert!(!t.is_full());
-        assert_eq!(t.len(), 100);
     }
 
     #[test]
@@ -1142,31 +876,35 @@ mod tests {
     fn readmitted_stream_resumes_posterior() {
         // The same id appears twice: the second session must restore the
         // first's posterior, so its pull counts continue, not restart.
-        let mk = |seed| Box::new(SineStream::new(128, 0.1, 4, seed));
-        let specs = vec![
-            StreamSpec::new(42, Priority::Normal, 4, mk(1)),
-            StreamSpec::new(7, Priority::Normal, 4, mk(2)),
-            StreamSpec::new(42, Priority::Normal, 4, mk(3)),
-        ];
-        let config = FleetConfig {
-            max_resident_streams: 1,
-            ..Default::default()
-        };
-        let report = run_fleet(specs, &config).unwrap();
-        assert_eq!(report.streams, 3);
-        assert_eq!(report.restores, 1);
-        let sessions: Vec<_> = report
-            .stream_reports
-            .iter()
-            .filter(|r| r.id == 42)
-            .collect();
-        assert_eq!(sessions.len(), 2);
-        let total_pulls: u64 = sessions.last().unwrap().pulls.iter().sum();
-        assert_eq!(
-            total_pulls, 8,
-            "second session must continue the first's counts"
-        );
-        assert!(sessions.last().unwrap().restored);
+        // Unbounded residency too: a repeated id waits for its previous
+        // session's eviction even with no capacity bound.
+        for max_resident_streams in [0, 1] {
+            let mk = |seed| Box::new(SineStream::new(128, 0.1, 4, seed));
+            let specs = vec![
+                StreamSpec::new(42, Priority::Normal, 4, mk(1)),
+                StreamSpec::new(7, Priority::Normal, 4, mk(2)),
+                StreamSpec::new(42, Priority::Normal, 4, mk(3)),
+            ];
+            let config = FleetConfig {
+                max_resident_streams,
+                ..Default::default()
+            };
+            let report = run_fleet(specs, &config).unwrap();
+            assert_eq!(report.streams, 3);
+            assert_eq!(report.restores, 1);
+            let sessions: Vec<_> = report
+                .stream_reports
+                .iter()
+                .filter(|r| r.id == 42)
+                .collect();
+            assert_eq!(sessions.len(), 2);
+            let total_pulls: u64 = sessions.last().unwrap().pulls.iter().sum();
+            assert_eq!(
+                total_pulls, 8,
+                "second session must continue the first's counts (bound {max_resident_streams})"
+            );
+            assert!(sessions.last().unwrap().restored);
+        }
     }
 
     #[test]
@@ -1186,7 +924,6 @@ mod tests {
         // No gauge: zero degraded batches, the pre-uplink behavior.
         let baseline = run_fleet(mk_specs(), &FleetConfig::default()).unwrap();
         assert_eq!(baseline.degraded_batches, 0);
-        assert_eq!(baseline.uplink, UplinkRollup::default());
         // A gauge pinned at Critical: every batch decision is degraded and
         // selection collapses to the deterministic best-ratio argmax.
         let gauge = PressureGauge::new();

@@ -52,7 +52,7 @@ pub use selector::{
     BandedLossySelector, BanditAlgorithm, LosslessSelector, LossySelector, Selection,
     SelectorConfig, ELEVATED_EXPLORE_SCALE,
 };
-pub use shard::{resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable, WorkGate};
+pub use shard::{resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable};
 pub use spooling::{
     decode_block, encode_block, run_reconnect, spool_offline_egress, IngestLedger, RelayError,
     ReplayConfig, ReplayReport, SpoolSink,
@@ -62,5 +62,5 @@ pub use uplink::{
     run_session, Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker,
     FaultSpec, FaultyLink, FrameKind, LinkPressure, PerfectLink, Phase, PressureGauge,
     PressureWatermarks, Receiver, SessionReport, Transport, Uplink, UplinkConfig, UplinkCounters,
-    UplinkFrame, UplinkRollup, WireFragment,
+    UplinkFrame, WireFragment,
 };

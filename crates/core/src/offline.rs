@@ -12,7 +12,7 @@
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
 use crate::targets::{OptimizationTarget, RewardEvaluator};
-use adaedge_codecs::{CodecId, CodecRegistry};
+use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_ml::Model;
 use adaedge_storage::{
     CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy, SegmentId, SegmentStore,
@@ -127,6 +127,8 @@ pub struct OfflineAdaEdge {
     reg: CodecRegistry,
     store: SegmentStore,
     lossless: LosslessSelector,
+    /// Reused compression arena for the lossless selector.
+    scratch: CodecScratch,
     lossy: BandedLossySelector,
     threshold: f64,
     recode_factor: f64,
@@ -157,6 +159,7 @@ impl OfflineAdaEdge {
             reg: CodecRegistry::new(config.precision),
             store: SegmentStore::new(Some(config.storage_budget_bytes), config.policy.build()),
             lossless: LosslessSelector::new(config.lossless_arms, config.selector),
+            scratch: CodecScratch::new(),
             lossy: BandedLossySelector::with_edges(
                 config.lossy_arms,
                 config.selector,
@@ -293,7 +296,7 @@ impl OfflineAdaEdge {
 
     /// Ingest one segment: lossless-compress, make room, store.
     pub fn ingest(&mut self, data: &[f64]) -> Result<IngestReport> {
-        let selection = self.lossless.compress(&self.reg, data)?;
+        let selection = self.lossless.compress(&self.reg, data, &mut self.scratch)?;
         let t0 = Instant::now();
         let (recodes, recode_commit_seconds) =
             self.ensure_space(selection.block.compressed_bytes())?;

@@ -10,7 +10,7 @@ use crate::constraints::Constraints;
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{LosslessSelector, LossySelector, Selection, SelectorConfig};
 use crate::targets::{OptimizationTarget, RewardEvaluator};
-use adaedge_codecs::{CodecId, CodecRegistry};
+use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_ml::Model;
 
 /// Which path produced a segment's block.
@@ -88,6 +88,8 @@ pub struct OnlineAdaEdge {
     reg: CodecRegistry,
     target_ratio: f64,
     lossless: LosslessSelector,
+    /// Reused compression arena for the lossless selector.
+    scratch: CodecScratch,
     /// The dedicated lossy MAB instance of §IV-C1. Constructed up front but
     /// left untouched until lossless selection proves inadequate.
     lossy: LossySelector,
@@ -121,6 +123,7 @@ impl OnlineAdaEdge {
             reg: CodecRegistry::new(config.precision),
             target_ratio,
             lossless: LosslessSelector::new(config.lossless_arms, config.selector),
+            scratch: CodecScratch::new(),
             lossy: LossySelector::new(config.lossy_arms, config.selector, evaluator),
             lossless_miss_budget: miss_budget,
             misses: 0,
@@ -155,7 +158,7 @@ impl OnlineAdaEdge {
         self.stats.segments += 1;
         self.stats.bytes_in += (data.len() * 8) as u64;
         if !self.committed_lossy {
-            let sel = self.lossless.compress(&self.reg, data)?;
+            let sel = self.lossless.compress(&self.reg, data, &mut self.scratch)?;
             if sel.block.ratio() <= self.target_ratio {
                 self.misses = 0;
                 self.stats.lossless_segments += 1;

@@ -144,13 +144,27 @@ pub enum ArmOutcome {
     Failure,
 }
 
+/// Check a lossless arm roster: non-empty, every arm lossless, and at most
+/// 64 arms, because quarantine verdicts travel as a `u64` bitmask (bit `i`
+/// = arm `i`). The pipelines call this at entry, so a bad roster is an
+/// [`AdaEdgeError::Config`] error, not a panic.
+pub(crate) fn check_lossless_arms(arms: &[CodecId]) -> Result<()> {
+    if arms.is_empty() {
+        Err(AdaEdgeError::Config("lossless arms must not be empty"))
+    } else if !arms.iter().all(|a| a.is_lossless()) {
+        Err(AdaEdgeError::Config("lossless arms hold a lossy codec"))
+    } else if arms.len() > 64 {
+        Err(AdaEdgeError::Config("more than 64 lossless arms"))
+    } else {
+        Ok(())
+    }
+}
+
 /// MAB over lossless arms, rewarding small compressed sizes.
 pub struct LosslessSelector {
     arms: Vec<CodecId>,
     mab: Box<dyn Policy>,
     rng: SmallRng,
-    /// Reused compression arena for [`Self::compress`].
-    scratch: CodecScratch,
     /// Consecutive failures per arm; reset by a successful report.
     consecutive_failures: Vec<u32>,
     /// Cumulative failures per arm (never reset; surfaced in reports).
@@ -175,19 +189,20 @@ impl std::fmt::Debug for LosslessSelector {
 
 impl LosslessSelector {
     /// Create a selector over the given lossless candidate arms.
+    ///
+    /// # Panics
+    ///
+    /// If `arms` is empty, holds a lossy codec or has more than 64 arms.
     pub fn new(arms: Vec<CodecId>, config: SelectorConfig) -> Self {
-        assert!(!arms.is_empty(), "need at least one arm");
-        assert!(
-            arms.iter().all(|a| a.is_lossless()),
-            "lossless selector requires lossless arms"
-        );
+        if let Err(e) = check_lossless_arms(&arms) {
+            panic!("{e}");
+        }
         let mab = config.build_mab(arms.len());
         let n = arms.len();
         Self {
             arms,
             mab,
             rng: SmallRng::seed_from_u64(config.seed),
-            scratch: CodecScratch::new(),
             consecutive_failures: vec![0; n],
             failure_totals: vec![0; n],
             quarantined: vec![false; n],
@@ -421,11 +436,17 @@ impl LosslessSelector {
         total
     }
 
-    /// Select an arm, compress, feed the size reward back.
-    pub fn compress(&mut self, reg: &CodecRegistry, data: &[f64]) -> Result<Selection> {
+    /// Select an arm, compress through the caller's `scratch` arena, feed
+    /// the size reward back.
+    pub fn compress(
+        &mut self,
+        reg: &CodecRegistry,
+        data: &[f64],
+        scratch: &mut CodecScratch,
+    ) -> Result<Selection> {
         let (arm, codec) = self.select_arm();
         let t0 = Instant::now();
-        let block = match reg.compress_into(codec, data, &mut self.scratch) {
+        let block = match reg.compress_into(codec, data, scratch) {
             Ok(block_ref) => block_ref.to_block(),
             Err(e) => {
                 self.record_failure(arm);
@@ -901,8 +922,9 @@ mod tests {
             },
         );
         let data = smooth(1024);
+        let mut scratch = CodecScratch::new();
         for _ in 0..60 {
-            sel.compress(&reg, &data).unwrap();
+            sel.compress(&reg, &data, &mut scratch).unwrap();
         }
         // Sprintz should win on smooth 4-digit data.
         assert_eq!(sel.greedy_arm(), CodecId::Sprintz);
@@ -1109,6 +1131,47 @@ mod tests {
     #[should_panic(expected = "lossless arms")]
     fn lossless_selector_rejects_lossy_arms() {
         LosslessSelector::new(vec![CodecId::Paa], SelectorConfig::default());
+    }
+
+    #[test]
+    fn bad_lossless_rosters_are_config_errors_at_every_entry_point() {
+        use crate::engine::{
+            run_offline_pipeline, run_pipeline, EngineConfig, OfflineEngineConfig,
+        };
+        use crate::fleet::{run_fleet, FleetConfig, StreamSpec};
+        use crate::frame::Priority;
+        use adaedge_datasets::SineStream;
+        for arms in [vec![], vec![CodecId::Paa], vec![CodecId::Gzip; 65]] {
+            let sine = || SineStream::new(64, 0.1, 4, 1);
+            let online = EngineConfig {
+                lossless_arms: arms.clone(),
+                ..Default::default()
+            };
+            let offline = OfflineEngineConfig {
+                lossless_arms: arms.clone(),
+                ..OfflineEngineConfig::new(1 << 20, OptimizationTarget::agg(AggKind::Sum))
+            };
+            let fleet = FleetConfig {
+                lossless_arms: arms.clone(),
+                ..Default::default()
+            };
+            let spec = StreamSpec::new(0, Priority::Normal, 4, Box::new(sine()));
+            let results = [
+                ("run_pipeline", run_pipeline(&mut sine(), 4, &online).err()),
+                (
+                    "run_offline_pipeline",
+                    run_offline_pipeline(&mut sine(), 4, &offline).err(),
+                ),
+                ("run_fleet", run_fleet(vec![spec], &fleet).err()),
+            ];
+            for (entry, err) in results {
+                assert!(
+                    matches!(err, Some(AdaEdgeError::Config(_))),
+                    "{entry} with {} arms: {err:?}",
+                    arms.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! and [`crate::fleet::run_fleet`] all run on the same two pieces:
 //! `compress_batch`, the one contained compress step (codec errors and
 //! panics degrade a segment to Raw), and `ShardQueues`, the per-shard
-//! bounded work queues, recycle pools and parked-wake work stealing. Each
-//! entry point supplies only its per-batch decision and what it does with
-//! the compressed blocks.
+//! bounded work queues, recycle pools and parked-wake work stealing (the
+//! crate-private `WorkGate` has no other user). Each entry point
+//! supplies only its per-batch decision and what it does with the
+//! compressed blocks; the fleet's batches carry their stream's state.
 //!
 //! The engines make every arm decision lock-free from a **local selector
 //! replica**: each shard's own copy of the bandit state. Replicas stay
@@ -113,7 +114,7 @@ pub fn shard_pool_size(batch_cap: usize, n_shards: usize) -> usize {
 /// A coarse safety timeout (50 ms) bounds the damage of any future
 /// protocol regression without ever being load-bearing.
 #[derive(Debug, Default)]
-pub struct WorkGate {
+pub(crate) struct WorkGate {
     /// Bumped by every enqueue; consumers park against a snapshot of it.
     epoch: AtomicU64,
     /// Consumers currently between registration and wake.
@@ -128,13 +129,13 @@ const PARK_SAFETY_TIMEOUT: Duration = Duration::from_millis(50);
 
 impl WorkGate {
     /// Create an idle gate.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current epoch; take a snapshot *before* sweeping the queues, then
     /// hand it to [`WorkGate::park`] if the sweep came up empty.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
@@ -142,20 +143,20 @@ impl WorkGate {
     /// pre-park queue sweep so a concurrent [`WorkGate::notify`] is
     /// guaranteed to see the sleeper; pair with [`WorkGate::park`] or
     /// [`WorkGate::cancel_park`].
-    pub fn register_sleeper(&self) {
+    pub(crate) fn register_sleeper(&self) {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Withdraw a [`WorkGate::register_sleeper`] after the re-sweep found
     /// work (no park happened).
-    pub fn cancel_park(&self) {
+    pub(crate) fn cancel_park(&self) {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Park until the epoch moves past `ticket` (an enqueue happened since
     /// the snapshot) or the safety timeout lapses. The caller must have
     /// registered as a sleeper first; the registration is consumed.
-    pub fn park(&self, ticket: u64) {
+    pub(crate) fn park(&self, ticket: u64) {
         let mut guard = self.lock.lock();
         if self.epoch.load(Ordering::SeqCst) == ticket {
             self.cv.wait_for(&mut guard, PARK_SAFETY_TIMEOUT);
@@ -166,7 +167,7 @@ impl WorkGate {
 
     /// Signal that work was enqueued (or that the pipeline is shutting
     /// down and parked consumers should re-check their queues).
-    pub fn notify(&self) {
+    pub(crate) fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self.lock.lock();
@@ -224,8 +225,9 @@ pub(crate) struct ShardBatch<T> {
     /// compressed by a foreign worker, but its buffers always return
     /// home, which keeps each pool's accounting exact.
     pub(crate) home: usize,
-    /// What the worker needs besides the data: `()` for the engines, the
-    /// stream handle and ingest sequence for the fleet.
+    /// What the worker needs besides the data: `()` for the engines; the
+    /// driver slot, the stream itself and the ingest sequence for the
+    /// fleet.
     pub(crate) tag: T,
     /// The segments.
     pub(crate) segs: Vec<Vec<f64>>,
@@ -277,6 +279,12 @@ impl ShardQueues {
     /// Number of shards (= worker threads).
     pub(crate) fn shards(&self) -> usize {
         self.n_shards
+    }
+
+    /// Batches across all recycle pools: an upper bound on the batches a
+    /// run can have in flight at once.
+    pub(crate) fn pool_batches(&self) -> usize {
+        self.n_shards * shard_pool_size(self.batch_cap, self.n_shards)
     }
 
     /// Batches a worker took from a foreign shard's queue so far.
@@ -577,14 +585,6 @@ impl SharedOutcomeTable {
         self.arms
             .iter()
             .map(|c| c.failures.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total successful pulls across all arms and shards.
-    pub fn pull_total(&self) -> u64 {
-        self.arms
-            .iter()
-            .map(|c| c.pulls.load(Ordering::Relaxed))
             .sum()
     }
 

@@ -147,11 +147,6 @@ impl SpoolSink {
         &self.spool
     }
 
-    /// The underlying spool (mutable — ACK reporting, replay).
-    pub fn spool_mut(&mut self) -> &mut Spool {
-        &mut self.spool
-    }
-
     /// Unwrap the spool.
     pub fn into_spool(self) -> Spool {
         self.spool
@@ -259,11 +254,6 @@ impl IngestLedger {
     /// Sequences recorded lost at the source.
     pub fn lost(&self) -> u64 {
         self.lost
-    }
-
-    /// Accepted-but-not-yet-contiguous sequences (waiting on a hole).
-    pub fn pending_out_of_order(&self) -> usize {
-        self.out_of_order.len()
     }
 }
 

@@ -738,17 +738,6 @@ impl Receiver {
         Self::default()
     }
 
-    /// Resume with a pre-populated ledger (the cursor survives a link
-    /// outage; replays below it are deduped).
-    pub fn with_ledger(ledger: IngestLedger) -> Self {
-        let released = ledger.acked_seq();
-        Self {
-            ledger,
-            released,
-            ..Self::default()
-        }
-    }
-
     /// Handle one frame off the link. Returns the ACK to send back, or
     /// `None` when the frame failed its CRC (a corrupt frame is never
     /// acknowledged — the sender's deadline covers it).
@@ -1499,67 +1488,6 @@ pub fn run_session(
         uplink: uplink.counters(),
         receiver: receiver.counters(),
         degradation_transitions: uplink.pressure().transitions(),
-    }
-}
-
-/// Fleet-level uplink rollup: every counter a "what did the link do to
-/// us" question needs, in one place (absorbed into
-/// [`crate::fleet::FleetReport`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UplinkRollup {
-    /// Frames transmitted (first sends).
-    pub frames_sent: u64,
-    /// Retransmissions.
-    pub retries: u64,
-    /// Frame deadline expirations.
-    pub timeouts: u64,
-    /// Circuit-breaker trips.
-    pub trips: u64,
-    /// Half-open probe frames sent.
-    pub half_open_probes: u64,
-    /// Frames the link destroyed (dropped or corrupted).
-    pub frames_dropped_by_link: u64,
-    /// Records re-queued after retry exhaustion.
-    pub requeues: u64,
-    /// Records delivered exactly once.
-    pub records_delivered: u64,
-    /// Duplicate records/fragments the receiver discarded.
-    pub duplicates_discarded: u64,
-    /// Pressure-level transitions (degradation engaging/releasing).
-    pub degradation_transitions: u64,
-    /// Records replayed from the spool on reconnect.
-    pub replayed_records: u64,
-    /// Replayed records ingested exactly once.
-    pub ingested_records: u64,
-    /// Replayed records the ledger deduped.
-    pub duplicate_replays: u64,
-    /// Records lost at the source (spool gaps).
-    pub lost_records: u64,
-}
-
-impl UplinkRollup {
-    /// Fold one uplink session's counters in. Link-side drop counts come
-    /// from the receiver's CRC rejections plus the caller's link ground
-    /// truth when available; here we take the receiver-observable part.
-    pub fn absorb_session(&mut self, s: &SessionReport) {
-        self.frames_sent += s.uplink.frames_sent;
-        self.retries += s.uplink.retries;
-        self.timeouts += s.uplink.timeouts;
-        self.trips += s.uplink.trips;
-        self.half_open_probes += s.uplink.half_open_probes;
-        self.frames_dropped_by_link += s.receiver.frames_rejected;
-        self.requeues += s.uplink.requeues;
-        self.records_delivered += s.delivered_records;
-        self.duplicates_discarded += s.receiver.duplicate_records + s.receiver.duplicate_fragments;
-        self.degradation_transitions += s.degradation_transitions;
-    }
-
-    /// Fold a reconnect replay's counters in.
-    pub fn absorb_replay(&mut self, r: &crate::spooling::ReplayReport) {
-        self.replayed_records += r.replayed_records;
-        self.ingested_records += r.ingested_records;
-        self.duplicate_replays += r.duplicate_records;
-        self.lost_records += r.lost_records;
     }
 }
 

@@ -317,13 +317,17 @@ proptest! {
     /// Interleaved multi-stream traffic over shared (stealing) workers
     /// leaves every stream's posterior exactly where its solo run lands
     /// it: the one-batch-in-flight invariant makes scheduling invisible
-    /// to the bandit math.
+    /// to the bandit math. Empty specs, a residency bound and a one-batch
+    /// buffer (recycle-pool pressure) must not change that, nor stall
+    /// the run.
     #[test]
     fn interleaved_posteriors_match_solo_runs(
         n_streams in 2usize..5,
-        segs_per_stream in 1usize..16,
+        segs_per_stream in 0usize..16,
         k in 1usize..4,
         shards in 1usize..4,
+        max_resident_streams in 0usize..=3,
+        buffer_segments in prop_oneof![Just(1usize), Just(64usize)],
     ) {
         let mk_specs = |ids: &[u64]| -> Vec<StreamSpec> {
             ids.iter()
@@ -334,6 +338,8 @@ proptest! {
         let config = FleetConfig {
             n_compression_threads: shards,
             batch_segments: k,
+            max_resident_streams,
+            buffer_segments,
             ..Default::default()
         };
         let multi = run_fleet(mk_specs(&ids), &config).expect("multi");

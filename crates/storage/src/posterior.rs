@@ -2,7 +2,7 @@
 //!
 //! A gateway multiplexing thousands of streams cannot keep every stream's
 //! bandit state resident forever: idle streams are evicted from the
-//! bounded stream table and their learned posterior — per-arm pull counts,
+//! bounded resident set and their learned posterior — per-arm pull counts,
 //! reward estimates, failure totals and quarantine verdicts — is parked
 //! here, to be restored bit-exactly when the stream next sends data (the
 //! estimate-based policies restore by overwrite, so an evicted stream

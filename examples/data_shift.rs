@@ -5,12 +5,13 @@
 //!
 //! Run with: `cargo run --release --example data_shift`
 
-use adaedge::codecs::CodecRegistry;
+use adaedge::codecs::{CodecRegistry, CodecScratch};
 use adaedge::core::{LosslessSelector, SelectorConfig};
 use adaedge::datasets::{CbfConfig, SegmentSource, ShiftStream};
 
 fn main() {
     let reg = CodecRegistry::new(4);
+    let mut scratch = CodecScratch::new();
     let mut selector = LosslessSelector::new(
         CodecRegistry::extended_lossless_candidates(),
         SelectorConfig::nonstationary(),
@@ -25,7 +26,9 @@ fn main() {
     );
     for i in 0..200usize {
         let segment = stream.next_segment();
-        let sel = selector.compress(&reg, &segment).expect("compresses");
+        let sel = selector
+            .compress(&reg, &segment, &mut scratch)
+            .expect("compresses");
         if i % 20 == 0 || i == 99 || i == 100 || i == 101 {
             println!(
                 "{:>8} {:>12} {:>8.4} {:>12}",

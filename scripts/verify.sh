@@ -22,6 +22,9 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> forced-scalar backend gate (ADAEDGE_SIMD=scalar, full codec suite, core unit tests)"
 ADAEDGE_SIMD=scalar cargo test -q -p adaedge-codecs
 ADAEDGE_SIMD=scalar cargo test -q -p adaedge-core --lib

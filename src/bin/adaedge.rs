@@ -17,7 +17,7 @@
 //! comments ignored). Compressed files use the adaedge-storage segment
 //! format.
 
-use adaedge::codecs::{CodecId, CodecRegistry};
+use adaedge::codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge::core::{
     AggKind, Constraints, OfflineAdaEdge, OfflineConfig, OnlineAdaEdge, OnlineConfig,
     OptimizationTarget,
@@ -217,6 +217,7 @@ fn cmd_compress(opts: &Options) -> Result<(), String> {
         CodecRegistry::extended_lossless_candidates(),
         adaedge::core::SelectorConfig::default(),
     );
+    let mut scratch = CodecScratch::new();
     for (i, chunk) in values.chunks(segment).enumerate() {
         let block = match opts.str("codec") {
             Some(name) => {
@@ -235,7 +236,7 @@ fn cmd_compress(opts: &Options) -> Result<(), String> {
             None => {
                 // MAB-selected lossless compression.
                 selector
-                    .compress(&reg, chunk)
+                    .compress(&reg, chunk, &mut scratch)
                     .map_err(|e| e.to_string())?
                     .block
             }
