@@ -148,12 +148,16 @@ pub(crate) fn masked_argmax(values: &[f64], mask: Option<&[bool]>) -> usize {
     best.expect("mask must enable at least one arm")
 }
 
-/// Uniformly pick one enabled arm.
+/// Uniformly pick one enabled arm: one `gen_range(0..count)` draw over the
+/// enabled arms, then the `k`-th of them. Allocation-free, so exploration
+/// costs nothing on the heap in steady state.
 pub(crate) fn masked_uniform(n: usize, mask: Option<&[bool]>, rng: &mut dyn RngCore) -> usize {
     use rand::Rng;
-    let enabled: Vec<usize> = (0..n).filter(|&i| mask.is_none_or(|m| m[i])).collect();
-    assert!(!enabled.is_empty(), "mask must enable at least one arm");
-    enabled[rng.gen_range(0..enabled.len())]
+    let enabled = |i: &usize| mask.is_none_or(|m| m[*i]);
+    let count = (0..n).filter(enabled).count();
+    assert!(count > 0, "mask must enable at least one arm");
+    let k = rng.gen_range(0..count);
+    (0..n).filter(enabled).nth(k).expect("k < count")
 }
 
 #[cfg(test)]
@@ -180,6 +184,38 @@ mod tests {
     #[should_panic(expected = "at least one arm")]
     fn argmax_empty_mask_panics() {
         masked_argmax(&[1.0, 2.0], Some(&[false, false]));
+    }
+
+    /// `masked_uniform` as it stood when it collected the enabled arms
+    /// into a `Vec`, frozen.
+    fn masked_uniform_collecting(n: usize, mask: Option<&[bool]>, rng: &mut dyn RngCore) -> usize {
+        use rand::Rng;
+        let enabled: Vec<usize> = (0..n).filter(|&i| mask.is_none_or(|m| m[i])).collect();
+        enabled[rng.gen_range(0..enabled.len())]
+    }
+
+    #[test]
+    fn uniform_picks_match_the_collecting_form() {
+        // Every 6-arm mask with at least one arm enabled, and no mask.
+        let mut masks: Vec<Option<Vec<bool>>> = vec![None];
+        masks.extend((1u32..64).map(|bits| Some((0..6).map(|i| bits >> i & 1 == 1).collect())));
+        for (seed, mask) in masks.iter().enumerate() {
+            let mut a = SmallRng::seed_from_u64(seed as u64);
+            let mut b = SmallRng::seed_from_u64(seed as u64);
+            for draw in 0..200 {
+                assert_eq!(
+                    masked_uniform(6, mask.as_deref(), &mut a),
+                    masked_uniform_collecting(6, mask.as_deref(), &mut b),
+                    "mask {mask:?}, draw {draw}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one arm")]
+    fn uniform_empty_mask_panics() {
+        masked_uniform(2, Some(&[false, false]), &mut SmallRng::seed_from_u64(1));
     }
 
     #[test]

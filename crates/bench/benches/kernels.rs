@@ -6,8 +6,11 @@
 //! what the engine actually moves (segment payloads of a few KB).
 //! `pack_run`/`unpack_run` are benched at widths 7 and 12 — inside the
 //! AVX2 fast-path range and typical of Sprintz delta lanes; `quantize`
-//! is timed on the same precision-4 segment the transforms use.
+//! is timed on the same precision-4 segment the transforms use. The FFT
+//! rows time whole forward and inverse transforms with their butterflies
+//! on each tier, at n = 1000 (Bluestein, the offline segment) and 1024.
 
+use adaedge_codecs::fft::{self, Complex};
 use adaedge_codecs::simd;
 use adaedge_codecs::util::quantize_into;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -187,12 +190,43 @@ fn bench_quantize(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fft(c: &mut Criterion) {
+    let mut group = quick(c);
+    for n in [1000usize, 1024] {
+        let input: Vec<Complex> = smooth_points(n)
+            .into_iter()
+            .map(|v| Complex::new(v, 0.0))
+            .collect();
+        for &backend in simd::supported() {
+            group.bench_with_input(
+                BenchmarkId::new(format!("fft_forward_{n}"), backend.name()),
+                &input,
+                |b, input| b.iter(|| black_box(fft::dft_on(backend, input))),
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("fft_inverse_{n}"), backend.name()),
+                &input,
+                |b, input| {
+                    let mut buf = input.clone();
+                    b.iter(|| {
+                        buf.copy_from_slice(input);
+                        fft::idft_inplace_on(backend, &mut buf);
+                        black_box(buf[0])
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_crc32c,
     bench_match_extend,
     bench_pack_unpack,
     bench_transforms,
-    bench_quantize
+    bench_quantize,
+    bench_fft
 );
 criterion_main!(benches);

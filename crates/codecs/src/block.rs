@@ -121,6 +121,30 @@ impl CodecId {
         )
     }
 
+    /// Whether decompression returns the compressed points bit for bit
+    /// (`f64::to_bits` equal) for every finite input: the byte compressors,
+    /// the dictionary and run-length encodings, the XOR float codecs and
+    /// raw. Sprintz, BUFF and Elf are lossless only at the declared
+    /// precision (they quantize), so they are not.
+    ///
+    /// A caller that still holds a block's input can use it in place of
+    /// the block's decode (offline recoding does).
+    pub fn is_bit_exact(self) -> bool {
+        matches!(
+            self,
+            CodecId::Gzip
+                | CodecId::Snappy
+                | CodecId::Zlib1
+                | CodecId::Zlib6
+                | CodecId::Zlib9
+                | CodecId::Dict
+                | CodecId::Rle
+                | CodecId::Gorilla
+                | CodecId::Chimp
+                | CodecId::Raw
+        )
+    }
+
     /// All identifiers, in registry order.
     pub const ALL: [CodecId; 19] = [
         CodecId::Gzip,

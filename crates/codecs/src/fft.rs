@@ -18,17 +18,29 @@
 //! plans for lengths above 32768 are freed after use instead. Plans
 //! reproduce the unplanned arithmetic operation for operation, so every
 //! output is bit-identical to it (`tests/fft_equivalence.rs`).
+//!
+//! The butterfly stages run on the SIMD ladder
+//! ([`Backend::fft_butterflies`]): the loop here is the `Scalar` reference,
+//! and the AVX2 tier does two butterflies per 256-bit operation with the
+//! same multiplies, adds and subtracts in the same order, so every tier's
+//! output is bit-identical too (`tests/kernel_equivalence.rs`), up to the
+//! sign of a NaN an overflowing transform produces, which Rust leaves
+//! unspecified.
 
 use crate::block::{CodecId, CompressedBlock, CompressedBlockRef, POINT_BYTES};
 use crate::error::{CodecError, Result};
 use crate::scratch::CodecScratch;
+use crate::simd::{self, Backend};
 use crate::traits::{budget_bytes, check_lossy_args, Codec, CodecKind, LossyCodec};
 use std::cell::RefCell;
 
 const BIN_BYTES: usize = 8;
 
-/// Minimal complex number for the FFT kernels.
+/// Minimal complex number for the FFT kernels. `#[repr(C)]`: a slice of
+/// them is interleaved `re, im` doubles, which the SIMD kernels load
+/// directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -87,6 +99,28 @@ impl Complex {
     }
 }
 
+/// One radix-2 butterfly stage, the `Scalar` reference of
+/// [`Backend::fft_butterflies`]: every block of `2 * tw.len()` entries is
+/// split into halves `lo` and `hi`, and each `(a, b)` pair becomes
+/// `(a + b·w, a − b·w)` with its twiddle `w`.
+pub(crate) fn butterflies_scalar(buf: &mut [Complex], tw: &[Complex]) {
+    for block in buf.chunks_exact_mut(2 * tw.len()) {
+        let (lo, hi) = block.split_at_mut(tw.len());
+        butterfly_run(lo, hi, tw);
+    }
+}
+
+/// The butterflies of one block (or the tail of one): pairs `lo[k]`,
+/// `hi[k]` with twiddle `tw[k]`.
+pub(crate) fn butterfly_run(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
+    for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+        let u = *a;
+        let v = b.mul(w);
+        *a = u.add(v);
+        *b = u.sub(v);
+    }
+}
+
 /// Radix-2 plan for one power-of-two size: the bit-reversal swap pairs and
 /// one twiddle table per butterfly stage.
 #[derive(Debug, Default)]
@@ -129,24 +163,16 @@ impl Pow2Plan {
     }
 
     /// In-place iterative radix-2 Cooley–Tukey FFT of `buf` (length
-    /// `self.n`). Forward transform, no normalization.
-    fn run(&self, buf: &mut [Complex]) {
+    /// `self.n`), butterfly stages on `backend`. Forward transform, no
+    /// normalization.
+    fn run(&self, backend: Backend, buf: &mut [Complex]) {
         debug_assert_eq!(buf.len(), self.n);
         for &(i, j) in &self.swaps {
             buf.swap(i as usize, j as usize);
         }
         let mut half = 1;
         while half < self.n {
-            let tw = &self.twiddles[half - 1..2 * half - 1];
-            for block in buf.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-                    let u = *a;
-                    let v = b.mul(w);
-                    *a = u.add(v);
-                    *b = u.sub(v);
-                }
-            }
+            backend.fft_butterflies(buf, &self.twiddles[half - 1..2 * half - 1]);
             half <<= 1;
         }
     }
@@ -172,7 +198,7 @@ struct Plan {
 }
 
 impl Plan {
-    fn rebuild(&mut self, n: usize) {
+    fn rebuild(&mut self, backend: Backend, n: usize) {
         let m = if n.is_power_of_two() {
             n
         } else {
@@ -198,31 +224,31 @@ impl Plan {
                 self.filter[k] = c;
                 self.filter[m - k] = c;
             }
-            self.fft.run(&mut self.filter);
+            self.fft.run(backend, &mut self.filter);
         }
         // Set last: a plan is used only once it is complete.
         self.n = n;
     }
 
     /// Forward DFT (no normalization) of `work[..n]`, in place.
-    fn forward(&mut self) {
+    fn forward(&mut self, backend: Backend) {
         let n = self.n;
         let work = &mut self.work[..];
         if self.chirp.is_empty() {
-            self.fft.run(work);
+            self.fft.run(backend, work);
             return;
         }
         for (a, &c) in work.iter_mut().zip(&self.chirp) {
             *a = a.mul(c);
         }
         work[n..].fill(Complex::default());
-        self.fft.run(work);
+        self.fft.run(backend, work);
         // Pointwise product with the filter, conjugated so the next
         // forward FFT computes the inverse one.
         for (a, &b) in work.iter_mut().zip(&self.filter) {
             *a = a.mul(b).conj();
         }
-        self.fft.run(work);
+        self.fft.run(backend, work);
         let scale = 1.0 / work.len() as f64;
         for (a, &c) in work.iter_mut().zip(&self.chirp) {
             *a = a.conj().scale(scale).mul(c);
@@ -231,12 +257,12 @@ impl Plan {
 
     /// Inverse DFT with 1/n normalization of `work[..n]`, in place:
     /// conjugate, forward-transform, conjugate-and-scale.
-    fn inverse(&mut self) {
+    fn inverse(&mut self, backend: Backend) {
         let n = self.n;
         for c in &mut self.work[..n] {
             *c = c.conj();
         }
-        self.forward();
+        self.forward(backend);
         let scale = 1.0 / n as f64;
         for c in &mut self.work[..n] {
             *c = c.conj().scale(scale);
@@ -255,13 +281,13 @@ thread_local! {
 }
 
 /// Run `f` on this thread's plan for length `n` (`n > 0`), rebuilding it
-/// first if the last transform had another length.
-fn with_plan<R>(n: usize, f: impl FnOnce(&mut Plan) -> R) -> R {
+/// on `backend` first if the last transform had another length.
+fn with_plan<R>(backend: Backend, n: usize, f: impl FnOnce(&mut Plan) -> R) -> R {
     debug_assert!(n > 0);
     PLAN.with(|plan| {
         let mut plan = plan.borrow_mut();
         if plan.n != n {
-            plan.rebuild(n);
+            plan.rebuild(backend, n);
         }
         let out = f(&mut plan);
         if plan.work.len() > MAX_CACHED_WORK {
@@ -273,13 +299,20 @@ fn with_plan<R>(n: usize, f: impl FnOnce(&mut Plan) -> R) -> R {
 
 /// Forward DFT (no normalization) of arbitrary length.
 pub fn dft(input: &[Complex]) -> Vec<Complex> {
+    dft_on(simd::active(), input)
+}
+
+/// [`dft`] with its butterflies on `backend` instead of the active tier;
+/// every tier returns the same bits (see the module docs for NaNs). For
+/// differential tests and per-tier benchmarks.
+pub fn dft_on(backend: Backend, input: &[Complex]) -> Vec<Complex> {
     let n = input.len();
     if n == 0 {
         return Vec::new();
     }
-    with_plan(n, |plan| {
+    with_plan(backend, n, |plan| {
         plan.work[..n].copy_from_slice(input);
-        plan.forward();
+        plan.forward(backend);
         plan.work[..n].to_vec()
     })
 }
@@ -295,13 +328,20 @@ pub fn idft(input: &[Complex]) -> Vec<Complex> {
 /// result is copied back into `buf`: no allocation once the plan for
 /// `buf.len()` exists.
 pub fn idft_inplace(buf: &mut [Complex]) {
+    idft_inplace_on(simd::active(), buf);
+}
+
+/// [`idft_inplace`] with its butterflies on `backend` instead of the
+/// active tier; every tier returns the same bits (see the module docs for
+/// NaNs).
+pub fn idft_inplace_on(backend: Backend, buf: &mut [Complex]) {
     let n = buf.len();
     if n == 0 {
         return;
     }
-    with_plan(n, |plan| {
+    with_plan(backend, n, |plan| {
         plan.work[..n].copy_from_slice(buf);
-        plan.inverse();
+        plan.inverse(backend);
         buf.copy_from_slice(&plan.work[..n]);
     });
 }
@@ -331,11 +371,12 @@ impl Fft {
         if data.iter().any(|v| !v.is_finite()) {
             return Err(CodecError::UnsupportedValue("non-finite float"));
         }
-        with_plan(n, |plan| {
+        let backend = simd::active();
+        with_plan(backend, n, |plan| {
             for (c, &v) in plan.work.iter_mut().zip(data) {
                 *c = Complex::new(v, 0.0);
             }
-            plan.forward();
+            plan.forward(backend);
             let spectrum = &plan.work[..k];
             payload.clear();
             payload.reserve(k * BIN_BYTES);
@@ -396,7 +437,8 @@ impl Codec for Fft {
         if k > n / 2 + 1 {
             return Err(CodecError::Corrupt("fft too many bins"));
         }
-        with_plan(n, |plan| {
+        let backend = simd::active();
+        with_plan(backend, n, |plan| {
             // Lay the Hermitian spectrum out in the plan's work buffer, in
             // the order that decides the one shared slot (bin n/2 when
             // k = n/2 + 1): the mirrored write lands last.
@@ -413,7 +455,7 @@ impl Codec for Fft {
                 spectrum[bin] = Complex::new(re, im);
                 spectrum[n - bin] = Complex::new(re, -im);
             }
-            plan.inverse();
+            plan.inverse(backend);
             out.clear();
             out.extend(plan.work[..n].iter().map(|c| c.re));
         });

@@ -1,8 +1,9 @@
 //! Runtime-dispatched SIMD kernel layer for the codec hot loops.
 //!
 //! Every byte-crunching kernel under `bitio`, `crc32c`, `lz`, `snappy` and
-//! `util` is published here as a method on [`Backend`], a ladder of
-//! implementations of the same bit-identical contract:
+//! `util`, and the FFT butterfly stages of `fft`, is published here as a
+//! method on [`Backend`], a ladder of implementations of the same
+//! bit-identical contract:
 //!
 //! | tier       | what it is                                              |
 //! |------------|---------------------------------------------------------|
@@ -10,7 +11,8 @@
 //! | `Swar`     | portable word-at-a-time kernels (the PR 1–4 hot loops)  |
 //! | `Sse42`    | x86-64 hardware CRC-32C (3-stream `crc32` interleave)   |
 //! | `Avx2`     | x86-64 256-bit kernels (match, pack/unpack, transforms, |
-//! |            | quantize, dequantize)                                   |
+//! |            | quantize, dequantize, FFT butterflies: two per op with  |
+//! |            | `mul` and `addsub`, no FMA)                             |
 //! | `Neon`     | aarch64 hardware CRC-32C + 128-bit match extension      |
 //!
 //! # Dispatch
@@ -20,7 +22,8 @@
 //! atomic load plus a predictable jump. The hot wrappers
 //! (`crc32c::crc32c_append`, `lz::match_len`, `BitWriter::write_run`,
 //! `BitReader::read_run`, `util::quantize_into`, `util::dequantize_into`,
-//! …) all route through it; no call site does its own detection.
+//! `fft::dft`, …) all route through it; no call site does its own
+//! detection.
 //!
 //! Tiers degrade, never fail: a backend that lacks a kernel for the
 //! current ISA, width or length falls down the ladder (`Avx2 → Sse42 →
@@ -46,7 +49,9 @@
 //! Every kernel here is a drop-in for its scalar twin: CRC-32C digests,
 //! packed bit streams, quantized integers (values and errors) and decoded
 //! floats are **bit-identical** across backends (the wire polynomial is
-//! already CRC-32C, so hardware CRC changes nothing on the wire). This is
+//! already CRC-32C, so hardware CRC changes nothing on the wire), except
+//! the sign and payload of a NaN that an overflowing FFT produces, which
+//! Rust leaves unspecified even for the scalar loop. This is
 //! pinned three ways: per-backend proptests over lengths/alignments/ragged
 //! tails, the golden wire-format fixtures, and forced-`scalar` vs
 //! detected-backend runs of the full suite in CI and `scripts/verify.sh`.
@@ -72,6 +77,7 @@ mod aarch64;
 mod x86_64;
 
 use crate::error::Result;
+use crate::fft::{self, Complex};
 use crate::{bitio, crc32c, lz, util};
 
 /// One tier of the kernel ladder. See the [module docs](self) for the
@@ -86,7 +92,8 @@ pub enum Backend {
     /// x86-64 SSE4.2: hardware CRC-32C with 3-stream interleaving.
     Sse42,
     /// x86-64 AVX2: 256-bit match extension, bit pack/unpack, fused
-    /// transforms, quantize and dequantize (CRC rides the SSE4.2 kernel).
+    /// transforms, quantize, dequantize and FFT butterflies (CRC rides the
+    /// SSE4.2 kernel).
     Avx2,
     /// aarch64: hardware CRC-32C and NEON match extension.
     Neon,
@@ -429,6 +436,34 @@ impl Backend {
                 unsafe { x86_64::dequantize_avx2(q, scale, out) }
             }
             _ => util::dequantize_swar(q, scale, out),
+        }
+    }
+
+    /// One radix-2 FFT butterfly stage with half-width `tw.len()`: every
+    /// block of `2 * tw.len()` entries of `buf` splits into halves `lo`
+    /// and `hi`, and each pair becomes `(a + b·w, a − b·w)` with
+    /// `a = lo[k]`, `b = hi[k]`, `w = tw[k]`. Requires a non-empty `tw`
+    /// and `buf.len()` a multiple of `2 * tw.len()` (asserted).
+    ///
+    /// Every tier computes `b·w` as `(b.re·w.re − b.im·w.im,
+    /// b.re·w.im + b.im·w.re)` with separate multiplies and adds (no FMA)
+    /// in that operand order, so outputs are bit-identical. AVX2 takes
+    /// two butterflies per 256-bit operation; every other tier runs the
+    /// scalar loop.
+    #[inline]
+    pub fn fft_butterflies(self, buf: &mut [Complex], tw: &[Complex]) {
+        assert!(
+            !tw.is_empty() && buf.len().is_multiple_of(2 * tw.len()),
+            "fft_butterflies: buffer is not whole blocks"
+        );
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if caps().avx2 => {
+                // SAFETY: AVX2 detected at runtime; block shape asserted
+                // above.
+                unsafe { x86_64::fft_butterflies_avx2(buf, tw) }
+            }
+            _ => fft::butterflies_scalar(buf, tw),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! x86-64 kernels for the SIMD dispatch layer: hardware CRC-32C (SSE4.2)
 //! and 256-bit (AVX2) match extension, bit pack/unpack, fused transforms,
-//! quantize and dequantize.
+//! quantize, dequantize and FFT butterflies.
 //!
 //! Every function is `#[target_feature]`-gated and reached only through
 //! the guarded arms in [`super::Backend`], which verify the feature at
@@ -12,6 +12,7 @@
 use super::crc_shift::{self, LONG, SHORT};
 use crate::bitio;
 use crate::error::Result;
+use crate::fft::{self, Complex};
 use crate::lz;
 use crate::util::{self, QUANT_LIMIT, TWO52};
 use core::arch::x86_64::*;
@@ -331,4 +332,71 @@ pub(super) fn quantize_avx2(chunk: &[f64], scale: f64, out: &mut [i64]) -> Resul
         tail_finite && _mm256_movemask_pd(finite) == 0b1111,
         tail_in_range && _mm256_movemask_pd(in_range) == 0b1111,
     )
+}
+
+/// AVX2 radix-2 butterfly stage ([`super::Backend::fft_butterflies`]
+/// semantics), two butterflies per 256-bit operation. With
+/// `b = [b0.re, b0.im, b1.re, b1.im]` and `w` alike, `b·w` is
+/// `addsub([b.re·w.re, b.re·w.im], [b.im·w.im, b.im·w.re])` per pair:
+/// the scalar products in the scalar operand order, then one subtract
+/// and one add, so every lane is bit-identical to the reference. At
+/// half-width 1 the two butterflies come from adjacent blocks; an odd
+/// tail pair rides the scalar loop.
+#[target_feature(enable = "avx2")]
+pub(super) fn fft_butterflies_avx2(buf: &mut [Complex], tw: &[Complex]) {
+    let half = tw.len();
+    debug_assert!(half > 0 && buf.len().is_multiple_of(2 * half));
+    if half == 1 {
+        // SAFETY: `tw` holds one `#[repr(C)]` `{ re, im }` entry: two
+        // contiguous doubles.
+        let w = unsafe { _mm256_broadcast_pd(&*tw.as_ptr().cast::<__m128d>()) };
+        let mut pairs = buf.chunks_exact_mut(4);
+        for quad in &mut pairs {
+            let p = quad.as_mut_ptr().cast::<f64>();
+            // SAFETY: `quad` is four entries, eight contiguous doubles:
+            // blocks `[a0, b0]` and `[a1, b1]`.
+            unsafe {
+                let x = _mm256_loadu_pd(p);
+                let y = _mm256_loadu_pd(p.add(4));
+                let a = _mm256_permute2f128_pd::<0x20>(x, y);
+                let b = _mm256_permute2f128_pd::<0x31>(x, y);
+                let (a, b) = butterfly_pair(a, b, w);
+                _mm256_storeu_pd(p, _mm256_permute2f128_pd::<0x20>(a, b));
+                _mm256_storeu_pd(p.add(4), _mm256_permute2f128_pd::<0x31>(a, b));
+            }
+        }
+        fft::butterflies_scalar(pairs.into_remainder(), tw);
+        return;
+    }
+    for block in buf.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        let mut k = 0;
+        while k + 2 <= half {
+            // SAFETY: `k + 2 <= half == lo.len() == hi.len() == tw.len()`
+            // keeps the two-entry loads and stores in bounds, and
+            // `Complex` is `#[repr(C)]` `{ re, im }`, so two entries are
+            // four contiguous doubles.
+            unsafe {
+                let a = _mm256_loadu_pd(lo.as_ptr().add(k).cast::<f64>());
+                let b = _mm256_loadu_pd(hi.as_ptr().add(k).cast::<f64>());
+                let w = _mm256_loadu_pd(tw.as_ptr().add(k).cast::<f64>());
+                let (a, b) = butterfly_pair(a, b, w);
+                _mm256_storeu_pd(lo.as_mut_ptr().add(k).cast::<f64>(), a);
+                _mm256_storeu_pd(hi.as_mut_ptr().add(k).cast::<f64>(), b);
+            }
+            k += 2;
+        }
+        fft::butterfly_run(&mut lo[k..], &mut hi[k..], &tw[k..]);
+    }
+}
+
+/// Two butterflies: `(a + b·w, a − b·w)` per 128-bit lane.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn butterfly_pair(a: __m256d, b: __m256d, w: __m256d) -> (__m256d, __m256d) {
+    let b_re = _mm256_movedup_pd(b);
+    let b_im = _mm256_permute_pd::<0b1111>(b);
+    let w_swapped = _mm256_permute_pd::<0b0101>(w);
+    let v = _mm256_addsub_pd(_mm256_mul_pd(b_re, w), _mm256_mul_pd(b_im, w_swapped));
+    (_mm256_add_pd(a, v), _mm256_sub_pd(a, v))
 }

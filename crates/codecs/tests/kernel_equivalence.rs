@@ -10,12 +10,18 @@
 //! Quantize is pinned the same way on arbitrary bit-pattern floats,
 //! constructed `k + 0.5` ties at every precision, subnormals and the
 //! fixed-point range edge, and on its error contract (which error, and
-//! which chunks are left in the output). The float-serialization loops
-//! (no SIMD tier) keep their naive per-element references written out
-//! here in the most obvious way.
+//! which chunks are left in the output). The FFT butterfly stages are
+//! pinned through whole forward and inverse transforms at every power of
+//! two from 4 to 65536 and at the Bluestein lengths around 1000, and
+//! directly at odd half-widths and ragged block counts, on signed zeros,
+//! subnormals and ±1e300, compared by `to_bits` (NaN results, whose sign
+//! Rust leaves unspecified, by NaN-ness). The float-serialization
+//! loops (no SIMD tier) keep their naive per-element references written
+//! out here in the most obvious way.
 
 use adaedge_codecs::bitio::zigzag_encode;
 use adaedge_codecs::crc32c::crc32c;
+use adaedge_codecs::fft::{dft_on, idft_inplace_on, Complex};
 use adaedge_codecs::simd::{self, Backend};
 use adaedge_codecs::util::{
     bytes_to_f64s, delta_zigzag_into, dequantize, f64s_to_bytes, pow10, quantize,
@@ -102,6 +108,87 @@ fn quantize_on(backend: Backend, data: &[f64], scale: f64) -> (Result<(), CodecE
     let mut out = vec![7i64; 5];
     let r = backend.quantize(data, scale, &mut out);
     (r, out)
+}
+
+/// One FFT input value drawn by `kind` from the SplitMix64 stream
+/// `state`: a signed zero, a subnormal, ±1e300, a unit-scale value or
+/// arbitrary finite bits.
+fn fft_value(kind: u64, state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let bits = z ^ (z >> 31);
+    let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+    match kind % 5 {
+        0 => sign * 0.0,
+        1 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+        2 => sign * 1e300,
+        3 => sign * (bits >> 11) as f64 / (1u64 << 53) as f64,
+        _ => {
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                v
+            } else {
+                f64::from_bits(bits & !(1 << 62))
+            }
+        }
+    }
+}
+
+/// `n` complex inputs; `mix` 0..5 repeats one value class, 5 mixes them.
+fn fft_input(n: usize, mix: u64, seed: u64) -> Vec<Complex> {
+    let mut state = seed;
+    (0..n as u64)
+        .map(|i| {
+            let kind = if mix < 5 {
+                mix
+            } else {
+                i.wrapping_mul(seed | 1) >> 7
+            };
+            let re = fft_value(kind, &mut state);
+            let im = fft_value(kind.wrapping_add(i), &mut state);
+            Complex::new(re, im)
+        })
+        .collect()
+}
+
+/// `(re, im)` bit patterns of a complex vector.
+type ComplexBits = Vec<(u64, u64)>;
+
+/// `to_bits` of every part, except that every NaN maps to one pattern.
+///
+/// Rust leaves the sign and payload of a NaN result unspecified, and
+/// LLVM commutes the operands of the scalar loop's adds at will, so a
+/// transform that overflows to `inf - inf` yields NaNs whose sign bit no
+/// tier can promise (the scalar loop's own depends on how it was
+/// vectorized). Every other value, signed zeros and subnormals included,
+/// must match bit for bit.
+fn complex_bits(v: &[Complex]) -> ComplexBits {
+    let bits = |x: f64| {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    };
+    v.iter().map(|c| (bits(c.re), bits(c.im))).collect()
+}
+
+/// Forward and inverse transforms of `input` with the butterflies on
+/// `backend`, as bits.
+fn fft_both_on(backend: Backend, input: &[Complex]) -> (ComplexBits, ComplexBits) {
+    let forward = complex_bits(&dft_on(backend, input));
+    let mut inverse = input.to_vec();
+    idft_inplace_on(backend, &mut inverse);
+    (forward, complex_bits(&inverse))
+}
+
+/// Power-of-two sizes 4..=65536 and the Bluestein sizes around 1000.
+fn fft_sizes() -> Vec<usize> {
+    let mut sizes: Vec<usize> = (2..=16).map(|b| 1usize << b).collect();
+    sizes.extend(990..=1010);
+    sizes
 }
 
 proptest! {
@@ -402,6 +489,61 @@ proptest! {
         prop_assert_eq!(back.len(), data.len());
         for (b, d) in back.iter().zip(&data) {
             prop_assert_eq!(b.to_bits(), d.to_bits());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn fft_butterfly_tiers_match_scalar(
+        size in 0usize..36,
+        mix in 0u64..6,
+        seed in any::<u64>(),
+    ) {
+        let n = fft_sizes()[size];
+        let input = fft_input(n, mix, seed);
+        let want = fft_both_on(Backend::Scalar, &input);
+        for b in tiers() {
+            prop_assert!(fft_both_on(b, &input) == want, "{} at n = {}", b.name(), n);
+        }
+    }
+
+    #[test]
+    fn fft_butterfly_stage_tiers_match_scalar(
+        half in 1usize..10,
+        blocks in 1usize..6,
+        mix in 0u64..6,
+        seed in any::<u64>(),
+    ) {
+        // Odd half-widths and block counts reach the kernels' scalar tails.
+        let buf = fft_input(2 * half * blocks, mix, seed);
+        let tw = fft_input(half, mix, !seed);
+        let mut want = buf.clone();
+        Backend::Scalar.fft_butterflies(&mut want, &tw);
+        for b in tiers() {
+            let mut got = buf.clone();
+            b.fft_butterflies(&mut got, &tw);
+            prop_assert_eq!(complex_bits(&got), complex_bits(&want), "{}", b.name());
+        }
+    }
+}
+
+/// Every FFT size class once, on each value class alone and mixed.
+#[test]
+fn fft_butterfly_tiers_match_scalar_at_every_size() {
+    for n in fft_sizes() {
+        for mix in 0..6 {
+            let input = fft_input(n, mix, n as u64 * 31 + mix);
+            let want = fft_both_on(Backend::Scalar, &input);
+            for b in tiers() {
+                assert!(
+                    fft_both_on(b, &input) == want,
+                    "{} at n = {n}, mix {mix}",
+                    b.name()
+                );
+            }
         }
     }
 }

@@ -70,7 +70,11 @@ pub struct OfflineConfig {
     /// a single edge `[1.0]` collapses to one instance (ablation).
     pub band_edges: Vec<f64>,
     /// Keep originals for reward evaluation (experiment harness mode; a
-    /// production deployment would sample instead).
+    /// production deployment would sample instead). Held originals also
+    /// spare victim decodes: a victim stored with a
+    /// [bit-exact](adaedge_codecs::CodecId::is_bit_exact) lossless codec
+    /// (gzip, zlib, snappy, …) is recoded from its original, which its
+    /// decode would equal bit for bit, so it is never decompressed.
     pub keep_originals: bool,
 }
 

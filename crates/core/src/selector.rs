@@ -743,7 +743,11 @@ impl BandedLossySelector {
 
     /// Recode an existing block to a tighter ratio. Same-codec blocks use
     /// virtual decompression; otherwise the block is decoded once and
-    /// re-compressed with the band's selected arm.
+    /// re-compressed with the band's selected arm. `original_hint`, when
+    /// given, must be the points `block` was compressed from: attempts are
+    /// scored against it, and a block whose codec
+    /// [is bit-exact](CodecId::is_bit_exact) is re-compressed from it
+    /// without being decoded (the decode would equal it bit for bit).
     ///
     /// Recoding is destructive, so exploration is *safe*: a non-greedy
     /// pull is still compressed and scored (the MAB learns from it), but
@@ -800,16 +804,24 @@ impl BandedLossySelector {
                 let attempt: std::result::Result<CompressedBlock, CodecError> = if same_family {
                     reg.recode(block, ratio)
                 } else {
-                    decode_victim(
-                        reg,
-                        block,
-                        &mut self.scratch,
-                        &mut self.victim,
-                        &mut decoded,
-                    )?;
+                    // A bit-exact victim decodes to the held original, so
+                    // compress that and skip the decode.
+                    let points: &[f64] = match original_hint {
+                        Some(orig) if block.codec.is_bit_exact() => orig,
+                        _ => {
+                            decode_victim(
+                                reg,
+                                block,
+                                &mut self.scratch,
+                                &mut self.victim,
+                                &mut decoded,
+                            )?;
+                            &self.victim
+                        }
+                    };
                     reg.get_lossy(codec)
                         .expect("arm must be lossy")
-                        .compress_to_ratio(&self.victim, ratio)
+                        .compress_to_ratio(points, ratio)
                 };
                 match attempt {
                     Ok(new_block) => {
@@ -1109,6 +1121,40 @@ mod tests {
         let against_original = eval.evaluate(&data, &recoded, 0.0);
         assert!(with.reward < 1.0, "{}", with.reward);
         assert!((with.reward - against_original).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bit_exact_victims_recode_from_the_hint_without_decoding() {
+        let reg = reg();
+        let data: Vec<f64> = (0..1000)
+            .map(|i| (i as f64 * 0.013).sin() * 3.0 + (i as f64).sqrt() * 1e-9)
+            .collect();
+        let recode = |victim: &CompressedBlock, hint: Option<&[f64]>| {
+            let evaluator = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Sum), None, 0);
+            let mut sel = BandedLossySelector::new(
+                CodecRegistry::lossy_candidates(),
+                SelectorConfig::offline(),
+                evaluator,
+            );
+            sel.recode(&reg, victim, hint, 0.1).unwrap()
+        };
+        for codec in CodecId::ALL.into_iter().filter(|c| c.is_bit_exact()) {
+            let victim = reg.get(codec).compress(&data).unwrap();
+            let via_decode = recode(&victim, None);
+            let via_hint = recode(&victim, Some(&data));
+            assert_eq!(via_hint.codec, via_decode.codec, "{codec}");
+            assert_eq!(via_hint.block, via_decode.block, "{codec}");
+            assert_eq!(via_hint.reward, via_decode.reward, "{codec}");
+            // The hint stands in for the decode: a victim whose payload no
+            // longer decodes to the data still recodes from it.
+            let mut garbled = victim.clone();
+            garbled.payload.iter_mut().for_each(|b| *b = !*b);
+            assert_eq!(
+                recode(&garbled, Some(&data)).block,
+                via_hint.block,
+                "{codec}"
+            );
+        }
     }
 
     #[test]

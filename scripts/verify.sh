@@ -47,8 +47,10 @@ cargo test --release -q -p adaedge-codecs --test encoder_equivalence
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test encoder_equivalence
 ADAEDGE_SIMD=swar cargo test --release -q -p adaedge-codecs --test encoder_equivalence
 
-echo "==> FFT plan bit-identity vs frozen unplanned FFT (release)"
+echo "==> FFT plan bit-identity vs frozen unplanned FFT (detected, scalar, swar backends)"
 cargo test --release -q -p adaedge-codecs --test fft_equivalence
+ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test fft_equivalence
+ADAEDGE_SIMD=swar cargo test --release -q -p adaedge-codecs --test fft_equivalence
 
 echo "==> batched scheduling equivalence (K>1 engine smoke, release)"
 cargo test --release -q -p adaedge-core --test batch_equivalence
