@@ -8,6 +8,7 @@
 //! * **TVStore-like** — a single lossy method (PLA) at every level.
 
 use crate::error::{AdaEdgeError, Result};
+use crate::offline::{BudgetedStore, PolicyKind};
 use crate::selector::Selection;
 use adaedge_codecs::{CodecError, CodecId, CodecRegistry, CompressedBlock};
 use std::time::Instant;
@@ -228,18 +229,16 @@ impl TvStoreBaseline {
     }
 }
 
-/// Offline-mode driver for a fixed pair: the same store + threshold +
-/// halving cascade as [`crate::offline::OfflineAdaEdge`], but with the
-/// pair's codecs hard-wired instead of MABs. This is the `lossless_lossy`
-/// baseline family of Figures 12–14 (and, with `Raw`/`Pla`, the
-/// TVStore-like cascade).
+/// Offline-mode driver for a fixed pair: the recoding cascade of
+/// [`crate::offline::OfflineAdaEdge`] (same store, θ = 0.8, halving,
+/// required-mean-ratio guard and victim order), with the pair's codecs
+/// hard-wired as its recode step instead of MABs. This is the
+/// `lossless_lossy` baseline family of Figures 12–14 (and, with
+/// `Raw`/`Pla`, the TVStore-like cascade).
 pub struct FixedPairOffline {
     reg: CodecRegistry,
     pair: FixedPair,
-    store: adaedge_storage::SegmentStore,
-    threshold: f64,
-    recode_factor: f64,
-    originals: std::collections::HashMap<adaedge_storage::SegmentId, Vec<f64>>,
+    cascade: BudgetedStore,
     /// Accumulated compute time (compression + recoding), used by the
     /// high-frequency experiment to detect deadline misses.
     pub compute_seconds: f64,
@@ -251,7 +250,7 @@ impl std::fmt::Debug for FixedPairOffline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FixedPairOffline")
             .field("pair", &self.pair.name())
-            .field("store", &self.store)
+            .field("store", &self.cascade.store)
             .finish()
     }
 }
@@ -262,10 +261,8 @@ impl FixedPairOffline {
         Self {
             reg: CodecRegistry::new(precision),
             pair,
-            store: adaedge_storage::SegmentStore::with_budget(budget_bytes),
-            threshold: 0.8,
-            recode_factor: 0.5,
-            originals: std::collections::HashMap::new(),
+            cascade: BudgetedStore::new(budget_bytes, PolicyKind::Lru, 0.8, 0.5, true)
+                .expect("paper defaults are valid"),
             compute_seconds: 0.0,
             total_recodes: 0,
         }
@@ -278,113 +275,34 @@ impl FixedPairOffline {
 
     /// Read access to the store.
     pub fn store(&self) -> &adaedge_storage::SegmentStore {
-        &self.store
-    }
-
-    /// The mean ratio the store must reach to fit under the threshold (the
-    /// same breadth-first guard as the MAB pipeline, so pair baselines are
-    /// not handicapped by depth-first over-compression).
-    fn required_mean_ratio(&self) -> f64 {
-        let raw_bytes: usize = self
-            .store
-            .iter()
-            .map(|s| s.n_points() * adaedge_codecs::POINT_BYTES)
-            .sum();
-        if raw_bytes == 0 {
-            return 0.0;
-        }
-        let budget = self.store.budget_bytes().expect("budgeted store") as f64;
-        (self.threshold * budget / raw_bytes as f64).min(1.0)
-    }
-
-    /// Recode the least-valuable shrinkable victim once; returns freed bytes.
-    fn recode_one(&mut self) -> Result<usize> {
-        let r_req = self.required_mean_ratio();
-        let victims = self.store.victim_order();
-        let mut ordered: Vec<_> = victims
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.store
-                    .peek(id)
-                    .map(|s| s.ratio() > r_req)
-                    .unwrap_or(false)
-            })
-            .collect();
-        ordered.extend(victims.iter().copied().filter(|&id| {
-            self.store
-                .peek(id)
-                .map(|s| s.ratio() <= r_req)
-                .unwrap_or(false)
-        }));
-        for id in ordered {
-            let Some(seg) = self.store.peek(id) else {
-                continue;
-            };
-            let Some(block) = seg.block() else { continue };
-            let old_bytes = block.compressed_bytes();
-            let target = (seg.ratio() * self.recode_factor).max(r_req.min(seg.ratio() * 0.9));
-            let block = block.clone();
-            match self.pair.recode(&self.reg, &block, target) {
-                Ok(sel) => {
-                    if sel.block.compressed_bytes() >= old_bytes {
-                        continue;
-                    }
-                    self.compute_seconds += sel.seconds;
-                    let freed = old_bytes - sel.block.compressed_bytes();
-                    self.store.replace(id, sel.block)?;
-                    self.total_recodes += 1;
-                    return Ok(freed);
-                }
-                Err(AdaEdgeError::Codec(CodecError::RatioUnreachable { .. }))
-                | Err(AdaEdgeError::Codec(CodecError::RecodeUnsupported(_))) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(0)
+        &self.cascade.store
     }
 
     /// Ingest one segment through the fixed cascade.
     pub fn ingest(&mut self, data: &[f64]) -> Result<()> {
         let sel = self.pair.compress_lossless(&self.reg, data)?;
         self.compute_seconds += sel.seconds;
-        let incoming = sel.block.compressed_bytes();
-        let budget = self.store.budget_bytes().expect("budgeted store") as f64;
-        loop {
-            let projected = (self.store.used_bytes() + incoming) as f64;
-            if projected <= self.threshold * budget {
-                break;
-            }
-            if self.recode_one()? == 0 {
-                if projected <= budget {
-                    break;
-                }
-                return Err(AdaEdgeError::Store(
-                    adaedge_storage::StoreError::BudgetExceeded {
-                        needed: incoming,
-                        available: (budget as usize).saturating_sub(self.store.used_bytes()),
-                    },
-                ));
-            }
-        }
-        let id = self.store.put_compressed(sel.block)?;
-        self.originals.insert(id, data.to_vec());
+        let (pair, reg) = (&self.pair, &self.reg);
+        let made = self
+            .cascade
+            .make_room(sel.block.compressed_bytes(), |block, _, target| {
+                pair.recode(reg, block, target)
+            });
+        // Recodes committed before a failed make-room still count.
+        self.total_recodes = self.cascade.total_recodes;
+        self.compute_seconds += made?.1;
+        self.cascade.put(sel.block, data)?;
         Ok(())
     }
 
     /// Reconstruct all segments with their originals, ingestion order.
     pub fn reconstruct_all(&self) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-        let mut out = Vec::with_capacity(self.store.len());
-        for id in self.store.ids() {
-            let seg = self.store.peek(id).expect("listed id exists");
-            let rec = match seg.block() {
-                Some(block) => self.reg.decompress(block)?,
-                None => continue,
-            };
-            let orig = self.originals.get(&id).expect("original kept").clone();
-            out.push((orig, rec));
-        }
-        Ok(out)
+        Ok(self
+            .cascade
+            .decode_all(&self.reg)?
+            .into_iter()
+            .map(|(_, rec, orig)| (orig.expect("original kept"), rec))
+            .collect())
     }
 }
 

@@ -12,10 +12,11 @@
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
 use crate::targets::{OptimizationTarget, RewardEvaluator};
-use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
+use adaedge_codecs::{CodecError, CodecId, CodecRegistry, CodecScratch, CompressedBlock};
 use adaedge_ml::Model;
 use adaedge_storage::{
-    CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy, SegmentId, SegmentStore,
+    CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy, Segment, SegmentData, SegmentId,
+    SegmentStore, StoreError,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -126,86 +127,95 @@ pub struct IngestReport {
     pub utilization: f64,
 }
 
-/// The offline AdaEdge pipeline.
-pub struct OfflineAdaEdge {
-    reg: CodecRegistry,
-    store: SegmentStore,
-    lossless: LosslessSelector,
-    /// Reused compression arena for the lossless selector.
-    scratch: CodecScratch,
-    lossy: BandedLossySelector,
+/// A hard-budgeted [`SegmentStore`] and the one recoding cascade that
+/// keeps it under θ × budget (§IV-C2), shared by [`OfflineAdaEdge`], the
+/// fixed-pair baselines and the multithreaded offline engine. Each driver
+/// supplies only its recode step.
+pub(crate) struct BudgetedStore {
+    pub(crate) store: SegmentStore,
+    budget: usize,
     threshold: f64,
     recode_factor: f64,
     originals: Option<HashMap<SegmentId, Vec<f64>>>,
-    total_recodes: u64,
+    /// Committed recodes so far.
+    pub(crate) total_recodes: u64,
 }
 
-impl std::fmt::Debug for OfflineAdaEdge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OfflineAdaEdge")
-            .field("store", &self.store)
-            .field("total_recodes", &self.total_recodes)
-            .finish()
-    }
-}
-
-impl OfflineAdaEdge {
-    /// Build the pipeline.
-    pub fn new(config: OfflineConfig) -> Result<Self> {
-        if !(0.0..=1.0).contains(&config.recode_threshold) {
+impl BudgetedStore {
+    /// A `budget`-byte store recoding past `threshold × budget`, each victim
+    /// to `recode_factor` of its ratio; holds originals when asked.
+    pub(crate) fn new(
+        budget: usize,
+        policy: PolicyKind,
+        threshold: f64,
+        recode_factor: f64,
+        keep_originals: bool,
+    ) -> Result<Self> {
+        if !(0.0..=1.0).contains(&threshold) {
             return Err(AdaEdgeError::Config("recode_threshold must be in [0,1]"));
         }
-        if !(0.0..1.0).contains(&config.recode_factor) || config.recode_factor == 0.0 {
+        if !(0.0..1.0).contains(&recode_factor) || recode_factor == 0.0 {
             return Err(AdaEdgeError::Config("recode_factor must be in (0,1)"));
         }
-        let evaluator = RewardEvaluator::new(config.target, config.model, config.instance_len);
         Ok(Self {
-            reg: CodecRegistry::new(config.precision),
-            store: SegmentStore::new(Some(config.storage_budget_bytes), config.policy.build()),
-            lossless: LosslessSelector::new(config.lossless_arms, config.selector),
-            scratch: CodecScratch::new(),
-            lossy: BandedLossySelector::with_edges(
-                config.lossy_arms,
-                config.selector,
-                evaluator,
-                config.band_edges,
-            ),
-            threshold: config.recode_threshold,
-            recode_factor: config.recode_factor,
-            originals: config.keep_originals.then(HashMap::new),
+            store: SegmentStore::new(Some(budget), policy.build()),
+            budget,
+            threshold,
+            recode_factor,
+            originals: keep_originals.then(HashMap::new),
             total_recodes: 0,
         })
     }
 
-    /// The codec registry in use.
-    pub fn registry(&self) -> &CodecRegistry {
-        &self.reg
+    /// The original of segment `id`, when originals are kept.
+    fn original(&self, id: SegmentId) -> Option<&[f64]> {
+        self.originals.as_ref()?.get(&id).map(Vec::as_slice)
     }
 
-    /// The segment store (read access).
-    pub fn store(&self) -> &SegmentStore {
-        &self.store
+    /// Store `block`, holding `original` when originals are kept.
+    pub(crate) fn put(&mut self, block: CompressedBlock, original: &[f64]) -> Result<SegmentId> {
+        let id = self.store.put_compressed(block)?;
+        if let Some(originals) = self.originals.as_mut() {
+            originals.insert(id, original.to_vec());
+        }
+        Ok(id)
     }
 
-    /// Storage utilization in [0, 1].
-    pub fn utilization(&self) -> f64 {
-        self.store.utilization()
+    /// Remove segment `id` and its original.
+    fn remove(&mut self, id: SegmentId) -> Result<Segment> {
+        let seg = self.store.remove(id)?;
+        if let Some(originals) = self.originals.as_mut() {
+            originals.remove(&id);
+        }
+        Ok(seg)
     }
 
-    /// Total recoding passes so far.
-    pub fn total_recodes(&self) -> u64 {
-        self.total_recodes
+    /// Decode segment `id` (no policy effect).
+    pub(crate) fn decode(&self, reg: &CodecRegistry, id: SegmentId) -> Result<Vec<f64>> {
+        let seg = self.store.peek(id).ok_or(StoreError::NotFound(id))?;
+        match &seg.data {
+            SegmentData::Raw(points) => Ok(points.clone()),
+            SegmentData::Compressed(block) => Ok(reg.decompress(block)?),
+        }
     }
 
-    /// The lossless MAB's current greedy arm.
-    pub fn greedy_lossless_arm(&self) -> CodecId {
-        self.lossless.greedy_arm()
+    /// Decode every segment in ingestion order, paired with its original.
+    pub(crate) fn decode_all(&self, reg: &CodecRegistry) -> Result<Vec<ReconstructedSegment>> {
+        let mut out = Vec::with_capacity(self.store.len());
+        for id in self.store.ids() {
+            out.push((
+                id,
+                self.decode(reg, id)?,
+                self.original(id).map(<[f64]>::to_vec),
+            ));
+        }
+        Ok(out)
     }
 
     /// The mean compression ratio the whole store must reach to fit under
-    /// the recoding threshold. Victims already at or below it should be
-    /// spared while less-compressed victims exist — otherwise the cascade
-    /// goes depth-first on the LRU order and over-compresses old segments
+    /// the recoding threshold. Victims already at or below it are spared
+    /// while less-compressed victims exist — otherwise the cascade goes
+    /// depth-first on the policy order and over-compresses old segments
     /// (damaging accuracy) while fresh segments never share the burden.
     fn required_mean_ratio(&self) -> f64 {
         let raw_bytes: usize = self
@@ -216,133 +226,174 @@ impl OfflineAdaEdge {
         if raw_bytes == 0 {
             return 0.0;
         }
-        let budget = self.store.budget_bytes().expect("budgeted store") as f64;
-        (self.threshold * budget / raw_bytes as f64).min(1.0)
+        (self.threshold * self.budget as f64 / raw_bytes as f64).min(1.0)
     }
 
-    /// Recode the least-valuable shrinkable victim once. Returns the bytes
-    /// freed (0 if nothing could shrink) and the committed recode's seconds.
-    fn recode_one(&mut self) -> Result<(usize, f64)> {
-        let r_req = self.required_mean_ratio();
-        // Two passes over the LRU order: first only victims still above the
-        // globally required mean ratio, then (if space is still needed)
-        // anything that can shrink.
-        let (above, below): (Vec<_>, Vec<_>) = self
-            .store
-            .victim_order()
-            .into_iter()
-            .filter_map(|id| Some((id, self.store.peek(id)?.ratio())))
-            .partition(|&(_, ratio)| ratio > r_req);
-        for (id, ratio) in above.into_iter().chain(below) {
-            let Some(block) = self.store.peek(id).and_then(|s| s.block()) else {
-                continue;
-            };
-            let old_bytes = block.compressed_bytes();
-            // Halve by default (§IV-C2), but never push a victim far below
-            // the globally required mean ratio: compressing harder than the
-            // budget demands only costs accuracy.
-            let target = (ratio * self.recode_factor).max(r_req.min(ratio * 0.9));
-            let original = self.originals.as_ref().and_then(|m| m.get(&id));
-            match self
-                .lossy
-                .recode(&self.reg, block, original.map(Vec::as_slice), target)
-            {
-                Ok(sel) => {
-                    let freed = old_bytes.saturating_sub(sel.block.compressed_bytes());
-                    let seconds = sel.seconds;
-                    self.store.replace(id, sel.block)?;
-                    self.total_recodes += 1;
-                    if freed > 0 {
-                        return Ok((freed, seconds));
-                    }
-                    // Shrunk to the same size (shouldn't happen); try next.
-                }
-                Err(AdaEdgeError::NoFeasibleArm { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((0, 0.0))
-    }
-
-    /// Make room so `incoming` more bytes keep usage at or below the
-    /// recoding threshold (or at least within the budget). Returns the
-    /// number of recoding passes and their committed seconds.
-    fn ensure_space(&mut self, incoming: usize) -> Result<(usize, f64)> {
-        let budget = self
-            .store
-            .budget_bytes()
-            .expect("offline store always has a budget") as f64;
-        let mut recodes = 0usize;
-        let mut seconds = 0.0f64;
-        loop {
-            let projected = (self.store.used_bytes() + incoming) as f64;
-            if projected <= self.threshold * budget {
+    /// Make room so `incoming` more bytes keep usage at or below θ × budget,
+    /// or at least within the budget: shrink the least-valuable shrinkable
+    /// victim through `recode` (block, original if held, target ratio),
+    /// commit it, and repeat. Returns the committed recodes and their
+    /// seconds; fails if even the cascade cannot fit `incoming` under the
+    /// hard budget.
+    pub(crate) fn make_room(
+        &mut self,
+        incoming: usize,
+        mut recode: impl FnMut(&CompressedBlock, Option<&[f64]>, f64) -> Result<Selection>,
+    ) -> Result<(usize, f64)> {
+        let (mut recodes, mut seconds) = (0usize, 0.0f64);
+        'pass: loop {
+            let projected = self.store.used_bytes() + incoming;
+            if projected as f64 <= self.threshold * self.budget as f64 {
                 return Ok((recodes, seconds));
             }
-            let (freed, s) = self.recode_one()?;
-            seconds += s;
-            if freed == 0 {
-                // Nothing can shrink further. Accept anything that still
-                // fits the hard budget; otherwise the ingest fails.
-                if projected <= budget {
-                    return Ok((recodes, seconds));
+            let r_req = self.required_mean_ratio();
+            // Two passes over the policy order: first only victims still
+            // above the globally required mean ratio, then anything that
+            // can shrink.
+            let (above, below): (Vec<_>, Vec<_>) = self
+                .store
+                .victim_order()
+                .into_iter()
+                .filter_map(|id| Some((id, self.store.peek(id)?.ratio())))
+                .partition(|&(_, ratio)| ratio > r_req);
+            for (id, ratio) in above.into_iter().chain(below) {
+                let Some(block) = self.store.peek(id).and_then(|s| s.block()) else {
+                    continue;
+                };
+                let old_bytes = block.compressed_bytes();
+                // Shrink by the recode factor (§IV-C2), but never push a
+                // victim far below the globally required mean ratio:
+                // compressing harder than the budget demands only costs
+                // accuracy.
+                let target = (ratio * self.recode_factor).max(r_req.min(ratio * 0.9));
+                match recode(block, self.original(id), target) {
+                    Ok(sel) if sel.block.compressed_bytes() < old_bytes => {
+                        seconds += sel.seconds;
+                        self.store.replace(id, sel.block)?;
+                        self.total_recodes += 1;
+                        recodes += 1;
+                        continue 'pass;
+                    }
+                    Ok(_)
+                    | Err(AdaEdgeError::NoFeasibleArm { .. })
+                    | Err(AdaEdgeError::Codec(
+                        CodecError::RatioUnreachable { .. } | CodecError::RecodeUnsupported(_),
+                    )) => continue,
+                    Err(e) => return Err(e),
                 }
-                return Err(AdaEdgeError::Store(
-                    adaedge_storage::StoreError::BudgetExceeded {
-                        needed: incoming,
-                        available: (budget as usize).saturating_sub(self.store.used_bytes()),
-                    },
-                ));
             }
-            recodes += 1;
+            // No victim can shrink further: accept anything that still fits
+            // the hard budget.
+            if projected <= self.budget {
+                return Ok((recodes, seconds));
+            }
+            return Err(AdaEdgeError::Store(StoreError::BudgetExceeded {
+                needed: incoming,
+                available: self.budget.saturating_sub(self.store.used_bytes()),
+            }));
         }
+    }
+}
+
+/// The offline AdaEdge pipeline.
+pub struct OfflineAdaEdge {
+    reg: CodecRegistry,
+    cascade: BudgetedStore,
+    lossless: LosslessSelector,
+    /// Reused compression arena for the lossless selector.
+    scratch: CodecScratch,
+    lossy: BandedLossySelector,
+}
+
+impl std::fmt::Debug for OfflineAdaEdge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OfflineAdaEdge")
+            .field("store", &self.cascade.store)
+            .field("total_recodes", &self.cascade.total_recodes)
+            .finish()
+    }
+}
+
+impl OfflineAdaEdge {
+    /// Build the pipeline.
+    pub fn new(config: OfflineConfig) -> Result<Self> {
+        let cascade = BudgetedStore::new(
+            config.storage_budget_bytes,
+            config.policy,
+            config.recode_threshold,
+            config.recode_factor,
+            config.keep_originals,
+        )?;
+        let evaluator = RewardEvaluator::new(config.target, config.model, config.instance_len);
+        Ok(Self {
+            reg: CodecRegistry::new(config.precision),
+            cascade,
+            lossless: LosslessSelector::new(config.lossless_arms, config.selector),
+            scratch: CodecScratch::new(),
+            lossy: BandedLossySelector::with_edges(
+                config.lossy_arms,
+                config.selector,
+                evaluator,
+                config.band_edges,
+            ),
+        })
+    }
+
+    /// The codec registry in use.
+    pub fn registry(&self) -> &CodecRegistry {
+        &self.reg
+    }
+
+    /// The segment store (read access).
+    pub fn store(&self) -> &SegmentStore {
+        &self.cascade.store
+    }
+
+    /// Storage utilization in [0, 1].
+    pub fn utilization(&self) -> f64 {
+        self.cascade.store.utilization()
+    }
+
+    /// Total recoding passes so far.
+    pub fn total_recodes(&self) -> u64 {
+        self.cascade.total_recodes
+    }
+
+    /// The lossless MAB's current greedy arm.
+    pub fn greedy_lossless_arm(&self) -> CodecId {
+        self.lossless.greedy_arm()
     }
 
     /// Ingest one segment: lossless-compress, make room, store.
     pub fn ingest(&mut self, data: &[f64]) -> Result<IngestReport> {
         let selection = self.lossless.compress(&self.reg, data, &mut self.scratch)?;
         let t0 = Instant::now();
-        let (recodes, recode_commit_seconds) =
-            self.ensure_space(selection.block.compressed_bytes())?;
+        let (lossy, reg) = (&mut self.lossy, &self.reg);
+        let (recodes, recode_commit_seconds) = self.cascade.make_room(
+            selection.block.compressed_bytes(),
+            |block, original, target| lossy.recode(reg, block, original, target),
+        )?;
         let recode_seconds = t0.elapsed().as_secs_f64();
-        let id = self.store.put_compressed(selection.block.clone())?;
-        if let Some(originals) = self.originals.as_mut() {
-            originals.insert(id, data.to_vec());
-        }
+        let id = self.cascade.put(selection.block.clone(), data)?;
         Ok(IngestReport {
             id,
             selection,
             recodes,
             recode_seconds,
             recode_commit_seconds,
-            utilization: self.store.utilization(),
+            utilization: self.cascade.store.utilization(),
         })
     }
 
     /// Reconstruct one stored segment (no policy effect).
     pub fn reconstruct(&self, id: SegmentId) -> Result<Vec<f64>> {
-        let seg = self.store.peek(id).ok_or(AdaEdgeError::Store(
-            adaedge_storage::StoreError::NotFound(id),
-        ))?;
-        match seg.block() {
-            Some(block) => Ok(self.reg.decompress(block)?),
-            None => Ok(match &seg.data {
-                adaedge_storage::SegmentData::Raw(points) => points.clone(),
-                adaedge_storage::SegmentData::Compressed(_) => unreachable!("block() is None"),
-            }),
-        }
+        self.cascade.decode(&self.reg, id)
     }
 
     /// Reconstruct every stored segment in ingestion order, paired with the
     /// retained original (when `keep_originals`).
     pub fn reconstruct_all(&self) -> Result<Vec<ReconstructedSegment>> {
-        let mut out = Vec::with_capacity(self.store.len());
-        for id in self.store.ids() {
-            let rec = self.reconstruct(id)?;
-            let orig = self.originals.as_ref().and_then(|m| m.get(&id)).cloned();
-            out.push((id, rec, orig));
-        }
-        Ok(out)
+        self.cascade.decode_all(&self.reg)
     }
 
     /// Plan an egress batch for an intermittent reconnection: which
@@ -355,14 +406,13 @@ impl OfflineAdaEdge {
     /// transmitted byte). Greedy knapsack by recency: a segment that does
     /// not fit is skipped in favour of smaller, older ones.
     pub fn drain_plan(&self, byte_budget: usize) -> Vec<SegmentId> {
-        let mut ids: Vec<SegmentId> = self.store.ids();
-        ids.sort_by_key(|&id| {
-            std::cmp::Reverse(self.store.peek(id).map(|s| s.timestamp).unwrap_or(0))
-        });
+        let store = &self.cascade.store;
+        let mut ids: Vec<SegmentId> = store.ids();
+        ids.sort_by_key(|&id| std::cmp::Reverse(store.peek(id).map(|s| s.timestamp).unwrap_or(0)));
         let mut plan = Vec::new();
         let mut used = 0usize;
         for id in ids {
-            let Some(seg) = self.store.peek(id) else {
+            let Some(seg) = store.peek(id) else {
                 continue;
             };
             let bytes = seg.size_bytes();
@@ -377,18 +427,11 @@ impl OfflineAdaEdge {
     /// Execute a drain plan: remove the planned segments from the store
     /// (they have been shipped upstream) and return their blocks in plan
     /// order. Frees budget for continued ingestion.
-    pub fn drain(
-        &mut self,
-        byte_budget: usize,
-    ) -> Result<Vec<(SegmentId, adaedge_codecs::CompressedBlock)>> {
+    pub fn drain(&mut self, byte_budget: usize) -> Result<Vec<(SegmentId, CompressedBlock)>> {
         let plan = self.drain_plan(byte_budget);
         let mut shipped = Vec::with_capacity(plan.len());
         for id in plan {
-            let seg = self.store.remove(id)?;
-            if let Some(originals) = self.originals.as_mut() {
-                originals.remove(&id);
-            }
-            if let adaedge_storage::SegmentData::Compressed(block) = seg.data {
+            if let SegmentData::Compressed(block) = self.cascade.remove(id)?.data {
                 shipped.push((id, block));
             }
         }
@@ -398,13 +441,8 @@ impl OfflineAdaEdge {
     /// Run a query over a stored segment: reconstructs it and marks the
     /// access so the LRU policy protects it from aggressive recoding.
     pub fn query_segment(&mut self, id: SegmentId) -> Result<Vec<f64>> {
-        let seg = self.store.get(id).ok_or(AdaEdgeError::Store(
-            adaedge_storage::StoreError::NotFound(id),
-        ))?;
-        match &seg.data {
-            adaedge_storage::SegmentData::Raw(points) => Ok(points.clone()),
-            adaedge_storage::SegmentData::Compressed(block) => Ok(self.reg.decompress(block)?),
-        }
+        self.cascade.store.get(id);
+        self.cascade.decode(&self.reg, id)
     }
 }
 

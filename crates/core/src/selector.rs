@@ -1221,6 +1221,38 @@ mod tests {
     }
 
     #[test]
+    fn bad_recode_thresholds_are_config_errors_at_every_entry_point() {
+        use crate::engine::{run_offline_pipeline, OfflineEngineConfig};
+        use crate::offline::{OfflineAdaEdge, OfflineConfig};
+        use adaedge_datasets::SineStream;
+        let target = || OptimizationTarget::agg(AggKind::Sum);
+        for threshold in [f64::NAN, -0.5, 1.5] {
+            let edge = OfflineConfig {
+                recode_threshold: threshold,
+                ..OfflineConfig::new(1 << 20, target())
+            };
+            let engine = OfflineEngineConfig {
+                recode_threshold: threshold,
+                ..OfflineEngineConfig::new(1 << 20, target())
+            };
+            let mut sine = SineStream::new(64, 0.1, 4, 1);
+            let results = [
+                ("OfflineAdaEdge::new", OfflineAdaEdge::new(edge).err()),
+                (
+                    "run_offline_pipeline",
+                    run_offline_pipeline(&mut sine, 4, &engine).err(),
+                ),
+            ];
+            for (entry, err) in results {
+                assert!(
+                    matches!(err, Some(AdaEdgeError::Config(_))),
+                    "{entry} with θ = {threshold}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn nominal_bias_is_bit_identical_to_select_arm() {
         let config = SelectorConfig {
             epsilon: 0.3,
