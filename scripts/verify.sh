@@ -73,6 +73,9 @@ cargo test --release -q -p adaedge-core --test uplink_chaos
 echo "==> frame packer NACK-requeue proptests"
 cargo test --release -q -p adaedge-core --test frame_packer_props
 
+echo "==> offline cascade smoke (fig12: OfflineAdaEdge and FixedPairOffline side by side, release)"
+cargo run --release -q -p adaedge-bench --bin fig12_offline_kmeans
+
 echo "==> engine throughput smoke (--quick)"
 cargo run --release -q -p adaedge-bench --bin engine_throughput -- --quick
 
