@@ -8,9 +8,12 @@
 //! AVX2 fast-path range and typical of Sprintz delta lanes; `quantize`
 //! is timed on the same precision-4 segment the transforms use. The FFT
 //! rows time whole forward and inverse transforms with their butterflies
-//! on each tier, at n = 1000 (Bluestein, the offline segment) and 1024.
+//! and Bluestein products on each tier, at n = 1000 (Bluestein, the
+//! offline segment) and 1024, and the two kernels alone at the 2048
+//! entries of the n = 1000 work buffer: every butterfly stage
+//! (`fft_stages`) and the filter product (`fft_pointwise`).
 
-use adaedge_codecs::fft::{self, Complex};
+use adaedge_codecs::fft::{self, Complex, Pointwise};
 use adaedge_codecs::simd;
 use adaedge_codecs::util::quantize_into;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -216,6 +219,46 @@ fn bench_fft(c: &mut Criterion) {
                 },
             );
         }
+    }
+    // The n = 1000 work buffer: 2048 entries, 11 stages, and the stage
+    // twiddles concatenated as the plan holds them.
+    let m = 2048;
+    let buf: Vec<Complex> = smooth_points(m)
+        .into_iter()
+        .map(|v| Complex::new(v, -v))
+        .collect();
+    let twiddles: Vec<Complex> = (0..m.trailing_zeros())
+        .flat_map(|s| {
+            let len = 2usize << s;
+            (0..len / 2)
+                .map(move |k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
+        })
+        .collect();
+    let factors: Vec<Complex> = (0..m)
+        .map(|k| Complex::cis(-std::f64::consts::PI * (k * k % (2 * m)) as f64 / m as f64))
+        .collect();
+    for &backend in simd::supported() {
+        let mut work = buf.clone();
+        group.bench_function(
+            BenchmarkId::new(format!("fft_stages_{m}"), backend.name()),
+            |b| {
+                b.iter(|| {
+                    work.copy_from_slice(&buf);
+                    backend.fft_stages(&mut work, &twiddles);
+                    black_box(work[0])
+                })
+            },
+        );
+        group.bench_function(
+            BenchmarkId::new(format!("fft_pointwise_{m}"), backend.name()),
+            |b| {
+                b.iter(|| {
+                    work.copy_from_slice(&buf);
+                    backend.fft_pointwise(Pointwise::MulConj, &mut work, &factors);
+                    black_box(work[0])
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -14,18 +14,25 @@
 //! radix-2 bit-reversal swaps and stage twiddles and, for Bluestein, the
 //! chirp, the filter's spectrum and a work buffer. A Bluestein transform
 //! is then two radix-2 FFTs of size `m = (2n - 1).next_power_of_two()` and
-//! no allocation; at n = 1000 (m = 2048) the plan holds ~120 KB, and
-//! plans for lengths above 32768 are freed after use instead. Plans
-//! reproduce the unplanned arithmetic operation for operation, so every
-//! output is bit-identical to it (`tests/fft_equivalence.rs`).
+//! no allocation; at n = 1000 (m = 2048) the plan holds ~120 KB. A plan
+//! whose work buffer holds more than 65536 entries (every Bluestein length
+//! above 32768, every power of two above 65536) is freed after use
+//! instead. Plans reproduce the unplanned arithmetic operation for
+//! operation, so every output is bit-identical to it
+//! (`tests/fft_equivalence.rs`).
 //!
-//! The butterfly stages run on the SIMD ladder
-//! ([`Backend::fft_butterflies`]): the loop here is the `Scalar` reference,
-//! and the AVX2 tier does two butterflies per 256-bit operation with the
-//! same multiplies, adds and subtracts in the same order, so every tier's
-//! output is bit-identical too (`tests/kernel_equivalence.rs`), up to the
-//! sign of a NaN an overflowing transform produces, which Rust leaves
-//! unspecified.
+//! The butterfly stages and Bluestein's three pointwise products run on
+//! the SIMD ladder ([`Backend::fft_stages`], [`Backend::fft_pointwise`]):
+//! the loops here are the `Scalar` reference. The AVX2 tier does two
+//! butterflies per 256-bit operation with the same multiplies, adds and
+//! subtracts in the same order. After its half-width-1 pass it runs the
+//! stages in fused pairs, each pass loading a `4h`-entry block once for
+//! stages `h` and `2h`, so a 2048-point FFT makes 6 passes over the work
+//! buffer instead of 11. Every tier's output is bit-identical too
+//! (`tests/kernel_equivalence.rs`), up to the sign and payload of a NaN
+//! where two NaNs meet in one add, which Rust leaves unspecified: the
+//! crafted NaN decode payloads of `tests/fft_equivalence.rs` keep their
+//! exact bits on every tier, but fusing three stages changed them.
 
 use crate::block::{CodecId, CompressedBlock, CompressedBlockRef, POINT_BYTES};
 use crate::error::{CodecError, Result};
@@ -99,25 +106,53 @@ impl Complex {
     }
 }
 
-/// One radix-2 butterfly stage, the `Scalar` reference of
-/// [`Backend::fft_butterflies`]: every block of `2 * tw.len()` entries is
+/// Every butterfly stage of a bit-reversed `buf`, one pass per stage: the
+/// `Scalar` reference of [`Backend::fft_stages`]. `twiddles` holds the
+/// stage with half-width `h` at `h - 1..2h - 1`.
+pub(crate) fn stages_scalar(buf: &mut [Complex], twiddles: &[Complex]) {
+    let mut half = 1;
+    while half < buf.len() {
+        butterflies_scalar(buf, &twiddles[half - 1..2 * half - 1]);
+        half <<= 1;
+    }
+}
+
+/// One radix-2 butterfly stage: every block of `2 * tw.len()` entries is
 /// split into halves `lo` and `hi`, and each `(a, b)` pair becomes
 /// `(a + b·w, a − b·w)` with its twiddle `w`.
 pub(crate) fn butterflies_scalar(buf: &mut [Complex], tw: &[Complex]) {
     for block in buf.chunks_exact_mut(2 * tw.len()) {
         let (lo, hi) = block.split_at_mut(tw.len());
-        butterfly_run(lo, hi, tw);
+        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let u = *a;
+            let v = b.mul(w);
+            *a = u.add(v);
+            *b = u.sub(v);
+        }
     }
 }
 
-/// The butterflies of one block (or the tail of one): pairs `lo[k]`,
-/// `hi[k]` with twiddle `tw[k]`.
-pub(crate) fn butterfly_run(lo: &mut [Complex], hi: &mut [Complex], tw: &[Complex]) {
-    for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-        let u = *a;
-        let v = b.mul(w);
-        *a = u.add(v);
-        *b = u.sub(v);
+/// A pointwise pass of Bluestein's algorithm, `buf[k] = op(buf[k], f[k])`
+/// ([`Backend::fft_pointwise`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pointwise {
+    /// `buf[k]·f[k]`: the chirp premultiply.
+    Mul,
+    /// `conj(buf[k]·f[k])`: the product with the filter spectrum,
+    /// conjugated so the next forward FFT computes the inverse one.
+    MulConj,
+    /// `(conj(buf[k])·s)·f[k]`: the conjugate, the `1/m` scale and the
+    /// post-chirp.
+    ConjScaleMul(f64),
+}
+
+/// The `Scalar` reference of [`Backend::fft_pointwise`].
+pub(crate) fn pointwise_scalar(op: Pointwise, buf: &mut [Complex], f: &[Complex]) {
+    let pairs = buf.iter_mut().zip(f);
+    match op {
+        Pointwise::Mul => pairs.for_each(|(a, &c)| *a = a.mul(c)),
+        Pointwise::MulConj => pairs.for_each(|(a, &c)| *a = a.mul(c).conj()),
+        Pointwise::ConjScaleMul(s) => pairs.for_each(|(a, &c)| *a = a.conj().scale(s).mul(c)),
     }
 }
 
@@ -170,11 +205,7 @@ impl Pow2Plan {
         for &(i, j) in &self.swaps {
             buf.swap(i as usize, j as usize);
         }
-        let mut half = 1;
-        while half < self.n {
-            backend.fft_butterflies(buf, &self.twiddles[half - 1..2 * half - 1]);
-            half <<= 1;
-        }
+        backend.fft_stages(buf, &self.twiddles);
     }
 }
 
@@ -238,21 +269,13 @@ impl Plan {
             self.fft.run(backend, work);
             return;
         }
-        for (a, &c) in work.iter_mut().zip(&self.chirp) {
-            *a = a.mul(c);
-        }
+        backend.fft_pointwise(Pointwise::Mul, &mut work[..n], &self.chirp);
         work[n..].fill(Complex::default());
         self.fft.run(backend, work);
-        // Pointwise product with the filter, conjugated so the next
-        // forward FFT computes the inverse one.
-        for (a, &b) in work.iter_mut().zip(&self.filter) {
-            *a = a.mul(b).conj();
-        }
+        backend.fft_pointwise(Pointwise::MulConj, work, &self.filter);
         self.fft.run(backend, work);
         let scale = 1.0 / work.len() as f64;
-        for (a, &c) in work.iter_mut().zip(&self.chirp) {
-            *a = a.conj().scale(scale).mul(c);
-        }
+        backend.fft_pointwise(Pointwise::ConjScaleMul(scale), &mut work[..n], &self.chirp);
     }
 
     /// Inverse DFT with 1/n normalization of `work[..n]`, in place:
@@ -271,8 +294,9 @@ impl Plan {
 }
 
 /// Largest work buffer (in entries, 1 MiB) whose plan stays cached after
-/// use; a bigger plan (n above 32768) is freed so one long transform does
-/// not pin its memory to the thread.
+/// use; a bigger plan (a Bluestein length above 32768 or a power of two
+/// above 65536) is freed so one long transform does not pin its memory to
+/// the thread.
 const MAX_CACHED_WORK: usize = 1 << 16;
 
 thread_local! {

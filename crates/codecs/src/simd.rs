@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD kernel layer for the codec hot loops.
 //!
 //! Every byte-crunching kernel under `bitio`, `crc32c`, `lz`, `snappy` and
-//! `util`, and the FFT butterfly stages of `fft`, is published here as a
-//! method on [`Backend`], a ladder of implementations of the same
-//! bit-identical contract:
+//! `util`, and the FFT butterfly stages and Bluestein products of `fft`, is
+//! published here as a method on [`Backend`], a ladder of implementations
+//! of the same bit-identical contract:
 //!
 //! | tier       | what it is                                              |
 //! |------------|---------------------------------------------------------|
@@ -12,7 +12,8 @@
 //! | `Sse42`    | x86-64 hardware CRC-32C (3-stream `crc32` interleave)   |
 //! | `Avx2`     | x86-64 256-bit kernels (match, pack/unpack, transforms, |
 //! |            | quantize, dequantize, FFT butterflies: two per op with  |
-//! |            | `mul` and `addsub`, no FMA)                             |
+//! |            | `mul` and `addsub`, no FMA, stages fused in pairs;      |
+//! |            | Bluestein's pointwise products)                         |
 //! | `Neon`     | aarch64 hardware CRC-32C + 128-bit match extension      |
 //!
 //! # Dispatch
@@ -77,7 +78,7 @@ mod aarch64;
 mod x86_64;
 
 use crate::error::Result;
-use crate::fft::{self, Complex};
+use crate::fft::{self, Complex, Pointwise};
 use crate::{bitio, crc32c, lz, util};
 
 /// One tier of the kernel ladder. See the [module docs](self) for the
@@ -92,8 +93,8 @@ pub enum Backend {
     /// x86-64 SSE4.2: hardware CRC-32C with 3-stream interleaving.
     Sse42,
     /// x86-64 AVX2: 256-bit match extension, bit pack/unpack, fused
-    /// transforms, quantize, dequantize and FFT butterflies (CRC rides the
-    /// SSE4.2 kernel).
+    /// transforms, quantize, dequantize, FFT butterflies and Bluestein
+    /// products (CRC rides the SSE4.2 kernel).
     Avx2,
     /// aarch64: hardware CRC-32C and NEON match extension.
     Neon,
@@ -439,31 +440,58 @@ impl Backend {
         }
     }
 
-    /// One radix-2 FFT butterfly stage with half-width `tw.len()`: every
-    /// block of `2 * tw.len()` entries of `buf` splits into halves `lo`
+    /// Every radix-2 FFT butterfly stage of a bit-reversed `buf`, in
+    /// order of half-width `h = 1, 2, 4, …, buf.len() / 2`. The stage with
+    /// half-width `h` splits every block of `2h` entries into halves `lo`
     /// and `hi`, and each pair becomes `(a + b·w, a − b·w)` with
-    /// `a = lo[k]`, `b = hi[k]`, `w = tw[k]`. Requires a non-empty `tw`
-    /// and `buf.len()` a multiple of `2 * tw.len()` (asserted).
+    /// `a = lo[k]`, `b = hi[k]`, `w = twiddles[h - 1 + k]`. Requires
+    /// `buf.len()` a power of two and `twiddles.len() == buf.len() - 1`
+    /// (asserted).
     ///
     /// Every tier computes `b·w` as `(b.re·w.re − b.im·w.im,
     /// b.re·w.im + b.im·w.re)` with separate multiplies and adds (no FMA)
     /// in that operand order, so outputs are bit-identical. AVX2 takes
-    /// two butterflies per 256-bit operation; every other tier runs the
-    /// scalar loop.
+    /// two butterflies per 256-bit operation and, after the half-width-1
+    /// pass, runs the stages in fused pairs (stages `h` and `2h` on one
+    /// `4h`-entry block in registers); every other tier runs the scalar
+    /// per-stage loop.
     #[inline]
-    pub fn fft_butterflies(self, buf: &mut [Complex], tw: &[Complex]) {
+    pub fn fft_stages(self, buf: &mut [Complex], twiddles: &[Complex]) {
         assert!(
-            !tw.is_empty() && buf.len().is_multiple_of(2 * tw.len()),
-            "fft_butterflies: buffer is not whole blocks"
+            buf.len().is_power_of_two() && twiddles.len() + 1 == buf.len(),
+            "fft_stages: buffer length is not a power of two or twiddles are not one shorter"
         );
         match self {
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 if caps().avx2 => {
-                // SAFETY: AVX2 detected at runtime; block shape asserted
-                // above.
-                unsafe { x86_64::fft_butterflies_avx2(buf, tw) }
+                // SAFETY: AVX2 detected at runtime; buffer and twiddle
+                // shapes asserted above.
+                unsafe { x86_64::fft_stages_avx2(buf, twiddles) }
             }
-            _ => fft::butterflies_scalar(buf, tw),
+            _ => fft::stages_scalar(buf, twiddles),
+        }
+    }
+
+    /// One of Bluestein's pointwise passes, `buf[k] = op(buf[k], f[k])`
+    /// (see [`Pointwise`]). Requires `buf.len() == f.len()` (asserted).
+    ///
+    /// Every tier takes the complex product, the conjugations and the
+    /// scale in the scalar operand order, negating by a sign-bit flip
+    /// where the reference conjugates, so outputs are bit-identical, a
+    /// NaN grown from one NaN input included (where two NaNs meet in one
+    /// add, the payload is unspecified, as for the butterflies). AVX2
+    /// takes two entries per 256-bit operation; every other tier runs the
+    /// scalar loop.
+    #[inline]
+    pub fn fft_pointwise(self, op: Pointwise, buf: &mut [Complex], f: &[Complex]) {
+        assert_eq!(buf.len(), f.len(), "fft_pointwise: length mismatch");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if caps().avx2 => {
+                // SAFETY: AVX2 detected at runtime; lengths asserted above.
+                unsafe { x86_64::fft_pointwise_avx2(op, buf, f) }
+            }
+            _ => fft::pointwise_scalar(op, buf, f),
         }
     }
 }

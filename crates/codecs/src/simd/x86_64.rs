@@ -1,6 +1,6 @@
 //! x86-64 kernels for the SIMD dispatch layer: hardware CRC-32C (SSE4.2)
 //! and 256-bit (AVX2) match extension, bit pack/unpack, fused transforms,
-//! quantize, dequantize and FFT butterflies.
+//! quantize, dequantize, FFT butterflies and Bluestein products.
 //!
 //! Every function is `#[target_feature]`-gated and reached only through
 //! the guarded arms in [`super::Backend`], which verify the feature at
@@ -12,7 +12,7 @@
 use super::crc_shift::{self, LONG, SHORT};
 use crate::bitio;
 use crate::error::Result;
-use crate::fft::{self, Complex};
+use crate::fft::{self, Complex, Pointwise};
 use crate::lz;
 use crate::util::{self, QUANT_LIMIT, TWO52};
 use core::arch::x86_64::*;
@@ -334,40 +334,72 @@ pub(super) fn quantize_avx2(chunk: &[f64], scale: f64, out: &mut [i64]) -> Resul
     )
 }
 
-/// AVX2 radix-2 butterfly stage ([`super::Backend::fft_butterflies`]
-/// semantics), two butterflies per 256-bit operation. With
-/// `b = [b0.re, b0.im, b1.re, b1.im]` and `w` alike, `b·w` is
-/// `addsub([b.re·w.re, b.re·w.im], [b.im·w.im, b.im·w.re])` per pair:
-/// the scalar products in the scalar operand order, then one subtract
-/// and one add, so every lane is bit-identical to the reference. At
-/// half-width 1 the two butterflies come from adjacent blocks; an odd
-/// tail pair rides the scalar loop.
+/// AVX2 butterfly stages ([`super::Backend::fft_stages`] semantics), two
+/// butterflies per 256-bit operation. The half-width-1 stage runs alone;
+/// the stages after it run in fused pairs, each pass taking stages `h`
+/// and `2h` on one `4h`-entry block in registers, and a leftover odd
+/// stage runs alone. Every entry meets the same butterflies as in the
+/// per-stage loop, with the same operations, so the output is
+/// bit-identical: at 2048 entries that is 6 passes over the buffer
+/// instead of 11.
+///
+/// Fusing three stages would save one more pass at 2048 entries, but it
+/// changed the payload bits of NaN outputs that `tests/fft_equivalence.rs`
+/// pins (crafted decode payloads at 8192 entries): under that register
+/// pressure LLVM commutes the operands of some adds.
 #[target_feature(enable = "avx2")]
-pub(super) fn fft_butterflies_avx2(buf: &mut [Complex], tw: &[Complex]) {
-    let half = tw.len();
-    debug_assert!(half > 0 && buf.len().is_multiple_of(2 * half));
-    if half == 1 {
-        // SAFETY: `tw` holds one `#[repr(C)]` `{ re, im }` entry: two
-        // contiguous doubles.
-        let w = unsafe { _mm256_broadcast_pd(&*tw.as_ptr().cast::<__m128d>()) };
-        let mut pairs = buf.chunks_exact_mut(4);
-        for quad in &mut pairs {
-            let p = quad.as_mut_ptr().cast::<f64>();
-            // SAFETY: `quad` is four entries, eight contiguous doubles:
-            // blocks `[a0, b0]` and `[a1, b1]`.
-            unsafe {
-                let x = _mm256_loadu_pd(p);
-                let y = _mm256_loadu_pd(p.add(4));
-                let a = _mm256_permute2f128_pd::<0x20>(x, y);
-                let b = _mm256_permute2f128_pd::<0x31>(x, y);
-                let (a, b) = butterfly_pair(a, b, w);
-                _mm256_storeu_pd(p, _mm256_permute2f128_pd::<0x20>(a, b));
-                _mm256_storeu_pd(p.add(4), _mm256_permute2f128_pd::<0x31>(a, b));
-            }
-        }
-        fft::butterflies_scalar(pairs.into_remainder(), tw);
+pub(super) fn fft_stages_avx2(buf: &mut [Complex], twiddles: &[Complex]) {
+    let n = buf.len();
+    debug_assert!(n.is_power_of_two() && twiddles.len() + 1 == n);
+    if n < 2 {
         return;
     }
+    butterflies_half_one(buf, &twiddles[..1]);
+    let mut half = 2;
+    while half < n {
+        let tw = &twiddles[half - 1..2 * half - 1];
+        if 4 * half <= n {
+            butterflies_two_stages(buf, tw, &twiddles[2 * half - 1..4 * half - 1]);
+            half <<= 2;
+        } else {
+            butterflies_one_stage(buf, tw);
+            half <<= 1;
+        }
+    }
+}
+
+/// The half-width-1 stage: its two butterflies per operation come from
+/// adjacent blocks; a buffer of two entries rides the scalar loop.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn butterflies_half_one(buf: &mut [Complex], tw: &[Complex]) {
+    // SAFETY: `tw` holds one `#[repr(C)]` `{ re, im }` entry: two
+    // contiguous doubles.
+    let w = unsafe { _mm256_broadcast_pd(&*tw.as_ptr().cast::<__m128d>()) };
+    let mut pairs = buf.chunks_exact_mut(4);
+    for quad in &mut pairs {
+        let p = quad.as_mut_ptr().cast::<f64>();
+        // SAFETY: `quad` is four entries, eight contiguous doubles:
+        // blocks `[a0, b0]` and `[a1, b1]`.
+        unsafe {
+            let x = _mm256_loadu_pd(p);
+            let y = _mm256_loadu_pd(p.add(4));
+            let a = _mm256_permute2f128_pd::<0x20>(x, y);
+            let b = _mm256_permute2f128_pd::<0x31>(x, y);
+            let (a, b) = butterfly_pair(a, b, w);
+            _mm256_storeu_pd(p, _mm256_permute2f128_pd::<0x20>(a, b));
+            _mm256_storeu_pd(p.add(4), _mm256_permute2f128_pd::<0x31>(a, b));
+        }
+    }
+    fft::butterflies_scalar(pairs.into_remainder(), tw);
+}
+
+/// One stage of even half-width `tw.len()`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn butterflies_one_stage(buf: &mut [Complex], tw: &[Complex]) {
+    let half = tw.len();
+    debug_assert!(half.is_multiple_of(2));
     for block in buf.chunks_exact_mut(2 * half) {
         let (lo, hi) = block.split_at_mut(half);
         let mut k = 0;
@@ -377,26 +409,132 @@ pub(super) fn fft_butterflies_avx2(buf: &mut [Complex], tw: &[Complex]) {
             // `Complex` is `#[repr(C)]` `{ re, im }`, so two entries are
             // four contiguous doubles.
             unsafe {
-                let a = _mm256_loadu_pd(lo.as_ptr().add(k).cast::<f64>());
-                let b = _mm256_loadu_pd(hi.as_ptr().add(k).cast::<f64>());
-                let w = _mm256_loadu_pd(tw.as_ptr().add(k).cast::<f64>());
-                let (a, b) = butterfly_pair(a, b, w);
-                _mm256_storeu_pd(lo.as_mut_ptr().add(k).cast::<f64>(), a);
-                _mm256_storeu_pd(hi.as_mut_ptr().add(k).cast::<f64>(), b);
+                let w = load2(tw, k);
+                let (a, b) = butterfly_pair(load2(lo, k), load2(hi, k), w);
+                store2(lo, k, a);
+                store2(hi, k, b);
             }
             k += 2;
         }
-        fft::butterfly_run(&mut lo[k..], &mut hi[k..], &tw[k..]);
     }
+}
+
+/// Stages of even half-widths `h = tw1.len()` and `2h = tw2.len()` in
+/// one pass: each block of `4h` entries is four quarters `q0..q3`; stage
+/// `h` pairs `(q0, q1)` and `(q2, q3)` with `tw1`, then stage `2h` pairs
+/// `(q0, q2)` with `tw2[..h]` and `(q1, q3)` with `tw2[h..]`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn butterflies_two_stages(buf: &mut [Complex], tw1: &[Complex], tw2: &[Complex]) {
+    let half = tw1.len();
+    debug_assert!(half.is_multiple_of(2) && tw2.len() == 2 * half);
+    let (tw2_lo, tw2_hi) = tw2.split_at(half);
+    for block in buf.chunks_exact_mut(4 * half) {
+        let (lo, hi) = block.split_at_mut(2 * half);
+        let (q0, q1) = lo.split_at_mut(half);
+        let (q2, q3) = hi.split_at_mut(half);
+        let mut k = 0;
+        while k + 2 <= half {
+            // SAFETY: every quarter and `tw1`, `tw2_lo`, `tw2_hi` hold
+            // `half` entries, so `k + 2 <= half` keeps the two-entry
+            // loads and stores in bounds (`Complex` is `#[repr(C)]`
+            // `{ re, im }`: two entries are four contiguous doubles).
+            unsafe {
+                let w1 = load2(tw1, k);
+                let (a0, a1) = butterfly_pair(load2(q0, k), load2(q1, k), w1);
+                let (a2, a3) = butterfly_pair(load2(q2, k), load2(q3, k), w1);
+                let (a0, a2) = butterfly_pair(a0, a2, load2(tw2_lo, k));
+                let (a1, a3) = butterfly_pair(a1, a3, load2(tw2_hi, k));
+                store2(q0, k, a0);
+                store2(q1, k, a1);
+                store2(q2, k, a2);
+                store2(q3, k, a3);
+            }
+            k += 2;
+        }
+    }
+}
+
+/// Entries `k` and `k + 1` of `v` as `[re, im, re, im]`.
+///
+/// # Safety
+///
+/// `k + 2 <= v.len()`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load2(v: &[Complex], k: usize) -> __m256d {
+    debug_assert!(k + 2 <= v.len());
+    // SAFETY: the caller keeps `k + 2 <= v.len()`; two `#[repr(C)]`
+    // entries are four contiguous doubles.
+    unsafe { _mm256_loadu_pd(v.as_ptr().add(k).cast::<f64>()) }
+}
+
+/// Store `x` as entries `k` and `k + 1` of `v`.
+///
+/// # Safety
+///
+/// `k + 2 <= v.len()`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store2(v: &mut [Complex], k: usize, x: __m256d) {
+    debug_assert!(k + 2 <= v.len());
+    // SAFETY: as in `load2`.
+    unsafe { _mm256_storeu_pd(v.as_mut_ptr().add(k).cast::<f64>(), x) }
 }
 
 /// Two butterflies: `(a + b·w, a − b·w)` per 128-bit lane.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn butterfly_pair(a: __m256d, b: __m256d, w: __m256d) -> (__m256d, __m256d) {
+    let v = complex_mul(b, w);
+    (_mm256_add_pd(a, v), _mm256_sub_pd(a, v))
+}
+
+/// Two complex products `b·w`, one per 128-bit lane. With
+/// `b = [b0.re, b0.im, b1.re, b1.im]` and `w` alike, `b·w` is
+/// `addsub([b.re·w.re, b.re·w.im], [b.im·w.im, b.im·w.re])`: the scalar
+/// products in the scalar operand order, then one subtract and one add,
+/// so every lane is bit-identical to `Complex::mul`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn complex_mul(b: __m256d, w: __m256d) -> __m256d {
     let b_re = _mm256_movedup_pd(b);
     let b_im = _mm256_permute_pd::<0b1111>(b);
     let w_swapped = _mm256_permute_pd::<0b0101>(w);
-    let v = _mm256_addsub_pd(_mm256_mul_pd(b_re, w), _mm256_mul_pd(b_im, w_swapped));
-    (_mm256_add_pd(a, v), _mm256_sub_pd(a, v))
+    _mm256_addsub_pd(_mm256_mul_pd(b_re, w), _mm256_mul_pd(b_im, w_swapped))
+}
+
+/// AVX2 Bluestein product pass ([`super::Backend::fft_pointwise`]
+/// semantics), two entries per 256-bit operation. A conjugate flips the
+/// sign bits of the imaginary lanes where the scalar code calls
+/// `conj()`, so a NaN keeps the sign the reference gives it; folding the
+/// sign into the scale instead (`im·(−s)` for `(−im)·s`) would flip it.
+/// An odd tail entry rides the scalar loop.
+#[target_feature(enable = "avx2")]
+pub(super) fn fft_pointwise_avx2(op: Pointwise, buf: &mut [Complex], f: &[Complex]) {
+    debug_assert_eq!(buf.len(), f.len());
+    let conj = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
+    let scale = _mm256_set1_pd(match op {
+        Pointwise::ConjScaleMul(s) => s,
+        Pointwise::Mul | Pointwise::MulConj => 1.0,
+    });
+    let len = buf.len();
+    let mut k = 0;
+    while k + 2 <= len {
+        // SAFETY: `k + 2 <= len == buf.len() == f.len()`.
+        unsafe {
+            let a = load2(buf, k);
+            let c = load2(f, k);
+            let v = match op {
+                Pointwise::Mul => complex_mul(a, c),
+                Pointwise::MulConj => _mm256_xor_pd(complex_mul(a, c), conj),
+                Pointwise::ConjScaleMul(_) => {
+                    complex_mul(_mm256_mul_pd(_mm256_xor_pd(a, conj), scale), c)
+                }
+            };
+            store2(buf, k, v);
+        }
+        k += 2;
+    }
+    fft::pointwise_scalar(op, &mut buf[k..], &f[k..]);
 }

@@ -13,15 +13,17 @@
 //! which chunks are left in the output). The FFT butterfly stages are
 //! pinned through whole forward and inverse transforms at every power of
 //! two from 4 to 65536 and at the Bluestein lengths around 1000, and
-//! directly at odd half-widths and ragged block counts, on signed zeros,
-//! subnormals and ±1e300, compared by `to_bits` (NaN results, whose sign
-//! Rust leaves unspecified, by NaN-ness). The float-serialization
+//! directly through `Backend::fft_stages` on random twiddles at every
+//! power of two from 2 to 65536 (odd and even stage counts), as are
+//! Bluestein's pointwise products at odd and even lengths, on signed
+//! zeros, subnormals and ±1e300, compared by `to_bits` (NaN results, whose
+//! sign Rust leaves unspecified, by NaN-ness). The float-serialization
 //! loops (no SIMD tier) keep their naive per-element references written
 //! out here in the most obvious way.
 
 use adaedge_codecs::bitio::zigzag_encode;
 use adaedge_codecs::crc32c::crc32c;
-use adaedge_codecs::fft::{dft_on, idft_inplace_on, Complex};
+use adaedge_codecs::fft::{dft_on, idft_inplace_on, Complex, Pointwise};
 use adaedge_codecs::simd::{self, Backend};
 use adaedge_codecs::util::{
     bytes_to_f64s, delta_zigzag_into, dequantize, f64s_to_bytes, pow10, quantize,
@@ -512,20 +514,117 @@ proptest! {
 
     #[test]
     fn fft_butterfly_stage_tiers_match_scalar(
-        half in 1usize..10,
-        blocks in 1usize..6,
+        log2 in 1u32..17,
         mix in 0u64..6,
         seed in any::<u64>(),
     ) {
-        // Odd half-widths and block counts reach the kernels' scalar tails.
-        let buf = fft_input(2 * half * blocks, mix, seed);
-        let tw = fft_input(half, mix, !seed);
+        let n = 1usize << log2;
+        let (want, got) = stages_on_every_tier(n, mix, seed);
+        for (b, got) in got {
+            prop_assert_eq!(&got, &want, "{} at n = {}", b.name(), n);
+        }
+    }
+
+    #[test]
+    fn fft_pointwise_tiers_match_scalar(
+        len in 0usize..40,
+        op in 0u8..3,
+        scale_kind in 0u64..5,
+        mix in 0u64..6,
+        seed in any::<u64>(),
+    ) {
+        // Odd lengths reach the kernels' scalar tail.
+        let mut state = !seed;
+        let op = match op {
+            0 => Pointwise::Mul,
+            1 => Pointwise::MulConj,
+            _ => Pointwise::ConjScaleMul(fft_value(scale_kind, &mut state)),
+        };
+        let buf = fft_input(len, mix, seed);
+        let f = fft_input(len, mix, !seed);
         let mut want = buf.clone();
-        Backend::Scalar.fft_butterflies(&mut want, &tw);
+        Backend::Scalar.fft_pointwise(op, &mut want, &f);
         for b in tiers() {
             let mut got = buf.clone();
-            b.fft_butterflies(&mut got, &tw);
-            prop_assert_eq!(complex_bits(&got), complex_bits(&want), "{}", b.name());
+            b.fft_pointwise(op, &mut got, &f);
+            prop_assert_eq!(complex_bits(&got), complex_bits(&want), "{} {:?}", b.name(), op);
+        }
+    }
+
+    #[test]
+    fn fft_pointwise_tiers_keep_nan_bits(
+        len in 0usize..40,
+        op in 0u8..3,
+        nan_mask in any::<u64>(),
+        payload_seed in any::<u64>(),
+        mix in 0u64..6,
+        seed in any::<u64>(),
+    ) {
+        // A NaN of any sign and payload in one part of an entry (as a
+        // crafted decode spectrum feeds them in), against finite factors:
+        // every NaN result then has one NaN source, so its bits follow
+        // from where the conjugations are, and each tier must conjugate
+        // where the reference does. (Two NaN sources in one add may meet
+        // in either order: LLVM commutes the reference's adds at will.)
+        let nan = |bits: u64| f64::from_bits(bits | 0x7FF0_0000_0000_0001);
+        let mut buf = fft_input(len, mix, seed);
+        for (k, c) in buf.iter_mut().enumerate() {
+            let payload = payload_seed.wrapping_mul(2 * k as u64 + 1).rotate_left(k as u32);
+            match (nan_mask >> (k % 32 * 2)) & 3 {
+                1 => c.re = nan(payload),
+                2 => c.im = nan(payload),
+                _ => {}
+            }
+        }
+        let f = fft_input(len, mix, !seed);
+        let op = match op {
+            0 => Pointwise::Mul,
+            1 => Pointwise::MulConj,
+            _ => Pointwise::ConjScaleMul(1.0 / (len.max(1) as f64)),
+        };
+        let exact = |v: &[Complex]| -> ComplexBits {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let mut want = buf.clone();
+        Backend::Scalar.fft_pointwise(op, &mut want, &f);
+        for b in tiers() {
+            let mut got = buf.clone();
+            b.fft_pointwise(op, &mut got, &f);
+            prop_assert_eq!(exact(&got), exact(&want), "{} {:?}", b.name(), op);
+        }
+    }
+}
+
+/// All butterfly stages of a random `n`-entry buffer with random
+/// twiddles through `Backend::fft_stages`: the `Scalar` result and each
+/// other tier's, as bits.
+fn stages_on_every_tier(
+    n: usize,
+    mix: u64,
+    seed: u64,
+) -> (ComplexBits, Vec<(Backend, ComplexBits)>) {
+    let buf = fft_input(n, mix, seed);
+    let tw = fft_input(n - 1, mix, !seed);
+    let run = |b: Backend| {
+        let mut out = buf.clone();
+        b.fft_stages(&mut out, &tw);
+        complex_bits(&out)
+    };
+    (run(Backend::Scalar), tiers().map(|b| (b, run(b))).collect())
+}
+
+/// The stage entry at every power of two from 2 to 65536, so odd and even
+/// stage counts both run (a leftover stage after the fused pairs or
+/// none), on each value class alone and mixed.
+#[test]
+fn fft_butterfly_stage_tiers_match_scalar_at_every_size() {
+    for log2 in 1..=16 {
+        let n = 1usize << log2;
+        for mix in 0..6 {
+            let (want, got) = stages_on_every_tier(n, mix, n as u64 * 17 + mix);
+            for (b, got) in got {
+                assert!(got == want, "{} at n = {n}, mix {mix}", b.name());
+            }
         }
     }
 }

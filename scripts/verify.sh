@@ -16,8 +16,8 @@ cargo test -q
 echo "==> cargo test --workspace -q (every crate's unit and integration tests)"
 cargo test --workspace -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (tests and benches too)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -51,6 +51,11 @@ echo "==> FFT plan bit-identity vs frozen unplanned FFT (detected, scalar, swar 
 cargo test --release -q -p adaedge-codecs --test fft_equivalence
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test fft_equivalence
 ADAEDGE_SIMD=swar cargo test --release -q -p adaedge-codecs --test fft_equivalence
+
+echo "==> offline stored-block digest pins (detected, scalar, swar backends, release)"
+cargo test --release -q --test end_to_end_offline
+ADAEDGE_SIMD=scalar cargo test --release -q --test end_to_end_offline
+ADAEDGE_SIMD=swar cargo test --release -q --test end_to_end_offline
 
 echo "==> batched scheduling equivalence (K>1 engine smoke, release)"
 cargo test --release -q -p adaedge-core --test batch_equivalence
