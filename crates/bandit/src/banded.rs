@@ -101,9 +101,8 @@ impl<P: Policy> BandedBandits<P> {
     /// estimate is still the (optimistic) initial value, so callers can use
     /// the result as a trustworthy reference point.
     pub fn greedy(&mut self, ratio: f64, mask: Option<&[bool]>) -> (usize, f64) {
-        let policy = self.policy_for(ratio);
-        let est = policy.estimates().to_vec();
-        let pulls = policy.pulls().to_vec();
+        let policy: &P = self.policy_for(ratio);
+        let (est, pulls) = (policy.estimates(), policy.pulls());
         let pick = |require_pulled: bool| -> Option<usize> {
             let mut best: Option<usize> = None;
             for i in 0..est.len() {

@@ -132,6 +132,10 @@ impl Policy for EpsilonGreedy {
         &self.q
     }
 
+    fn reward_means(&self) -> Option<&[f64]> {
+        Some(&self.q)
+    }
+
     fn total_pulls(&self) -> u64 {
         self.total
     }

@@ -86,6 +86,15 @@ pub trait Policy: Send {
     /// Current value estimates per arm (for introspection and tests).
     fn estimates(&self) -> &[f64];
 
+    /// Per-arm reward means, for policies whose estimates are means of
+    /// the observed rewards (ε-greedy, UCB), so a caller may compare them
+    /// with a measured reward. An arm never pulled holds the policy's
+    /// initial value. `None` (the default) when the estimates are on
+    /// another scale, such as a gradient bandit's softmax preferences.
+    fn reward_means(&self) -> Option<&[f64]> {
+        None
+    }
+
     /// Total number of updates seen.
     fn total_pulls(&self) -> u64;
 
@@ -120,6 +129,10 @@ impl Policy for Box<dyn Policy> {
 
     fn estimates(&self) -> &[f64] {
         (**self).estimates()
+    }
+
+    fn reward_means(&self) -> Option<&[f64]> {
+        (**self).reward_means()
     }
 
     fn total_pulls(&self) -> u64 {
@@ -225,5 +238,24 @@ mod tests {
             let pick = masked_uniform(4, Some(&[false, true, false, true]), &mut rng);
             assert!(pick == 1 || pick == 3);
         }
+    }
+
+    #[test]
+    fn only_sample_mean_policies_report_reward_means() {
+        use crate::{EpsilonGreedy, GradientBandit, Ucb};
+        let mut policies: Vec<Box<dyn Policy>> = vec![
+            Box::new(EpsilonGreedy::optimistic(3, 0.1, 1.0)),
+            Box::new(Ucb::new(3, 1.0)),
+            Box::new(GradientBandit::new(3, 0.1)),
+        ];
+        for p in policies.iter_mut() {
+            p.update(1, 0.25);
+            p.update(1, 0.75);
+        }
+        for p in &policies[..2] {
+            assert_eq!(p.reward_means(), Some(p.estimates()));
+            assert_eq!(p.reward_means().unwrap()[1], 0.5);
+        }
+        assert_eq!(policies[2].reward_means(), None);
     }
 }

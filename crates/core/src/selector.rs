@@ -7,7 +7,7 @@
 //! compression-ratio band for offline recoding.
 
 use crate::error::{AdaEdgeError, Result};
-use crate::targets::RewardEvaluator;
+use crate::targets::{RewardEvaluator, REWARD_CEILING};
 use crate::uplink::LinkPressure;
 use adaedge_bandit::{
     default_band_edges, BandedBandits, EpsilonGreedy, GradientBandit, Policy, StepSize, Ucb,
@@ -464,20 +464,20 @@ impl LosslessSelector {
     }
 }
 
-/// Feasibility mask for lossy arms at a target ratio.
+/// Fill `mask` with the feasibility of lossy `arms` at a target ratio.
 fn feasibility_mask(
     reg: &CodecRegistry,
     arms: &[CodecId],
     n_points: usize,
     ratio: f64,
-) -> Vec<bool> {
-    arms.iter()
-        .map(|&a| {
-            reg.get_lossy(a)
-                .map(|c| c.min_ratio(n_points) <= ratio)
-                .unwrap_or(false)
-        })
-        .collect()
+    mask: &mut Vec<bool>,
+) {
+    mask.clear();
+    mask.extend(arms.iter().map(|&a| {
+        reg.get_lossy(a)
+            .map(|c| c.min_ratio(n_points) <= ratio)
+            .unwrap_or(false)
+    }));
 }
 
 /// Run one lossy compression attempt and score it through
@@ -578,7 +578,8 @@ impl LossySelector {
         data: &[f64],
         ratio: f64,
     ) -> Result<Selection> {
-        let mut mask = feasibility_mask(reg, &self.arms, data.len(), ratio);
+        let mut mask = Vec::new();
+        feasibility_mask(reg, &self.arms, data.len(), ratio, &mut mask);
         for _ in 0..self.arms.len() {
             if mask.iter().all(|&m| !m) {
                 return Err(AdaEdgeError::NoFeasibleArm {
@@ -635,6 +636,20 @@ pub struct BandedLossySelector {
     buf: Vec<f64>,
     /// Reused buffer for a recode victim's decode.
     victim: Vec<f64>,
+    /// Reused feasibility mask of the current call.
+    mask: Vec<bool>,
+    /// Reused `(arm, reward)` scores of the current recode.
+    updates: Vec<(usize, f64)>,
+}
+
+/// One arm choice of a band ([`BandedLossySelector::choose_arm`]).
+struct ArmChoice {
+    /// The arm to run.
+    arm: usize,
+    /// The band's masked greedy arm.
+    greedy: usize,
+    /// The greedy arm's reward mean, when the band's policy keeps one.
+    greedy_mean: Option<f64>,
 }
 
 impl std::fmt::Debug for BandedLossySelector {
@@ -670,6 +685,8 @@ impl BandedLossySelector {
             scratch: CodecScratch::new(),
             buf: Vec::new(),
             victim: Vec::new(),
+            mask: Vec::new(),
+            updates: Vec::new(),
         }
     }
 
@@ -683,6 +700,29 @@ impl BandedLossySelector {
         self.bands.instantiated()
     }
 
+    /// Choose an arm of `ratio`'s band among the arms `self.mask` enables.
+    ///
+    /// A greedy arm that has been pulled and whose reward mean sits at
+    /// [`REWARD_CEILING`] is taken with no exploration draw: no other arm
+    /// can beat it, only tie it, so exploring would buy nothing for its
+    /// compute. Otherwise the band selects as its policy does. Policies
+    /// without reward means (gradient bandits) always select.
+    fn choose_arm(&mut self, ratio: f64) -> ArmChoice {
+        let (greedy, _) = self.bands.greedy(ratio, Some(&self.mask));
+        let policy = self.bands.policy_for(ratio);
+        let greedy_mean = policy.reward_means().map(|m| m[greedy]);
+        let arm = if greedy_mean == Some(REWARD_CEILING) && policy.pulls()[greedy] > 0 {
+            greedy
+        } else {
+            self.bands.select(ratio, Some(&self.mask), &mut self.rng)
+        };
+        ArmChoice {
+            arm,
+            greedy,
+            greedy_mean,
+        }
+    }
+
     /// Compress fresh points (or re-compress a decoded segment) to `ratio`
     /// using the band owning that ratio.
     pub fn compress_to_ratio(
@@ -691,14 +731,14 @@ impl BandedLossySelector {
         data: &[f64],
         ratio: f64,
     ) -> Result<Selection> {
-        let mut mask = feasibility_mask(reg, &self.arms, data.len(), ratio);
+        feasibility_mask(reg, &self.arms, data.len(), ratio, &mut self.mask);
         for _ in 0..self.arms.len() {
-            if mask.iter().all(|&m| !m) {
+            if self.mask.iter().all(|&m| !m) {
                 return Err(AdaEdgeError::NoFeasibleArm {
                     target_ratio: ratio,
                 });
             }
-            let arm = self.bands.select(ratio, Some(&mask), &mut self.rng);
+            let arm = self.choose_arm(ratio).arm;
             match lossy_attempt(
                 reg,
                 self.arms[arm],
@@ -719,7 +759,7 @@ impl BandedLossySelector {
                 }
                 Err(CodecError::RatioUnreachable { .. }) => {
                     self.bands.update(ratio, arm, 0.0);
-                    mask[arm] = false;
+                    self.mask[arm] = false;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -752,10 +792,14 @@ impl BandedLossySelector {
     /// Recoding is destructive, so exploration is *safe*: a non-greedy
     /// pull is still compressed and scored (the MAB learns from it), but
     /// when its measured reward falls materially below the band's greedy
-    /// estimate the greedy arm's result is committed instead. Exploration
-    /// then costs compute, not permanent accuracy — the paper frames
-    /// exploration overhead as recoverable (§V-C), which a committed bad
-    /// lossy block would not be.
+    /// reward mean the greedy arm is also run and whichever measured
+    /// better is committed. Exploration then costs compute, not permanent
+    /// accuracy — the paper frames exploration overhead as recoverable
+    /// (§V-C), which a committed bad lossy block would not be. A band
+    /// without reward means (a gradient bandit's preferences are not
+    /// rewards) always runs the greedy arm after a non-greedy pull. A band
+    /// whose pulled greedy arm has a reward mean at the ceiling of 1.0 does
+    /// not explore at all, here or in [`Self::compress_to_ratio`].
     ///
     /// Per-attempt rewards are accumulated locally and flushed through
     /// [`Self::report_batch`] on exit (identical MAB state: every deferred
@@ -768,9 +812,11 @@ impl BandedLossySelector {
         original_hint: Option<&[f64]>,
         ratio: f64,
     ) -> Result<Selection> {
-        let mut updates: Vec<(usize, f64)> = Vec::new();
+        let mut updates = std::mem::take(&mut self.updates);
+        updates.clear();
         let result = self.recode_inner(reg, block, original_hint, ratio, &mut updates);
         self.report_batch(ratio, &updates);
+        self.updates = updates;
         result
     }
 
@@ -784,12 +830,12 @@ impl BandedLossySelector {
         ratio: f64,
         updates: &mut Vec<(usize, f64)>,
     ) -> Result<Selection> {
-        /// Reward shortfall (vs the greedy estimate) beyond which an
+        /// Reward shortfall (vs the greedy reward mean) beyond which an
         /// explored recode result is not committed.
         const SAFE_MARGIN: f64 = 0.005;
 
         let n = block.n_points as usize;
-        let mut mask = feasibility_mask(reg, &self.arms, n, ratio);
+        feasibility_mask(reg, &self.arms, n, ratio, &mut self.mask);
         // Whether `self.victim` holds this call's decode of `block`.
         let mut decoded = false;
 
@@ -863,20 +909,25 @@ impl BandedLossySelector {
         }
 
         for _ in 0..self.arms.len() {
-            if mask.iter().all(|&m| !m) {
+            if self.mask.iter().all(|&m| !m) {
                 return Err(AdaEdgeError::NoFeasibleArm {
                     target_ratio: ratio,
                 });
             }
-            let (greedy_arm, greedy_est) = self.bands.greedy(ratio, Some(&mask));
-            let arm = self.bands.select(ratio, Some(&mask), &mut self.rng);
+            let ArmChoice {
+                arm,
+                greedy: greedy_arm,
+                greedy_mean,
+            } = self.choose_arm(ratio);
             match attempt_arm!(arm)? {
                 Some((new_block, seconds, reward)) => {
-                    if arm != greedy_arm && reward + SAFE_MARGIN < greedy_est {
-                        // The probe was informative but poor: also run the
-                        // greedy arm and commit whichever *measured* better
-                        // (the greedy estimate itself may rest on a lucky
-                        // early pull).
+                    let poor = greedy_mean.is_none_or(|mean| reward + SAFE_MARGIN < mean);
+                    if arm != greedy_arm && poor {
+                        // The probe was informative but poor (or cannot be
+                        // told poor from a mean): also run the greedy arm
+                        // and commit whichever *measured* better (the
+                        // greedy mean itself may rest on a lucky early
+                        // pull).
                         if let Some((g_block, g_seconds, g_reward)) = attempt_arm!(greedy_arm)? {
                             if g_reward >= reward {
                                 return Ok(Selection {
@@ -896,7 +947,7 @@ impl BandedLossySelector {
                     });
                 }
                 None => {
-                    mask[arm] = false;
+                    self.mask[arm] = false;
                 }
             }
         }
@@ -1060,7 +1111,14 @@ mod tests {
     #[test]
     fn buff_lossy_masked_below_floor() {
         let reg = reg();
-        let mask = feasibility_mask(&reg, &CodecRegistry::lossy_candidates(), 1000, 0.05);
+        let mut mask = Vec::new();
+        feasibility_mask(
+            &reg,
+            &CodecRegistry::lossy_candidates(),
+            1000,
+            0.05,
+            &mut mask,
+        );
         // PAA, PLA, FFT, BUFF-lossy, RRD — BUFF-lossy (index 3) infeasible.
         assert_eq!(mask, vec![true, true, true, false, true]);
     }
@@ -1155,6 +1213,145 @@ mod tests {
                 "{codec}"
             );
         }
+    }
+
+    /// A banded selector over every lossy arm (PAA is arm 0) for `kind`.
+    fn banded(kind: AggKind, config: SelectorConfig) -> BandedLossySelector {
+        let evaluator = RewardEvaluator::new(OptimizationTarget::agg(kind), None, 0);
+        BandedLossySelector::new(CodecRegistry::lossy_candidates(), config, evaluator)
+    }
+
+    /// Per-arm pulls of the band owning `ratio`.
+    fn band_pulls(sel: &mut BandedLossySelector, ratio: f64) -> Vec<u64> {
+        sel.bands.policy_for(ratio).pulls().to_vec()
+    }
+
+    #[test]
+    fn a_greedy_arm_at_the_reward_ceiling_is_taken_without_exploring() {
+        let reg = reg();
+        let data = smooth(1000);
+        let victim = reg.get(CodecId::Gzip).compress(&data).unwrap();
+        // ε = 1: every select would explore.
+        let mut sel = banded(
+            AggKind::Sum,
+            SelectorConfig {
+                epsilon: 1.0,
+                seed: 9,
+                ..Default::default()
+            },
+        );
+        // PAA has scored the ceiling in the 0.1 band.
+        sel.bands.update(0.1, 0, 1.0);
+        let before = band_pulls(&mut sel, 0.1);
+        for _ in 0..20 {
+            let s = sel.compress_to_ratio(&reg, &data, 0.1).unwrap();
+            assert_eq!((s.codec, s.reward), (CodecId::Paa, 1.0));
+            let s = sel.recode(&reg, &victim, Some(&data), 0.1).unwrap();
+            assert_eq!((s.codec, s.reward), (CodecId::Paa, 1.0));
+        }
+        let after = band_pulls(&mut sel, 0.1);
+        assert_eq!(after[0], before[0] + 40);
+        assert_eq!(after[1..], before[1..], "another arm was pulled");
+    }
+
+    #[test]
+    fn an_unpulled_arm_at_the_optimistic_ceiling_does_not_stop_exploring() {
+        // A fresh band holds every arm at the optimistic 1.0, PAA (arm 0)
+        // greedy among them; with ε = 1 the first pick is a uniform draw.
+        let reg = reg();
+        let data = smooth(1000);
+        let mut picked = std::collections::BTreeSet::new();
+        for seed in 0..16 {
+            let config = SelectorConfig {
+                epsilon: 1.0,
+                seed,
+                ..Default::default()
+            };
+            let mut sel = banded(AggKind::Sum, config);
+            picked.insert(sel.compress_to_ratio(&reg, &data, 0.1).unwrap().codec);
+        }
+        assert!(picked.len() > 1, "only {picked:?} picked");
+    }
+
+    #[test]
+    fn below_the_ceiling_the_band_selects_as_its_policy_does() {
+        // Under MAX no arm keeps the maximum exactly, so every band stays
+        // below the ceiling: each pick must equal a twin band's select on
+        // the same RNG stream, fed the same rewards.
+        let reg = reg();
+        let data = smooth(1000);
+        let config = SelectorConfig {
+            epsilon: 0.5,
+            seed: 4,
+            ..Default::default()
+        };
+        let mut sel = banded(AggKind::Max, config);
+        let n = sel.arms.len();
+        let mut twin = BandedBandits::new(default_band_edges(), move || config.build_mab(n));
+        let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(2));
+        let mut mask = Vec::new();
+        feasibility_mask(&reg, &sel.arms, data.len(), 0.1, &mut mask);
+        let mut picked = std::collections::BTreeSet::new();
+        for _ in 0..60 {
+            let s = sel.compress_to_ratio(&reg, &data, 0.1).unwrap();
+            assert!(s.reward < REWARD_CEILING, "{}: {}", s.codec, s.reward);
+            let arm = twin.select(0.1, Some(&mask), &mut rng);
+            assert_eq!(s.codec, sel.arms[arm]);
+            twin.update(0.1, arm, s.reward);
+            picked.insert(s.codec);
+        }
+        assert!(picked.len() > 2, "only {picked:?} picked");
+    }
+
+    #[test]
+    fn a_gradient_band_at_the_reward_ceiling_still_explores() {
+        // A gradient bandit's estimates are preferences, not reward means,
+        // so PAA scoring the ceiling must not stop its exploration.
+        let reg = reg();
+        let data = smooth(1000);
+        let mut sel = banded(
+            AggKind::Sum,
+            SelectorConfig {
+                algorithm: BanditAlgorithm::Gradient { alpha: 0.1 },
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        sel.bands.update(0.1, 0, 1.0);
+        for _ in 0..40 {
+            sel.compress_to_ratio(&reg, &data, 0.1).unwrap();
+        }
+        let pulls = band_pulls(&mut sel, 0.1);
+        assert!(pulls[1..].iter().sum::<u64>() > 0, "{pulls:?}");
+    }
+
+    #[test]
+    fn a_gradient_band_commits_the_better_measured_recode() {
+        // With no reward mean to judge a probe by, a non-greedy recode
+        // also runs the greedy arm and commits the better measured result:
+        // PAA keeps the sum exactly, so nothing below the ceiling may be
+        // committed however often the band explores.
+        let reg = reg();
+        let data = smooth(1000);
+        let victim = reg.get(CodecId::Gzip).compress(&data).unwrap();
+        let mut sel = banded(
+            AggKind::Sum,
+            SelectorConfig {
+                algorithm: BanditAlgorithm::Gradient { alpha: 0.1 },
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        sel.bands.update(0.1, 0, 1.0);
+        let recodes = 40;
+        for _ in 0..recodes {
+            let s = sel.recode(&reg, &victim, Some(&data), 0.1).unwrap();
+            assert_eq!(s.reward, 1.0, "{} committed", s.codec);
+        }
+        let pulls = band_pulls(&mut sel, 0.1);
+        // The seeding pull, one per recode, and a greedy rerun after each
+        // probe that explored.
+        assert!(pulls.iter().sum::<u64>() > 1 + recodes, "{pulls:?}");
     }
 
     #[test]

@@ -9,6 +9,10 @@ use adaedge_bandit::Normalizer;
 use adaedge_codecs::{direct_agg, CodecError, CodecRegistry, CodecScratch, CompressedBlock};
 use adaedge_ml::{metrics, Model};
 
+/// The highest reward [`RewardEvaluator`] gives: every reward is clamped
+/// to `[0, REWARD_CEILING]`, so an arm scoring it can only be tied.
+pub(crate) const REWARD_CEILING: f64 = 1.0;
+
 /// One component of an optimization target.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TargetComponent {
@@ -303,7 +307,7 @@ impl RewardEvaluator {
             };
             reward += w * value;
         }
-        Ok(reward.clamp(0.0, 1.0))
+        Ok(reward.clamp(0.0, REWARD_CEILING))
     }
 }
 

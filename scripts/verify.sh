@@ -81,6 +81,9 @@ cargo test --release -q -p adaedge-core --test frame_packer_props
 echo "==> offline cascade smoke (fig12: OfflineAdaEdge and FixedPairOffline side by side, release)"
 cargo run --release -q -p adaedge-bench --bin fig12_offline_kmeans
 
+echo "==> offline cascade rendering smoke (fig04: store snapshots, release)"
+cargo run --release -q -p adaedge-bench --bin fig04_cascade
+
 echo "==> engine throughput smoke (--quick)"
 cargo run --release -q -p adaedge-bench --bin engine_throughput -- --quick
 
