@@ -35,5 +35,5 @@ pub use banded::{default_band_edges, BandedBandits};
 pub use egreedy::EpsilonGreedy;
 pub use gradient::GradientBandit;
 pub use normalize::Normalizer;
-pub use policy::{Policy, StepSize};
+pub use policy::{masked_argmax, Policy, StepSize};
 pub use ucb::Ucb;

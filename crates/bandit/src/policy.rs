@@ -145,7 +145,10 @@ impl Policy for Box<dyn Policy> {
 }
 
 /// Argmax over enabled arms, ties broken by lowest index (deterministic).
-pub(crate) fn masked_argmax(values: &[f64], mask: Option<&[bool]>) -> usize {
+/// This is how the estimate-based policies exploit, so a caller that needs
+/// their greedy arm without a draw agrees with them. Panics when `mask`
+/// enables no arm.
+pub fn masked_argmax(values: &[f64], mask: Option<&[bool]>) -> usize {
     let enabled = |i: usize| mask.is_none_or(|m| m[i]);
     let mut best: Option<usize> = None;
     for i in 0..values.len() {

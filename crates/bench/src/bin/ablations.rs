@@ -16,7 +16,7 @@
 use adaedge_bench::{frozen_model, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_core::{
-    AggKind, BanditAlgorithm, LosslessSelector, LossySelector, OfflineAdaEdge, OfflineConfig,
+    AggKind, BandedLossySelector, BanditAlgorithm, LosslessSelector, OfflineAdaEdge, OfflineConfig,
     OptimizationTarget, PolicyKind, RewardEvaluator, SelectorConfig,
 };
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
@@ -156,7 +156,7 @@ fn main() {
     println!("\nAblation 4: bandit algorithm on online lossy selection (SUM target, R = 0.1)");
     println!(
         "{:>14} {:>18} {:>14}",
-        "algorithm", "mean reward", "best arm"
+        "algorithm", "mean reward", "most committed"
     );
     let mut src = CbfStream::new(CbfConfig::default(), SEGMENT_LEN);
     let segments: Vec<Vec<f64>> = (0..120).map(|_| src.next_segment()).collect();
@@ -166,7 +166,7 @@ fn main() {
         ("gradient a=0.2", BanditAlgorithm::Gradient { alpha: 0.2 }),
     ] {
         let evaluator = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Sum), None, 0);
-        let mut sel = LossySelector::new(
+        let mut sel = BandedLossySelector::new(
             CodecRegistry::lossy_candidates(),
             SelectorConfig {
                 algorithm,
@@ -176,26 +176,25 @@ fn main() {
             },
             evaluator,
         );
-        let mut rewards = Vec::new();
-        for seg in &segments {
-            rewards.push(
-                sel.compress_to_ratio(&reg, seg, 0.1)
-                    .expect("feasible")
-                    .reward,
-            );
+        let picks: Vec<_> = segments
+            .iter()
+            .map(|seg| sel.compress_to_ratio(&reg, seg, 0.1).expect("feasible"))
+            .collect();
+        let tail = &picks[40..];
+        let mean_r: f64 = tail.iter().map(|s| s.reward).sum::<f64>() / tail.len() as f64;
+        // The arm committed most often over the tail (ties to the first
+        // codec in `CodecId` order).
+        let mut counts = std::collections::BTreeMap::new();
+        for s in tail {
+            *counts.entry(s.codec).or_insert(0usize) += 1;
         }
-        let tail = &rewards[40..];
-        let mean_r: f64 = tail.iter().sum::<f64>() / tail.len() as f64;
-        // Report the best-estimated arm among those actually pulled
-        // (unpulled arms keep their optimistic initial estimates).
-        let est = sel.estimates().to_vec();
-        let pulls = sel.pulls().to_vec();
-        let arms = sel.arms().to_vec();
-        let best = arms[(0..est.len())
-            .filter(|&i| pulls[i] > 0)
-            .max_by(|&a, &b| est[a].partial_cmp(&est[b]).unwrap())
-            .unwrap()];
-        println!("{name:>14} {mean_r:>18.6} {:>14}", best.name());
+        let top = counts
+            .iter()
+            .rev()
+            .max_by_key(|&(_, &n)| n)
+            .map(|(codec, _)| codec.name())
+            .expect("non-empty tail");
+        println!("{name:>14} {mean_r:>18.6} {top:>14}");
     }
     println!(
         "expected: all three converge on the SUM-optimal arms (PAA/FFT); \

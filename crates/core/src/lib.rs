@@ -49,8 +49,8 @@ pub use offline::{IngestReport, OfflineAdaEdge, OfflineConfig, PolicyKind};
 pub use online::{OnlineAdaEdge, OnlineConfig, OnlineOutcome, OnlineStats, Path};
 pub use query::AggKind;
 pub use selector::{
-    BandedLossySelector, BanditAlgorithm, LosslessSelector, LossySelector, Selection,
-    SelectorConfig, ELEVATED_EXPLORE_SCALE,
+    BandedLossySelector, BanditAlgorithm, LosslessSelector, Selection, SelectorConfig,
+    ELEVATED_EXPLORE_SCALE,
 };
 pub use shard::{resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable};
 pub use spooling::{

@@ -4,11 +4,12 @@
 //! The target ratio `R = B/(64·I)` follows from the constraints. Lossless
 //! selection (size-rewarded MAB) runs first; once it becomes apparent that
 //! no lossless arm reaches `R`, a dedicated lossy MAB is spawned whose
-//! reward is the workload target, with every lossy arm tuned to `R`.
+//! reward is the workload target, with every lossy arm tuned to `R`: the
+//! band of a [`BandedLossySelector`] that owns `R`.
 
 use crate::constraints::Constraints;
 use crate::error::{AdaEdgeError, Result};
-use crate::selector::{LosslessSelector, LossySelector, Selection, SelectorConfig};
+use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
 use crate::targets::{OptimizationTarget, RewardEvaluator};
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_ml::Model;
@@ -90,9 +91,9 @@ pub struct OnlineAdaEdge {
     lossless: LosslessSelector,
     /// Reused compression arena for the lossless selector.
     scratch: CodecScratch,
-    /// The dedicated lossy MAB instance of §IV-C1. Constructed up front but
-    /// left untouched until lossless selection proves inadequate.
-    lossy: LossySelector,
+    /// The dedicated lossy MAB of §IV-C1: the band owning the target
+    /// ratio, created on the first lossy segment.
+    lossy: BandedLossySelector,
     /// Consecutive lossless misses before the pipeline commits to lossy.
     lossless_miss_budget: u32,
     misses: u32,
@@ -124,7 +125,7 @@ impl OnlineAdaEdge {
             target_ratio,
             lossless: LosslessSelector::new(config.lossless_arms, config.selector),
             scratch: CodecScratch::new(),
-            lossy: LossySelector::new(config.lossy_arms, config.selector, evaluator),
+            lossy: BandedLossySelector::new(config.lossy_arms, config.selector, evaluator),
             lossless_miss_budget: miss_budget,
             misses: 0,
             committed_lossy: false,
@@ -239,6 +240,40 @@ mod tests {
         // Once committed, everything goes lossy.
         let out = edge.process_segment(&data).unwrap();
         assert_eq!(out.path, Path::Lossy);
+    }
+
+    #[test]
+    fn lossy_segments_stay_on_paa_once_it_scores_the_ceiling() {
+        // No lossless arm reaches R = 0.05 on this data, and ε = 1 would
+        // explore on every draw. PAA keeps the sum exactly, so once it has
+        // scored 1.0 no other lossy arm can beat it and none is tried.
+        let mut config = config(0.05);
+        config.selector = SelectorConfig {
+            epsilon: 1.0,
+            seed: 5,
+            ..Default::default()
+        };
+        let mut edge = OnlineAdaEdge::new(config).unwrap();
+        let data = smooth(1000);
+        let mut paa_at_ceiling = None;
+        for seg in 0..60 {
+            let out = edge.process_segment(&data).unwrap();
+            if out.path != Path::Lossy {
+                continue;
+            }
+            let s = &out.selection;
+            if let Some(first) = paa_at_ceiling {
+                assert_eq!(
+                    s.codec,
+                    CodecId::Paa,
+                    "segment {seg} (PAA scored 1.0 at {first})"
+                );
+            } else if s.codec == CodecId::Paa && s.reward == 1.0 {
+                paa_at_ceiling = Some(seg);
+            }
+        }
+        let first = paa_at_ceiling.expect("PAA never scored 1.0");
+        assert!(first < 30, "PAA first scored 1.0 at segment {first}");
     }
 
     #[test]

@@ -84,6 +84,9 @@ cargo run --release -q -p adaedge-bench --bin fig12_offline_kmeans
 echo "==> offline cascade rendering smoke (fig04: store snapshots, release)"
 cargo run --release -q -p adaedge-bench --bin fig04_cascade
 
+echo "==> ablations smoke (online lossy selection under UCB and gradient policies, release)"
+cargo run --release -q -p adaedge-bench --bin ablations
+
 echo "==> engine throughput smoke (--quick)"
 cargo run --release -q -p adaedge-bench --bin engine_throughput -- --quick
 
