@@ -1,14 +1,18 @@
 //! Property tests pinning the LZ77 tokenizer, the DEFLATE emitter, the
-//! snappy emitter and the Huffman length builder to frozen reference copies.
+//! snappy emitter, the Huffman length builder and the Sprintz encoder to
+//! frozen reference copies.
 //!
 //! The references below are the straightforward encoders the fast ones
 //! replaced: an `Option`-returning chain matcher that restarts every lazy
 //! peek from scratch, a two-pass emitter that binary-searches the length and
 //! distance tables and writes every field separately, and a Huffman builder
-//! that orders leaves with comparison sorts. They are kept here, and only
-//! here, so every encoder change is checked byte for byte against them:
-//! tokens for `LzConfig::fast()` and every effort level, whole payloads for
-//! DEFLATE and snappy, and code lengths for arbitrary frequency tables.
+//! that orders leaves with comparison sorts, and a Sprintz encoder that
+//! runs quantize, delta, zigzag, the per-block OR-fold and the bit writes
+//! as separate passes. They are kept here, and only here, so every encoder
+//! change is checked byte for byte against them: tokens for
+//! `LzConfig::fast()` and every effort level, whole payloads for DEFLATE,
+//! snappy and Sprintz (and Sprintz's errors), and code lengths for
+//! arbitrary frequency tables.
 //!
 //! The fast matcher extends matches through `match_len`, which dispatches
 //! per SIMD backend; run this suite under `ADAEDGE_SIMD=scalar` and
@@ -18,6 +22,8 @@ use adaedge_codecs::deflate::deflate_bytes_into;
 use adaedge_codecs::huffman::{code_lengths_into, HuffScratch, HuffWork};
 use adaedge_codecs::lz::{lz77_tokens_into, LzConfig, LzScratch};
 use adaedge_codecs::snappy::snappy_compress_bytes_into;
+use adaedge_codecs::sprintz::Sprintz;
+use adaedge_codecs::{Codec, CodecScratch};
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource, SineStream};
 use proptest::prelude::*;
 
@@ -453,6 +459,72 @@ mod reference {
     }
 }
 
+/// The frozen Sprintz reference: quantize the whole segment (64-point
+/// validation chunks, then `f64::round`), zigzag the wrapping deltas, and
+/// write each 128-delta block as an 8-bit width (the OR-folded deltas'
+/// bit length) followed by one `write_bits` per delta.
+mod sprintz_reference {
+    use adaedge_codecs::bitio::BitWriter;
+    use adaedge_codecs::CodecError;
+
+    const POW10: [f64; 13] = [
+        1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    ];
+
+    /// The exclusive bound on a scaled magnitude.
+    pub const LIMIT: f64 = 4.5e15;
+
+    fn quantize(data: &[f64], scale: f64) -> Result<Vec<i64>, CodecError> {
+        let mut q = Vec::with_capacity(data.len());
+        for chunk in data.chunks(64) {
+            let finite = chunk.iter().all(|v| v.is_finite());
+            let max_abs = chunk
+                .iter()
+                .map(|v| (v * scale).abs())
+                .fold(0.0f64, |m, a| if a > m { a } else { m });
+            if !finite {
+                return Err(CodecError::UnsupportedValue("non-finite float"));
+            }
+            if max_abs >= LIMIT {
+                return Err(CodecError::UnsupportedValue(
+                    "magnitude overflows fixed-point range at this precision",
+                ));
+            }
+            q.extend(chunk.iter().map(|v| (v * scale).round() as i64));
+        }
+        Ok(q)
+    }
+
+    pub fn compress(data: &[f64], precision: u8) -> Result<Vec<u8>, CodecError> {
+        if data.is_empty() {
+            return Err(CodecError::EmptyInput);
+        }
+        let scale = *POW10
+            .get(precision as usize)
+            .ok_or(CodecError::InvalidParameter("precision must be <= 12"))?;
+        let q = quantize(data, scale)?;
+        let deltas: Vec<u64> = q
+            .windows(2)
+            .map(|w| {
+                let d = w[1].wrapping_sub(w[0]);
+                ((d << 1) ^ (d >> 63)) as u64
+            })
+            .collect();
+        let mut w = BitWriter::new();
+        w.write_bits(precision as u64, 8);
+        w.write_bits(q[0] as u64, 64);
+        for block in deltas.chunks(128) {
+            let folded = block.iter().fold(0u64, |acc, &d| acc | d);
+            let width = 64 - folded.leading_zeros();
+            w.write_bits(width as u64, 8);
+            for &d in block {
+                w.write_bits(d, width);
+            }
+        }
+        Ok(w.finish())
+    }
+}
+
 /// Every configuration the codecs use or expose: snappy's greedy depth-1
 /// search and the whole effort ladder.
 fn configs() -> Vec<LzConfig> {
@@ -696,4 +768,187 @@ fn code_lengths_match_reference_on_edge_tables() {
         padded[i * 4] = *f;
     }
     check(&padded);
+}
+
+/// The input nearest `target / scale` (a few ulps either side) whose
+/// product with `scale` is exactly `target`, if there is one.
+fn scaled_to(target: f64, scale: f64) -> Option<f64> {
+    let mut lo = target / scale;
+    let mut hi = lo;
+    for _ in 0..8 {
+        for v in [lo, hi] {
+            if v * scale == target {
+                return Some(v);
+            }
+        }
+        lo = lo.next_down();
+        hi = hi.next_up();
+    }
+    None
+}
+
+/// `len` Sprintz input points at `precision`, shaped by `family`, with
+/// `faults` non-finite or out-of-range points planted at random places.
+fn sprintz_input(family: usize, seed: u64, len: usize, precision: u8, faults: usize) -> Vec<f64> {
+    let scale = 10f64.powi(precision as i32);
+    let mut rng = XorShift(seed | 1);
+    let limit = sprintz_reference::LIMIT;
+    let mut level = 0i64;
+    let mut step_bits = 1;
+    let mut data: Vec<f64> = (0..len)
+        .map(|i| {
+            match family {
+                // A random walk whose step width changes every few dozen
+                // points, so block widths span 0..~40 bits.
+                0 => {
+                    if i % 40 == 0 {
+                        step_bits = rng.below(41) as u32;
+                    }
+                    let step = (rng.next() >> (64 - step_bits.max(1))) as i64;
+                    let step = if step_bits == 0 { 0 } else { step };
+                    level = (level + if rng.below(2) == 0 { step } else { -step })
+                        .clamp(-(1 << 50), 1 << 50);
+                    (level as f64 + (rng.next() >> 11) as f64 / (1u64 << 53) as f64) / scale
+                }
+                // Arbitrary magnitudes up to the range edge: widths up to
+                // the 54 bits a delta across the whole range takes.
+                1 => {
+                    let mag = (rng.next() % (limit as u64 - 1)) >> rng.below(53);
+                    let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                    sign * mag as f64 / scale
+                }
+                // Exact `k + 0.5` ties, rounded half away from zero.
+                2 => {
+                    level += rng.below(7) as i64 - 3;
+                    let t = level as f64 + 0.5;
+                    scaled_to(t, scale).unwrap_or(t / scale)
+                }
+                // Runs of one value: zero-width blocks and single jumps.
+                3 => {
+                    if rng.below(150) == 0 {
+                        level = rng.below(1 << 20) as i64 - (1 << 19);
+                    }
+                    level as f64 / scale
+                }
+                // Arbitrary bits: mostly rejected inputs.
+                _ => f64::from_bits(rng.next()),
+            }
+        })
+        .collect();
+    for _ in 0..faults {
+        if data.is_empty() {
+            break;
+        }
+        let at = rng.below(data.len() as u64) as usize;
+        data[at] = match rng.below(5) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            // Just at or past the range edge.
+            3 => {
+                let v = limit / scale;
+                if rng.below(2) == 0 {
+                    v
+                } else {
+                    -v.next_up()
+                }
+            }
+            _ => 1e300,
+        };
+    }
+    data
+}
+
+/// Check `Sprintz::compress_into` (through a reused scratch) and
+/// `Sprintz::compress` against the reference: equal payloads, or equal
+/// errors.
+fn check_sprintz(
+    data: &[f64],
+    precision: u8,
+    scratch: &mut CodecScratch,
+) -> Result<(), TestCaseError> {
+    let want = sprintz_reference::compress(data, precision);
+    let codec = Sprintz::new(precision);
+    let got = codec
+        .compress_into(data, scratch)
+        .map(|b| b.payload.to_vec());
+    prop_assert!(
+        got == want,
+        "sprintz diverges at precision {precision} on {} points: {:?} vs {:?}",
+        data.len(),
+        got.as_ref().map(Vec::len),
+        want.as_ref().map(Vec::len)
+    );
+    let fresh = codec.compress(data).map(|b| b.payload);
+    prop_assert!(fresh == want, "sprintz compress diverges");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sprintz_matches_reference(
+        family in 0usize..5,
+        precision in 0u8..=12,
+        seed in any::<u64>(),
+        len in 1usize..1200,
+        faults in 0usize..8,
+    ) {
+        // Half the cases are clean; the rest plant one to three faults.
+        let faults = faults.saturating_sub(4);
+        let data = sprintz_input(family, seed, len, precision, faults);
+        check_sprintz(&data, precision, &mut CodecScratch::new())?;
+    }
+}
+
+#[test]
+fn sprintz_matches_reference_around_block_and_chunk_edges() {
+    // One scratch across every case, so stale buffers are exercised too.
+    let mut scratch = CodecScratch::new();
+    for len in [
+        1, 2, 3, 63, 64, 65, 127, 128, 129, 130, 191, 192, 193, 255, 256, 257, 258, 1000, 1025,
+    ] {
+        for family in 0..4 {
+            for precision in [0, 4, 12] {
+                let data =
+                    sprintz_input(family, len as u64 * 31 + family as u64, len, precision, 0);
+                check_sprintz(&data, precision, &mut scratch).unwrap();
+                // A fault in every position class: first point, the last
+                // point of a 64-point chunk, the first of the next, and the
+                // last point of the segment; a non-finite point and an
+                // overflow in the same chunk and in different chunks.
+                for at in [0, 63, 64, 127, 128, len - 1] {
+                    if at >= len {
+                        continue;
+                    }
+                    for bad in [f64::NAN, f64::NEG_INFINITY, 1e300] {
+                        let mut faulty = data.clone();
+                        faulty[at] = bad;
+                        check_sprintz(&faulty, precision, &mut scratch).unwrap();
+                        if at + 1 < len {
+                            faulty[len - 1] = if bad.is_finite() { f64::NAN } else { -1e300 };
+                            check_sprintz(&faulty, precision, &mut scratch).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Empty input and an unsupported precision are errors too.
+    check_sprintz(&[], 4, &mut scratch).unwrap();
+    check_sprintz(&[1.0, 2.0], 13, &mut scratch).unwrap();
+}
+
+#[test]
+fn online_segments_match_sprintz_reference() {
+    let mut scratch = CodecScratch::new();
+    let mut sine = SineStream::new(1000, 0.1, 4, 7);
+    for _ in 0..16 {
+        check_sprintz(&sine.next_segment(), 4, &mut scratch).unwrap();
+    }
+    let mut cbf = CbfStream::new(CbfConfig::default(), 1000);
+    for _ in 0..16 {
+        check_sprintz(&cbf.next_segment(), 4, &mut scratch).unwrap();
+    }
 }
