@@ -6,16 +6,29 @@
 //! what the engine actually moves (segment payloads of a few KB).
 //! `pack_run`/`unpack_run` are benched at widths 7 and 12 — inside the
 //! AVX2 fast-path range and typical of Sprintz delta lanes; `quantize`
-//! is timed on the same precision-4 segment the transforms use. The FFT
+//! and Sprintz's fused `quantize_deltas` pass are timed on the same
+//! precision-4 segment the transforms use. The FFT
 //! rows time whole forward and inverse transforms with their butterflies
 //! and Bluestein products on each tier, at n = 1000 (Bluestein, the
 //! offline segment) and 1024, and the two kernels alone at the 2048
 //! entries of the n = 1000 work buffer: every butterfly stage
-//! (`fft_stages`) and the filter product (`fft_pointwise`).
+//! (`fft_stages`) and the filter product (`fft_pointwise`). The encoder
+//! rows time gzip, snappy and Sprintz `compress_into` on one segment of
+//! the `online` workload's shape (1000 sine points at precision 4) on the
+//! detected backend, and the DEFLATE code-length build
+//! (`huffman::code_lengths_into`) on that segment's two symbol tables.
 
+use adaedge_codecs::bitio::zigzag_encode;
+use adaedge_codecs::deflate::Deflate;
 use adaedge_codecs::fft::{self, Complex, Pointwise};
+use adaedge_codecs::huffman::{code_lengths_into, HuffWork};
+use adaedge_codecs::lz::{lz77_tokens_into, LzConfig, LzScratch, Token};
 use adaedge_codecs::simd;
-use adaedge_codecs::util::quantize_into;
+use adaedge_codecs::snappy::Snappy;
+use adaedge_codecs::sprintz::Sprintz;
+use adaedge_codecs::util::{f64s_to_bytes, quantize_into};
+use adaedge_codecs::{Codec, CodecScratch};
+use adaedge_datasets::{SegmentSource, SineStream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
@@ -133,21 +146,18 @@ fn bench_transforms(c: &mut Criterion) {
     let mut group = quick(c);
     group.throughput(Throughput::Bytes((N_POINTS * 8) as u64));
     let q = quantized(N_POINTS);
-    let zs = {
-        let mut zs = vec![0u64; q.len() - 1];
-        simd::Backend::Swar.delta_zigzag(&q, &mut zs);
-        zs
-    };
+    let zs: Vec<u64> = q
+        .windows(2)
+        .map(|w| zigzag_encode(w[1].wrapping_sub(w[0])))
+        .collect();
+    let points = smooth_points(N_POINTS);
     for &backend in simd::supported() {
         group.bench_with_input(
-            BenchmarkId::new("delta_zigzag", backend.name()),
-            &q,
-            |b, q| {
-                let mut out = vec![0u64; q.len() - 1];
-                b.iter(|| {
-                    backend.delta_zigzag(q, &mut out);
-                    black_box(out.last().copied())
-                })
+            BenchmarkId::new("quantize_deltas", backend.name()),
+            &points,
+            |b, points| {
+                let mut lane = vec![0u64; points.len()];
+                b.iter(|| black_box(backend.quantize_deltas(points, 1e4, 0, &mut lane)))
             },
         );
         group.bench_with_input(
@@ -263,6 +273,91 @@ fn bench_fft(c: &mut Criterion) {
     group.finish();
 }
 
+/// One segment of the `online` workload's shape: 1000 `SineStream` points
+/// at precision 4 with noise 0.1.
+fn online_segment() -> Vec<f64> {
+    SineStream::new(N_POINTS, 0.1, 4, 1).next_segment()
+}
+
+/// The DEFLATE literal/length and distance symbol counts of one online
+/// segment at zlib-6 (the tables its Huffman code lengths are built from).
+fn online_symbol_tables() -> (Vec<u64>, Vec<u64>) {
+    // DEFLATE's length and distance code bases.
+    const LEN_BASE: [usize; 29] = [
+        3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115,
+        131, 163, 195, 227, 258,
+    ];
+    const DIST_BASE: [usize; 30] = [
+        1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537,
+        2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577,
+    ];
+    let code = |bases: &[usize], v: usize| bases.partition_point(|&b| b <= v) - 1;
+    let mut lz = LzScratch::default();
+    lz77_tokens_into(
+        &f64s_to_bytes(&online_segment()),
+        LzConfig::level(6),
+        &mut lz,
+    );
+    let (mut lit, mut dist) = (vec![0u64; 286], vec![0u64; 30]);
+    for t in &lz.tokens {
+        match *t {
+            Token::Literal(b) => lit[b as usize] += 1,
+            Token::Match { len, dist: d } => {
+                lit[257 + code(&LEN_BASE, len as usize)] += 1;
+                dist[code(&DIST_BASE, d as usize)] += 1;
+            }
+        }
+    }
+    lit[256] += 1;
+    (lit, dist)
+}
+
+/// The byte codecs' encoders on the online segment shape, as the engine
+/// calls them (`Codec::compress_into` with one reused scratch), and the
+/// DEFLATE code-length build on that segment's tables. These encoders run
+/// on the detected backend only.
+fn bench_encoders(c: &mut Criterion) {
+    let mut group = quick(c);
+    group.throughput(Throughput::Bytes((N_POINTS * 8) as u64));
+    let data = online_segment();
+    let codecs: [(&str, Box<dyn Codec>); 3] = [
+        ("gzip", Box::new(Deflate::gzip())),
+        ("snappy", Box::new(Snappy)),
+        ("sprintz", Box::new(Sprintz::new(4))),
+    ];
+    for (name, codec) in &codecs {
+        group.bench_with_input(
+            BenchmarkId::new("compress_into_online", *name),
+            &data,
+            |b, data| {
+                let mut scratch = CodecScratch::new();
+                b.iter(|| {
+                    black_box(
+                        codec
+                            .compress_into(data, &mut scratch)
+                            .unwrap()
+                            .payload
+                            .len(),
+                    )
+                })
+            },
+        );
+    }
+    group.finish();
+    let mut group = quick(c);
+    let (lit, dist) = online_symbol_tables();
+    group.bench_function("huffman_code_lengths_online", |b| {
+        let (mut lens, mut work) = (Vec::new(), HuffWork::default());
+        b.iter(|| {
+            code_lengths_into(&lit, &mut lens, &mut work);
+            let n = lens.len();
+            code_lengths_into(&dist, &mut lens, &mut work);
+            black_box(n + lens.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_crc32c,
@@ -270,6 +365,7 @@ criterion_group!(
     bench_pack_unpack,
     bench_transforms,
     bench_quantize,
-    bench_fft
+    bench_fft,
+    bench_encoders
 );
 criterion_main!(benches);

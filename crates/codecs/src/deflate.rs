@@ -12,12 +12,21 @@
 //! zlib-6 and zlib-9 emit byte-identical payloads at the same cost; they
 //! part only on low-entropy input. `snappy` lives in [`crate::snappy`] and
 //! skips entropy coding entirely.
+//!
+//! Encoding is two passes. The matcher's sink stores each token as its
+//! packed symbols and extra-bit values and counts the symbols, so the
+//! length and distance code lookups happen once, when a match is found.
+//! After the two Huffman codes are built (see [`crate::huffman`]), the emit
+//! loop treats literals and matches alike — two table lookups and one
+//! write each — into an output sized in advance from the symbol counts, so
+//! the writer stores a whole word per token and never branches on a word
+//! filling up.
 
 // The inflate path handles untrusted payload bytes; surface every raw index
 // so each one carries an explicit bounds argument.
 #![warn(clippy::indexing_slicing)]
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::BitReader;
 use crate::block::{CodecId, CompressedBlock, CompressedBlockRef};
 use crate::error::{CodecError, Result};
 use crate::huffman::HuffScratch;
@@ -155,10 +164,21 @@ fn dist_sym(dist: usize) -> usize {
     DIST_SYM[if d < 256 { d } else { 256 + (d >> 7) }] as usize
 }
 
-/// Stores the matcher's tokens and counts their literal/length and
-/// distance symbols as they arrive, so no separate frequency pass runs.
-struct CountingSink<'a> {
-    tokens: &'a mut Vec<Token>,
+/// Distance symbol of a literal's packed token: one past the distance
+/// alphabet, where the emit table holds a zero-length entry.
+const NO_DIST: u32 = DIST_SYMS as u32;
+
+/// Stores the matcher's tokens as packed symbols and counts them as they
+/// arrive, so no separate frequency pass runs.
+///
+/// A packed token is `sym | dsym << 9 | lval << 14 | dval << 19`: the
+/// literal/length symbol (0..=285), the distance symbol (0..=29, or
+/// [`NO_DIST`] for a literal), and the length and distance extra-bit
+/// values (at most 5 and 13 bits). A literal is the byte with
+/// `dsym = NO_DIST` and zero extras, so the emit loop treats every token
+/// alike.
+struct SymbolSink<'a> {
+    syms: &'a mut Vec<u32>,
     lit_freq: &'a mut [u64],
     dist_freq: &'a mut [u64],
 }
@@ -166,31 +186,114 @@ struct CountingSink<'a> {
 // Symbols are alphabet-bounded by construction: bytes < 256, length codes
 // < 29 and distance codes < 30, against tables sized to the alphabets.
 #[allow(clippy::indexing_slicing)]
-impl TokenSink for CountingSink<'_> {
+impl TokenSink for SymbolSink<'_> {
     #[inline(always)]
     fn literal(&mut self, byte: u8) {
         self.lit_freq[byte as usize] += 1;
-        self.tokens.push(Token::Literal(byte));
+        self.syms.push(byte as u32 | NO_DIST << 9);
     }
 
     #[inline(always)]
-    fn copy(&mut self, len: usize, dist: usize) {
-        self.lit_freq[257 + LEN_SYM[len] as usize] += 1;
-        self.dist_freq[dist_sym(dist)] += 1;
-        self.tokens.push(Token::Match {
-            len: len as u16,
-            dist: dist as u16,
-        });
+    fn copy(&mut self, _at: usize, len: usize, dist: usize) {
+        let lcode = LEN_SYM[len] as usize;
+        let dsym = dist_sym(dist);
+        self.lit_freq[257 + lcode] += 1;
+        self.dist_freq[dsym] += 1;
+        let lval = len as u32 - LEN_TABLE[lcode].0 as u32;
+        let dval = dist as u32 - DIST_TABLE[dsym].0 as u32;
+        self.syms
+            .push((257 + lcode) as u32 | (dsym as u32) << 9 | lval << 14 | dval << 19);
+    }
+}
+
+/// Per-symbol emit entries: `(code << extra) << 5 | (len + extra)`, the
+/// Huffman code shifted over its extra bits and the total bit count, so a
+/// symbol and its extra value `v` are written as `entry >> 5 | v` in
+/// `entry & 31` bits. Unused symbols (and [`NO_DIST`]) are zero.
+// `extras[sym]` is indexed for `sym < packed.len() <= extras.len()`.
+#[allow(clippy::indexing_slicing)]
+fn emit_table(packed: &[u32], extras: &[u8], table: &mut [u64]) {
+    table.fill(0);
+    for (sym, (&pc, slot)) in packed.iter().zip(table.iter_mut()).enumerate() {
+        let extra = extras[sym] as u64;
+        let len = (pc & 31) as u64;
+        if len > 0 {
+            *slot = ((pc >> 5) as u64) << extra << 5 | (len + extra);
+        }
+    }
+}
+
+/// Extra-bit counts per literal/length symbol (0 for literals and EOB).
+// Evaluated at compile time: an out-of-range index fails the build.
+#[allow(clippy::indexing_slicing)]
+const LIT_EXTRA: [u8; LITLEN_SYMS] = {
+    let mut t = [0u8; LITLEN_SYMS];
+    let mut code = 0;
+    while code < LEN_TABLE.len() {
+        t[257 + code] = LEN_TABLE[code].1;
+        code += 1;
+    }
+    t
+};
+
+/// Extra-bit counts per distance symbol.
+// Evaluated at compile time: an out-of-range index fails the build.
+#[allow(clippy::indexing_slicing)]
+const DIST_EXTRA: [u8; DIST_SYMS] = {
+    let mut t = [0u8; DIST_SYMS];
+    let mut code = 0;
+    while code < DIST_SYMS {
+        t[code] = DIST_TABLE[code].1;
+        code += 1;
+    }
+    t
+};
+
+/// MSB-first bit writer over a buffer sized in advance to the exact
+/// output plus eight bytes of slack. Every [`put`](Self::put) stores the
+/// pending bits as one eight-byte word and advances past the bytes it
+/// completed, so a write costs the same whatever the bit position: no
+/// branch on a word filling up. The bits are kept right-aligned, so the
+/// writes chain through one shift and one or. The bytes past the cursor
+/// are overwritten or cut off by [`finish`](Self::finish).
+struct Emitter<'a> {
+    buf: &'a mut [u8],
+    /// Whole bytes written.
+    pos: usize,
+    /// The latest bits, right-aligned; the low `nacc` are still pending.
+    acc: u64,
+    /// Pending bits, fewer than eight between puts.
+    nacc: u32,
+}
+
+// `pos + 8 <= buf.len()` holds while the writes stay within the size the
+// buffer was cut to.
+#[allow(clippy::indexing_slicing)]
+impl Emitter<'_> {
+    /// Write the low `n` (1..=56) bits of `bits`, which has no higher bits
+    /// set.
+    #[inline(always)]
+    fn put(&mut self, bits: u64, n: u32) {
+        self.acc = self.acc << n | bits;
+        let pending = self.nacc + n;
+        let word = self.acc << (64 - pending);
+        self.buf[self.pos..self.pos + 8].copy_from_slice(&word.to_be_bytes());
+        self.pos += (pending / 8) as usize;
+        self.nacc = pending % 8;
+    }
+
+    /// Bytes written, counting a final partial byte (zero-padded).
+    fn finish(self) -> usize {
+        self.pos + usize::from(self.nacc > 0)
     }
 }
 
 /// Write code lengths: nibble 1..=15 is a length; nibble 0 is followed by an
 /// 8-bit (run−1) count of zero lengths.
-// Encode-side hot path: `i` and `n` are bounded by the loop conditions
+// Encode-side hot path: `i` and `run` are bounded by the loop conditions
 // directly above each index.
 #[allow(clippy::indexing_slicing)]
-fn write_lens(w: &mut BitWriter, lens: &[u32]) {
-    let mut nibbles = [0u64; 16];
+fn write_lens(w: &mut Emitter<'_>, lens: &[u32]) {
     let mut i = 0;
     while i < lens.len() {
         if lens[i] == 0 {
@@ -198,20 +301,11 @@ fn write_lens(w: &mut BitWriter, lens: &[u32]) {
             while i + run < lens.len() && lens[i + run] == 0 && run < 256 {
                 run += 1;
             }
-            w.write_bits(0, 4);
-            w.write_bits((run - 1) as u64, 8);
+            w.put((run - 1) as u64, 12);
             i += run;
         } else {
-            // Batch consecutive non-zero lengths through the bulk 4-bit kernel.
-            while i < lens.len() && lens[i] != 0 {
-                let mut n = 0;
-                while i < lens.len() && lens[i] != 0 && n < nibbles.len() {
-                    nibbles[n] = lens[i] as u64;
-                    n += 1;
-                    i += 1;
-                }
-                w.write_run(&nibbles[..n], 4);
-            }
+            w.put(lens[i] as u64, 4);
+            i += 1;
         }
     }
 }
@@ -250,13 +344,15 @@ pub fn deflate_bytes(data: &[u8], config: LzConfig) -> Vec<u8> {
 /// [`deflate_bytes`] into a reused output buffer, recycling the LZ77
 /// matcher tables, token buffer and Huffman state across calls.
 ///
-/// The matcher counts symbol frequencies while it tokenizes. Once the two
-/// Huffman codes are built, every literal is one packed-code lookup and one
-/// write, and every match is one write of length code, length extra bits,
-/// distance code and distance extra bits together (at most 48 bits). Every
-/// emitted symbol was counted, so it has a code: the loop needs no checks.
+/// The matcher hands each token to a sink that stores it as packed symbols
+/// and extra values (see `SymbolSink`) and counts the symbols, so the
+/// length and distance codes are looked up once, when the match is found.
+/// Once the two Huffman codes are built, every token — literal or match —
+/// is two emit-table lookups and one write of at most 48 bits, with no
+/// branch on its kind. Every emitted symbol was counted, so it has a code:
+/// the loop needs no checks.
 // Encode-side hot path over trusted tokens: every symbol is alphabet-bounded
-// by construction and the packed tables cover their whole alphabets.
+// by construction and the emit tables cover their whole alphabets.
 #[allow(clippy::indexing_slicing)]
 pub fn deflate_bytes_into(
     data: &[u8],
@@ -269,13 +365,13 @@ pub fn deflate_bytes_into(
     huff.lit_freq.resize(LITLEN_SYMS, 0);
     huff.dist_freq.clear();
     huff.dist_freq.resize(DIST_SYMS, 0);
-    lz.tokens.clear();
-    lz.tokens.reserve(data.len() / 2 + 8);
+    huff.syms.clear();
+    huff.syms.reserve(data.len() + 8);
     lz.chains.tokenize(
         data,
         config,
-        &mut CountingSink {
-            tokens: &mut lz.tokens,
+        &mut SymbolSink {
+            syms: &mut huff.syms,
             lit_freq: &mut huff.lit_freq,
             dist_freq: &mut huff.dist_freq,
         },
@@ -285,35 +381,43 @@ pub fn deflate_bytes_into(
         .rebuild_from_freqs(&huff.lit_freq, &mut huff.work);
     huff.dist_enc
         .rebuild_from_freqs(&huff.dist_freq, &mut huff.work);
-    let (lit_codes, dist_codes) = (huff.lit_enc.packed(), huff.dist_enc.packed());
+    let mut lit_emit = [0u64; LITLEN_SYMS];
+    let mut dist_emit = [0u64; DIST_SYMS + 1];
+    emit_table(huff.lit_enc.packed(), &LIT_EXTRA, &mut lit_emit);
+    emit_table(huff.dist_enc.packed(), &DIST_EXTRA, &mut dist_emit);
 
-    let mut w = BitWriter::over(std::mem::take(out));
-    w.reserve(data.len() / 2 + 64);
+    // The exact bit count of every token, the header's bound (at most 12
+    // bits per code length) and slack for the last eight-byte store.
+    let token_bits: u64 = huff
+        .lit_freq
+        .iter()
+        .zip(&lit_emit)
+        .chain(huff.dist_freq.iter().zip(&dist_emit))
+        .map(|(&f, &e)| f * (e & 31))
+        .sum();
+    let bound = (12 * (LITLEN_SYMS + DIST_SYMS) + token_bits as usize).div_ceil(8) + 8;
+    out.clear();
+    out.resize(bound, 0);
+    let mut w = Emitter {
+        buf: out,
+        pos: 0,
+        acc: 0,
+        nacc: 0,
+    };
     write_lens(&mut w, huff.lit_enc.lens());
     write_lens(&mut w, huff.dist_enc.lens());
-    for t in &lz.tokens {
-        match *t {
-            Token::Literal(b) => {
-                let code = lit_codes[b as usize];
-                w.write_bits((code >> 5) as u64, code & 31);
-            }
-            Token::Match { len, dist } => {
-                let lsym = LEN_SYM[len as usize] as usize;
-                let (lbase, lextra) = LEN_TABLE[lsym];
-                let lc = lit_codes[257 + lsym];
-                let lbits = ((lc >> 5) as u64) << lextra | (len - lbase) as u64;
-                let dsym = dist_sym(dist as usize);
-                let (dbase, dextra) = DIST_TABLE[dsym];
-                let dc = dist_codes[dsym];
-                let dbits = ((dc >> 5) as u64) << dextra | (dist - dbase) as u64;
-                let dn = (dc & 31) + dextra as u32;
-                w.write_bits(lbits << dn | dbits, (lc & 31) + lextra as u32 + dn);
-            }
-        }
+    for &t in &huff.syms {
+        let l = lit_emit[(t & 0x1FF) as usize];
+        let d = dist_emit[(t >> 9 & 0x1F) as usize];
+        let lbits = l >> 5 | (t >> 14 & 0x1F) as u64;
+        let dbits = d >> 5 | (t >> 19) as u64;
+        let dn = (d & 31) as u32;
+        w.put(lbits << dn | dbits, (l & 31) as u32 + dn);
     }
-    let eob = lit_codes[EOB];
-    w.write_bits((eob >> 5) as u64, eob & 31);
-    *out = w.finish();
+    let eob = lit_emit[EOB];
+    w.put(eob >> 5, (eob & 31) as u32);
+    let len = w.finish();
+    out.truncate(len);
 }
 
 /// Decompress bytes produced by [`deflate_bytes`], expecting `expected_len`

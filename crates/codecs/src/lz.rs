@@ -7,10 +7,24 @@
 //! evaluation form the "gzip" slow path.
 //!
 //! The matcher hands each token to a sink as it goes: [`lz77_tokens_into`]
-//! collects [`Token`]s, DEFLATE counts symbol frequencies while storing
-//! them, and snappy writes its wire format directly. Every configuration
-//! emits exactly the tokens of the original `Option`-based matcher; a
-//! frozen copy of it in `tests/encoder_equivalence.rs` pins this.
+//! collects [`Token`]s, DEFLATE stores packed symbols and counts them, and
+//! snappy writes its wire format directly (a copy carries its position, so
+//! a sink need not count literals). Every configuration emits exactly the
+//! tokens of the original `Option`-based matcher; a frozen copy of it in
+//! `tests/encoder_equivalence.rs` pins this.
+//!
+//! On float segments the cost is the data-dependent branching, not the
+//! memory traffic: most positions have no live candidate, the rest have a
+//! short chain, and which is close to random. So each position's eight
+//! bytes are read as one word, from which its hash and every candidate's
+//! first-word compare come; the lazy parse settles a position with no
+//! candidate before any walk, and reads the peek's chain head before the
+//! walk at the position itself. The rare paths (a whole-word match to
+//! extend, a word within eight bytes of the end) are out of line, so the
+//! loops around them keep their state in registers. Reading head entries
+//! a position ahead, probing the first chain candidates with selects, and
+//! walking the peek's chain in step with the position's were measured and
+//! did not pay.
 
 // The expand path consumes untrusted token streams; surface every raw index
 // so each one carries an explicit bounds argument.
@@ -102,13 +116,30 @@ impl LzConfig {
     }
 }
 
-// Hot path over trusted input: callers guarantee `i + 2 < data.len()`
-// (the matcher only hashes positions with a full 3-gram).
-#[allow(clippy::indexing_slicing)]
-#[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], 0]);
-    ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
+/// The eight bytes at `i` as a little-endian word, with zeros past the end
+/// of `data`.
+#[inline(always)]
+fn word(data: &[u8], i: usize) -> u64 {
+    match data.get(i..i + 8) {
+        Some(w) => u64::from_le_bytes(w.try_into().unwrap()),
+        None => word_tail(data, i),
+    }
+}
+
+/// [`word`] within eight bytes of the end, out of line.
+#[cold]
+#[inline(never)]
+fn word_tail(data: &[u8], i: usize) -> u64 {
+    let tail = data.get(i..).unwrap_or_default();
+    tail.iter()
+        .enumerate()
+        .fold(0, |w, (k, &b)| w | (b as u64) << (8 * k))
+}
+
+/// Hash of the 3-gram in the low bytes of `w` (the word at its position).
+#[inline(always)]
+fn hash3(w: u64) -> usize {
+    (((w as u32) & 0xFF_FFFF).wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
 /// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
@@ -196,8 +227,9 @@ pub(crate) fn append_match(out: &mut Vec<u8>, dist: usize, len: usize) {
 pub(crate) trait TokenSink {
     /// The next input byte is emitted as a literal.
     fn literal(&mut self, byte: u8);
-    /// The next `len` input bytes repeat the bytes `dist` back.
-    fn copy(&mut self, len: usize, dist: usize);
+    /// The `len` input bytes from position `at` (the next ones) repeat the
+    /// bytes `dist` back.
+    fn copy(&mut self, at: usize, len: usize, dist: usize);
 }
 
 impl TokenSink for Vec<Token> {
@@ -207,7 +239,7 @@ impl TokenSink for Vec<Token> {
     }
 
     #[inline]
-    fn copy(&mut self, len: usize, dist: usize) {
+    fn copy(&mut self, _at: usize, len: usize, dist: usize) {
         self.push(Token::Match {
             len: len as u16,
             dist: dist as u16,
@@ -280,7 +312,7 @@ impl HashChains {
         let base = self.begin(data.len());
         let mut m = Matcher {
             data,
-            head: &mut self.head,
+            head: (&mut self.head[..HASH_SIZE]).try_into().unwrap(),
             prev: &mut self.prev,
             base,
             max_chain: config.max_chain,
@@ -302,7 +334,8 @@ impl HashChains {
 
 struct Matcher<'a> {
     data: &'a [u8],
-    head: &'a mut [u32],
+    /// Fixed-size, so a hash indexes it with no bounds check.
+    head: &'a mut [u32; HASH_SIZE],
     prev: &'a mut [u32],
     /// Stamps at or below this value are stale entries from earlier calls.
     base: u32,
@@ -342,54 +375,60 @@ impl Matcher<'_> {
     #[inline(always)]
     fn insert_run(&mut self, from: usize, to: usize) {
         for k in from..to.min(self.data.len() + 1 - MIN_MATCH) {
-            self.insert(k, hash3(self.data, k));
+            self.insert(k, hash3(word(self.data, k)));
         }
     }
 
-    /// Length of the match between candidate `c` and position `i` (capped
-    /// at `max`) when it beats `best_len`; otherwise some value no greater
-    /// than `best_len`.
+    /// Length of the match between candidate `c` and position `i`, whose
+    /// word is `wi` (capped at `max`), when it beats `best_len`; otherwise
+    /// some value no greater than `best_len`.
     ///
-    /// Whenever eight bytes remain, the first word is compared inline: on
-    /// float data most candidates stop inside it, and its mismatch position
-    /// is their exact length. Only candidates matching a whole word check
-    /// the guard byte at `best_len` (zlib's `scan_end`: a longer match must
-    /// agree there) before `match_len` extends them.
+    /// The first word is compared whole: on float data most candidates
+    /// stop inside it, and its mismatch position is their exact length.
+    /// Near the end of the input the zeros past it make the compare run
+    /// long, and the cap cuts it back. Only candidates matching a whole
+    /// word with more to go check the guard byte at `best_len` (zlib's
+    /// `scan_end`: a longer match must agree there) before `match_len`
+    /// extends them.
     #[inline(always)]
-    fn candidate_len(&self, c: usize, i: usize, max: usize, best_len: usize) -> usize {
+    fn candidate_len(&self, c: usize, wi: u64, i: usize, max: usize, best_len: usize) -> usize {
         let data = self.data;
-        if let (Some(wc), Some(wi)) = (data.get(c..c + 8), data.get(i..i + 8)) {
-            let x = u64::from_le_bytes(wc.try_into().unwrap())
-                ^ u64::from_le_bytes(wi.try_into().unwrap());
-            if x != 0 {
-                return (x.trailing_zeros() / 8) as usize;
-            }
-            if data[c + best_len] != data[i + best_len] {
-                return 0;
-            }
-            // `i + 8 <= data.len()`, so `max >= 8`.
-            return 8 + match_len(data, c + 8, i + 8, max - 8);
+        let x = word(data, c) ^ wi;
+        if x != 0 || max <= 8 {
+            return ((x.trailing_zeros() / 8) as usize).min(max);
         }
+        self.extend(c, i, max, best_len)
+    }
+
+    /// The rest of [`candidate_len`](Self::candidate_len) for a candidate
+    /// matching a whole word with more than eight bytes to go: rare on
+    /// float data, and kept out of line so the loops around it make no
+    /// call.
+    #[cold]
+    #[inline(never)]
+    fn extend(&self, c: usize, i: usize, max: usize, best_len: usize) -> usize {
+        let data = self.data;
+        // `best_len < max`, so both guard bytes lie inside `data`.
         if data[c + best_len] != data[i + best_len] {
             return 0;
         }
-        match_len(data, c, i, max)
+        8 + match_len(data, c + 8, i + 8, max - 8)
     }
 
-    /// Longest match for position `i` that beats `best_len`, walking at
-    /// most `max_chain` candidates from chain stamp `stamp`. Returns
-    /// `(len, dist)`; `dist == 0` means no candidate beat `best_len`.
-    /// Among equally long matches the first one on the chain (the nearest)
-    /// wins.
+    /// Longest match for position `i` (whose word is `wi`) that beats
+    /// `best_len`, walking at most `max_chain` candidates from chain stamp
+    /// `stamp`. Returns `(len, dist)`; `dist == 0` means no candidate beat
+    /// `best_len`. Among equally long matches the first one on the chain
+    /// (the nearest) wins.
     #[inline(always)]
-    fn longest(&self, i: usize, mut stamp: u32, mut best_len: usize) -> (usize, usize) {
+    fn longest(&self, i: usize, wi: u64, mut stamp: u32, mut best_len: usize) -> (usize, usize) {
         let max = (self.data.len() - i).min(MAX_MATCH);
         let floor = self.floor(i);
         let mut best_dist = 0;
         let mut chain = self.max_chain;
         while stamp > floor && chain > 0 {
             let c = (stamp - self.base - 1) as usize;
-            let len = self.candidate_len(c, i, max, best_len);
+            let len = self.candidate_len(c, wi, i, max, best_len);
             if len > best_len {
                 best_len = len;
                 best_dist = i - c;
@@ -410,7 +449,8 @@ impl Matcher<'_> {
         let data = self.data;
         let mut i = 0;
         while i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
+            let wi = word(data, i);
+            let h = hash3(wi);
             let stamp = self.head[h];
             self.head[h] = self.stamp(i);
             // Select rather than branch on the candidate's validity: the
@@ -424,12 +464,12 @@ impl Matcher<'_> {
                 0
             };
             let max = (data.len() - i).min(MAX_MATCH);
-            let len = self.candidate_len(c, i, max, MIN_MATCH - 1);
+            let len = self.candidate_len(c, wi, i, max, MIN_MATCH - 1);
             let len = if valid { len } else { 0 };
             if len >= MIN_MATCH {
-                sink.copy(len, i - c);
+                sink.copy(i, len, i - c);
                 for k in i + 1..(i + len).min(data.len() + 1 - MIN_MATCH) {
-                    self.head[hash3(data, k)] = self.stamp(k);
+                    self.head[hash3(word(data, k))] = self.stamp(k);
                 }
                 i += len;
             } else {
@@ -446,10 +486,11 @@ impl Matcher<'_> {
         let data = self.data;
         let mut i = 0;
         while i + MIN_MATCH <= data.len() {
-            let stamp = self.insert(i, hash3(data, i));
-            let (len, dist) = self.longest(i, stamp, MIN_MATCH - 1);
+            let wi = word(data, i);
+            let stamp = self.insert(i, hash3(wi));
+            let (len, dist) = self.longest(i, wi, stamp, MIN_MATCH - 1);
             if dist != 0 {
-                sink.copy(len, dist);
+                sink.copy(i, len, dist);
                 self.insert_run(i + 1, i + len);
                 i += len;
             } else {
@@ -473,8 +514,20 @@ impl Matcher<'_> {
         let data = self.data;
         let mut i = 0;
         while i + MIN_MATCH <= data.len() {
-            let stamp = self.insert(i, hash3(data, i));
-            let (mut len, mut dist) = self.longest(i, stamp, MIN_MATCH - 1);
+            let wi = word(data, i);
+            let stamp = self.insert(i, hash3(wi));
+            if stamp <= self.floor(i) {
+                // No candidate: by far the most common case on float data.
+                sink.literal(data[i]);
+                i += 1;
+                continue;
+            }
+            // Load the peek's chain head before the walk, so its latency
+            // overlaps the walk instead of following the match decision.
+            // Nothing below writes the head table before the peek reads it.
+            let h1 = hash3(wi >> 8);
+            let head1 = self.head[h1];
+            let (mut len, mut dist) = self.longest(i, wi, stamp, MIN_MATCH - 1);
             if dist == 0 {
                 sink.literal(data[i]);
                 i += 1;
@@ -483,9 +536,8 @@ impl Matcher<'_> {
             // First position after the match start still to insert.
             let mut next = i + 1;
             if i + 1 + MIN_MATCH <= data.len() {
-                let h1 = hash3(data, i + 1);
                 let (len2, dist2) = if len < (data.len() - i - 1).min(MAX_MATCH) {
-                    self.longest(i + 1, self.head[h1], len)
+                    self.longest(i + 1, word(data, i + 1), head1, len)
                 } else {
                     (0, 0)
                 };
@@ -500,7 +552,7 @@ impl Matcher<'_> {
                     next = i + 2;
                 }
             }
-            sink.copy(len, dist);
+            sink.copy(i, len, dist);
             self.insert_run(next, i + len);
             i += len;
         }

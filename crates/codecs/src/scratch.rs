@@ -30,8 +30,7 @@ pub struct CodecScratch {
     /// Byte staging for codecs that operate on the LE byte image
     /// (snappy/deflate family).
     pub(crate) bytes: Vec<u8>,
-    /// Unsigned work vector (zigzagged deltas, dictionary entries,
-    /// BUFF subcolumn values).
+    /// Unsigned work vector (dictionary entries, BUFF subcolumn values).
     pub(crate) u64s: Vec<u64>,
     /// Second unsigned work vector (dictionary codes).
     pub(crate) u64s_b: Vec<u64>,

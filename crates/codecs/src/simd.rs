@@ -1,7 +1,7 @@
 //! Runtime-dispatched SIMD kernel layer for the codec hot loops.
 //!
-//! Every byte-crunching kernel under `bitio`, `crc32c`, `lz`, `snappy` and
-//! `util`, and the FFT butterfly stages and Bluestein products of `fft`, is
+//! Every byte-crunching kernel under `bitio`, `crc32c`, `lz`, `snappy`,
+//! `sprintz` and `util`, and the FFT butterfly stages and Bluestein products of `fft`, is
 //! published here as a method on [`Backend`], a ladder of implementations
 //! of the same bit-identical contract:
 //!
@@ -11,7 +11,8 @@
 //! | `Swar`     | portable word-at-a-time kernels (the PR 1–4 hot loops)  |
 //! | `Sse42`    | x86-64 hardware CRC-32C (3-stream `crc32` interleave)   |
 //! | `Avx2`     | x86-64 256-bit kernels (match, pack/unpack, transforms, |
-//! |            | quantize, dequantize, FFT butterflies: two per op with  |
+//! |            | quantize, Sprintz's fused quantize-delta-zigzag pass,   |
+//! |            | dequantize, FFT butterflies: two per op with            |
 //! |            | `mul` and `addsub`, no FMA, stages fused in pairs;      |
 //! |            | Bluestein's pointwise products)                         |
 //! | `Neon`     | aarch64 hardware CRC-32C + 128-bit match extension      |
@@ -79,7 +80,7 @@ mod x86_64;
 
 use crate::error::Result;
 use crate::fft::{self, Complex, Pointwise};
-use crate::{bitio, crc32c, lz, util};
+use crate::{bitio, crc32c, lz, sprintz, util};
 
 /// One tier of the kernel ladder. See the [module docs](self) for the
 /// table; obtain values from [`active`], [`supported`] or
@@ -352,26 +353,11 @@ impl Backend {
         }
     }
 
-    /// Zigzagged consecutive deltas: `out[i] = zigzag(q[i+1] - q[i])`
-    /// (wrapping). Requires `out.len() + 1 == q.len()` (asserted).
-    #[inline]
-    pub fn delta_zigzag(self, q: &[i64], out: &mut [u64]) {
-        assert_eq!(out.len() + 1, q.len(), "delta_zigzag: length mismatch");
-        match self {
-            Backend::Scalar => util::delta_zigzag_scalar(q, out),
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 if caps().avx2 && out.len() >= 8 => {
-                // SAFETY: AVX2 detected at runtime; lengths asserted above.
-                unsafe { x86_64::delta_zigzag_avx2(q, out) }
-            }
-            _ => util::delta_zigzag_swar(q, out),
-        }
-    }
-
-    /// Inverse of [`delta_zigzag`](Self::delta_zigzag): starting from
-    /// `prev`, accumulate zigzag-decoded deltas into `out` (`out[i]` is
-    /// the running value after applying `zs[i]`, wrapping) and return the
-    /// final value. Requires `zs.len() == out.len()` (asserted).
+    /// Inverse of the deltas [`quantize_deltas`](Self::quantize_deltas)
+    /// writes: starting from `prev`, accumulate zigzag-decoded deltas into
+    /// `out` (`out[i]` is the running value after applying `zs[i]`,
+    /// wrapping) and return the final value. Requires
+    /// `zs.len() == out.len()` (asserted).
     #[inline]
     pub fn unzigzag_undelta(self, prev: i64, zs: &[u64], out: &mut [i64]) -> i64 {
         assert_eq!(zs.len(), out.len(), "unzigzag_undelta: length mismatch");
@@ -420,6 +406,35 @@ impl Backend {
             done += chunk.len();
         }
         Ok(())
+    }
+
+    /// The front end of one Sprintz block in one pass: quantize `points`
+    /// at `scale` as [`quantize`](Self::quantize) does, and write
+    /// `lane[k] = zigzag(q[k] - q[k - 1])` (wrapping, with
+    /// `q[-1] = prev`). Returns the last point's `q`, the OR of the lane
+    /// (whose bit length is the block's width), and whether every point
+    /// was finite with a scaled magnitude below `4.5e15`; when it was not,
+    /// the other outputs are unspecified and the caller reports the error
+    /// through [`quantize`](Self::quantize). Requires
+    /// `points.len() == lane.len()` (asserted).
+    #[inline]
+    pub fn quantize_deltas(
+        self,
+        points: &[f64],
+        scale: f64,
+        prev: i64,
+        lane: &mut [u64],
+    ) -> (i64, u64, bool) {
+        assert_eq!(points.len(), lane.len(), "quantize_deltas: length mismatch");
+        match self {
+            Backend::Scalar => sprintz::quantize_deltas_scalar(points, scale, prev, lane),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 if caps().avx2 => {
+                // SAFETY: AVX2 detected at runtime; lengths asserted above.
+                unsafe { x86_64::quantize_deltas_avx2(points, scale, prev, lane) }
+            }
+            _ => sprintz::quantize_deltas_swar(points, scale, prev, lane),
+        }
     }
 
     /// Fixed-point to float: `out[i] = q[i] as f64 / scale`, bit-exact

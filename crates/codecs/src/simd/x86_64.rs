@@ -1,6 +1,7 @@
 //! x86-64 kernels for the SIMD dispatch layer: hardware CRC-32C (SSE4.2)
 //! and 256-bit (AVX2) match extension, bit pack/unpack, fused transforms,
-//! quantize, dequantize, FFT butterflies and Bluestein products.
+//! quantize, Sprintz's block front end, dequantize, FFT butterflies and
+//! Bluestein products.
 //!
 //! Every function is `#[target_feature]`-gated and reached only through
 //! the guarded arms in [`super::Backend`], which verify the feature at
@@ -104,8 +105,14 @@ pub(super) fn match_len_avx2(data: &[u8], a: usize, b: usize, max: usize) -> usi
 /// semantics): four values are masked, shifted to their in-chunk bit
 /// positions with a per-lane variable shift and OR-folded into one
 /// `4*width`-bit chunk, so the serial accumulator is touched once per
-/// four values instead of once per value. The ragged tail rides the SWAR
-/// kernel.
+/// four values instead of once per value.
+///
+/// From a byte boundary (`nacc % 8 == 0`, as at the start of every Sprintz
+/// block) eight values are exactly `width` bytes: the staged bytes are
+/// spilled, each group of eight becomes two chunks stored big-endian as
+/// one 16-byte write, of which the next group overwrites all but the
+/// first `width` bytes, and the bytes past the last whole word go back
+/// into the accumulator. The ragged tail rides the SWAR kernel.
 #[target_feature(enable = "avx2")]
 pub(super) fn pack_run_avx2(
     buf: &mut Vec<u8>,
@@ -121,8 +128,67 @@ pub(super) fn pack_run_avx2(
     // Lane i holds values[i]; the first value lands highest in the chunk.
     let shifts = _mm256_set_epi64x(0, width as i64, 2 * width as i64, 3 * width as i64);
     let (mut acc, mut nacc) = (acc, nacc);
-    let mut groups = values.chunks_exact(4);
-    for group in &mut groups {
+    let mut rest = values;
+    if nacc.is_multiple_of(8) && values.len() >= 8 {
+        let start = buf.len();
+        buf.extend_from_slice(&acc.to_be_bytes()[..(nacc / 8) as usize]);
+        let mut groups = values.chunks_exact(8);
+        // Room for every group's bytes plus the last store's overhang.
+        buf.reserve(groups.len() * width as usize + 16);
+        let mut len = buf.len();
+        // The two chunks `A` (first four values) and `B` hold
+        // `A·2^(128 - 4w) + B·2^(128 - 8w)` as 64-bit halves `[hi, lo]`:
+        // `hi = A << (64 - 4w) | B << (64 - 8w) | B >> (8w - 64)` and
+        // `lo = B << (128 - 8w)`. Variable shifts by 64 or more (a
+        // negative count wraps there) give zero, so one formula covers
+        // every width.
+        let w = width as i64;
+        let to_hi_lo = _mm_set_epi64x(128 - 8 * w, 64 - 4 * w);
+        let b_up = _mm_set_epi64x(64 - 8 * w, 64);
+        let b_down = _mm_set_epi64x(8 * w - 64, 64);
+        // Byte-reverse each 64-bit half: big-endian bytes in memory order.
+        let bswap = _mm_set_epi8(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
+        for group in &mut groups {
+            // SAFETY: `group` is exactly eight u64s from `chunks_exact(8)`.
+            let (a, b) = unsafe {
+                (
+                    _mm256_loadu_si256(group.as_ptr().cast::<__m256i>()),
+                    _mm256_loadu_si256(group.as_ptr().add(4).cast::<__m256i>()),
+                )
+            };
+            let pa = _mm256_sllv_epi64(_mm256_and_si256(a, vmask), shifts);
+            let pb = _mm256_sllv_epi64(_mm256_and_si256(b, vmask), shifts);
+            // `[a0|a1, b0|b1 | a2|a3, b2|b3]`, then the halves OR-ed: the
+            // two chunks side by side, `[A, B]`.
+            let t = _mm256_or_si256(_mm256_unpacklo_epi64(pa, pb), _mm256_unpackhi_epi64(pa, pb));
+            let ab = _mm_or_si128(_mm256_castsi256_si128(t), _mm256_extracti128_si256::<1>(t));
+            let b_part = _mm_or_si128(_mm_sllv_epi64(ab, b_up), _mm_srlv_epi64(ab, b_down));
+            let hi_lo = _mm_or_si128(_mm_sllv_epi64(ab, to_hi_lo), _mm_bsrli_si128::<8>(b_part));
+            // SAFETY: `len + 16 <= buf.capacity()`: the reserve above left
+            // room for every group's `width` bytes plus 16, and `len` has
+            // advanced by `width` per group.
+            unsafe {
+                _mm_storeu_si128(
+                    buf.as_mut_ptr().add(len).cast::<__m128i>(),
+                    _mm_shuffle_epi8(hi_lo, bswap),
+                );
+            }
+            len += width as usize;
+        }
+        // SAFETY: every byte below `len` was written above (or was already
+        // initialised), and `len <= buf.capacity()`.
+        unsafe { buf.set_len(len) };
+        // Only whole words leave the accumulator: stage the bytes past the
+        // last whole word from `start` again.
+        let staged = (len - start) % 8;
+        let mut word = [0u8; 8];
+        word[..staged].copy_from_slice(&buf[len - staged..]);
+        buf.truncate(len - staged);
+        (acc, nacc) = (u64::from_be_bytes(word), 8 * staged as u32);
+        rest = groups.remainder();
+    }
+    let mut quads = rest.chunks_exact(4);
+    for group in &mut quads {
         // SAFETY: `group` is exactly four u64s from `chunks_exact(4)`.
         let v = unsafe { _mm256_loadu_si256(group.as_ptr().cast::<__m256i>()) };
         let placed = _mm256_sllv_epi64(_mm256_and_si256(v, vmask), shifts);
@@ -150,7 +216,7 @@ pub(super) fn pack_run_avx2(
             nacc = rem;
         }
     }
-    bitio::pack_run_swar(buf, acc, nacc, groups.remainder(), width)
+    bitio::pack_run_swar(buf, acc, nacc, quads.remainder(), width)
 }
 
 /// AVX2 bulk bit-unpack for widths 1..=14 ([`super::Backend::unpack_run`]
@@ -185,32 +251,6 @@ pub(super) fn unpack_run_avx2(buf: &[u8], pos: usize, out: &mut [u64], width: u3
         pos += 4 * width as usize;
     }
     bitio::unpack_run_swar(buf, pos, &mut out[filled..], width)
-}
-
-/// AVX2 fused delta+zigzag ([`super::Backend::delta_zigzag`] semantics):
-/// four wrapping differences of offset loads, sign mask via a signed
-/// compare against zero (AVX2 has no 64-bit arithmetic right shift), and
-/// the `(d << 1) ^ (d >> 63)` fold.
-#[target_feature(enable = "avx2")]
-pub(super) fn delta_zigzag_avx2(q: &[i64], out: &mut [u64]) {
-    debug_assert_eq!(out.len() + 1, q.len());
-    let zero = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 4 <= out.len() {
-        // SAFETY: `i + 4 <= out.len()` and `q.len() == out.len() + 1`
-        // keep both offset loads (q[i..i+4], q[i+1..i+5]) and the store
-        // in bounds.
-        unsafe {
-            let a = _mm256_loadu_si256(q.as_ptr().add(i).cast::<__m256i>());
-            let b = _mm256_loadu_si256(q.as_ptr().add(i + 1).cast::<__m256i>());
-            let d = _mm256_sub_epi64(b, a);
-            let sign = _mm256_cmpgt_epi64(zero, d);
-            let z = _mm256_xor_si256(_mm256_add_epi64(d, d), sign);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i).cast::<__m256i>(), z);
-        }
-        i += 4;
-    }
-    crate::util::delta_zigzag_tail(q, out, i);
 }
 
 /// AVX2 inverse transform ([`super::Backend::unzigzag_undelta`]
@@ -284,44 +324,71 @@ pub(super) fn dequantize_avx2(q: &[i64], scale: f64, out: &mut [f64]) {
     crate::util::dequantize_scalar(&q[i..], scale, &mut out[i..]);
 }
 
+/// The broadcast constants of [`quantize4`].
+struct QuantConsts {
+    sign_bit: __m256d,
+    limit: __m256d,
+    half: __m256d,
+    two52: __m256d,
+    scale: __m256d,
+}
+
+impl QuantConsts {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn new(scale: f64) -> Self {
+        Self {
+            sign_bit: _mm256_set1_pd(-0.0),
+            limit: _mm256_set1_pd(QUANT_LIMIT),
+            half: _mm256_set1_pd(0.5),
+            two52: _mm256_set1_pd(TWO52),
+            scale: _mm256_set1_pd(scale),
+        }
+    }
+}
+
+/// Quantize four points: scale, clear the lanes of `in_range` whose
+/// `|x|` is not below `QUANT_LIMIT` (a NaN or an infinity included), round
+/// `|x|` to the nearest integer (ties to even) by adding 2^52, whose bits
+/// less those of 2^52 are that integer, add one where the tie went down
+/// (half away from zero, as the SWAR lanes do) and restore the sign.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn quantize4(v: __m256d, k: &QuantConsts, in_range: &mut __m256d) -> __m256i {
+    let x = _mm256_mul_pd(v, k.scale);
+    let a = _mm256_andnot_pd(k.sign_bit, x);
+    *in_range = _mm256_and_pd(*in_range, _mm256_cmp_pd::<_CMP_LT_OQ>(a, k.limit));
+    // Below 2^52 the sum rounds `a`, and `a - r` is exact.
+    let s = _mm256_add_pd(a, k.two52);
+    let r = _mm256_sub_pd(s, k.two52);
+    let tie = _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_sub_pd(a, r), k.half);
+    // `tie` is all-ones (-1) where the magnitude rounds up: subtract it.
+    let mag = _mm256_sub_epi64(
+        _mm256_sub_epi64(_mm256_castpd_si256(s), _mm256_castpd_si256(k.two52)),
+        _mm256_castpd_si256(tie),
+    );
+    // All-ones in lanes whose sign bit is set: `(m ^ s) - s` negates.
+    let neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), _mm256_castpd_si256(x));
+    _mm256_sub_epi64(_mm256_xor_si256(mag, neg), neg)
+}
+
 /// AVX2 fused quantize of one chunk ([`super::Backend::quantize`]
-/// semantics): per four lanes, scale, check `|v| < inf` and
-/// `|x| < QUANT_LIMIT`, truncate `|x|`, add one where the exact fraction
-/// is at least one half (half away from zero), convert through the 2^52
-/// bit trick and restore the sign. The ragged tail rides the SWAR lanes.
+/// semantics), four lanes per [`quantize4`]. The ragged tail rides the
+/// SWAR lanes.
 #[target_feature(enable = "avx2")]
 pub(super) fn quantize_avx2(chunk: &[f64], scale: f64, out: &mut [i64]) -> Result<()> {
     debug_assert_eq!(chunk.len(), out.len());
-    let sign_bit = _mm256_set1_pd(-0.0);
+    let k = QuantConsts::new(scale);
     let inf = _mm256_set1_pd(f64::INFINITY);
-    let limit = _mm256_set1_pd(QUANT_LIMIT);
-    let half = _mm256_set1_pd(0.5);
-    let one = _mm256_set1_pd(1.0);
-    let two52 = _mm256_set1_pd(TWO52);
-    let vscale = _mm256_set1_pd(scale);
-    let zero = _mm256_setzero_si256();
     let all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     let (mut finite, mut in_range) = (all, all);
     let mut i = 0;
     while i + 4 <= chunk.len() {
         // SAFETY: `i + 4 <= chunk.len()` keeps the load in bounds.
         let v = unsafe { _mm256_loadu_pd(chunk.as_ptr().add(i)) };
-        let abs_v = _mm256_andnot_pd(sign_bit, v);
+        let abs_v = _mm256_andnot_pd(k.sign_bit, v);
         finite = _mm256_and_pd(finite, _mm256_cmp_pd::<_CMP_LT_OQ>(abs_v, inf));
-        let x = _mm256_mul_pd(v, vscale);
-        let a = _mm256_andnot_pd(sign_bit, x);
-        in_range = _mm256_and_pd(in_range, _mm256_cmp_pd::<_CMP_LT_OQ>(a, limit));
-        // Below 2^52 both the truncation and `a - t` are exact.
-        let t = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(a);
-        let up = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_sub_pd(a, t), half);
-        let r = _mm256_add_pd(t, _mm256_and_pd(up, one));
-        let mag = _mm256_sub_epi64(
-            _mm256_castpd_si256(_mm256_add_pd(r, two52)),
-            _mm256_castpd_si256(two52),
-        );
-        // All-ones in lanes whose sign bit is set: `(m ^ s) - s` negates.
-        let neg = _mm256_cmpgt_epi64(zero, _mm256_castpd_si256(x));
-        let q = _mm256_sub_epi64(_mm256_xor_si256(mag, neg), neg);
+        let q = quantize4(v, &k, &mut in_range);
         // SAFETY: `i + 4 <= chunk.len() == out.len()` keeps the store in
         // bounds.
         unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(i).cast::<__m256i>(), q) };
@@ -331,6 +398,61 @@ pub(super) fn quantize_avx2(chunk: &[f64], scale: f64, out: &mut [i64]) -> Resul
     util::quantize_status(
         tail_finite && _mm256_movemask_pd(finite) == 0b1111,
         tail_in_range && _mm256_movemask_pd(in_range) == 0b1111,
+    )
+}
+
+/// AVX2 Sprintz block front end ([`super::Backend::quantize_deltas`]
+/// semantics): four points per step through [`quantize4`], the previous
+/// step's last value rotated in as lane 0's predecessor, then the wrapping
+/// difference, the zigzag fold and the running OR. The ragged tail rides
+/// the SWAR loop.
+#[target_feature(enable = "avx2")]
+pub(super) fn quantize_deltas_avx2(
+    points: &[f64],
+    scale: f64,
+    prev: i64,
+    lane: &mut [u64],
+) -> (i64, u64, bool) {
+    debug_assert_eq!(points.len(), lane.len());
+    let k = QuantConsts::new(scale);
+    let zero = _mm256_setzero_si256();
+    // A NaN or an infinity scales to a magnitude out of range, so one
+    // mask covers both checks.
+    let mut in_range = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    // Lane 0 holds the predecessor of the next step's first point.
+    let mut carry = _mm256_set1_epi64x(prev);
+    let mut fold = zero;
+    let mut i = 0;
+    while i + 4 <= points.len() {
+        // SAFETY: `i + 4 <= points.len()` keeps the load in bounds.
+        let v = unsafe { _mm256_loadu_pd(points.as_ptr().add(i)) };
+        let q = quantize4(v, &k, &mut in_range);
+        // `[q3, q0, q1, q2]`, then lane 0 from the carry: each lane's
+        // predecessor.
+        let rot = _mm256_permute4x64_epi64::<0b10_01_00_11>(q);
+        let before = _mm256_blend_epi32::<0b0000_0011>(rot, carry);
+        let d = _mm256_sub_epi64(q, before);
+        let z = _mm256_xor_si256(_mm256_add_epi64(d, d), _mm256_cmpgt_epi64(zero, d));
+        fold = _mm256_or_si256(fold, z);
+        // SAFETY: `i + 4 <= points.len() == lane.len()` keeps the store
+        // in bounds.
+        unsafe { _mm256_storeu_si256(lane.as_mut_ptr().add(i).cast::<__m256i>(), z) };
+        carry = rot;
+        i += 4;
+    }
+    let prev = _mm256_extract_epi64::<0>(carry);
+    let (last, tail_fold, tail_ok) =
+        crate::sprintz::quantize_deltas_swar(&points[i..], scale, prev, &mut lane[i..]);
+    let halves = _mm_or_si128(
+        _mm256_castsi256_si128(fold),
+        _mm256_extracti128_si256::<1>(fold),
+    );
+    let folded = _mm_or_si128(halves, _mm_unpackhi_epi64(halves, halves));
+    let ok = _mm256_movemask_pd(in_range) == 0b1111;
+    (
+        last,
+        _mm_cvtsi128_si64(folded) as u64 | tail_fold,
+        ok && tail_ok,
     )
 }
 

@@ -32,49 +32,81 @@ pub fn snappy_compress_bytes(data: &[u8]) -> Vec<u8> {
 /// LZ77 matcher state. The greedy depth-1 matcher drives the emitter
 /// directly: literal runs are flushed straight from input ranges when a
 /// copy (or the end of input) closes them, so no token buffer is filled.
+///
+/// The output is sized up front to the format's worst case plus slack,
+/// written by index, and cut to length at the end, so a short literal run
+/// is one fixed 16-byte copy rather than a call sized to the run. A copy
+/// costs at most a byte per input byte, and a literal run one control
+/// byte per 128 bytes plus one; runs are separated by copies, so there are
+/// at most `n / 4 + 1` of them.
 pub fn snappy_compress_bytes_into(data: &[u8], lz: &mut LzScratch, out: &mut Vec<u8>) {
     out.clear();
-    out.reserve(data.len() / 2 + 16);
+    let n = data.len();
+    out.resize(n + n / 4 + n.div_ceil(MAX_LITERAL_RUN) + SLACK, 0);
     let mut sink = Emitter {
         data,
-        out,
-        lit_start: 0,
+        buf: out,
         pos: 0,
+        lit_start: 0,
     };
     lz.chains.tokenize(data, LzConfig::fast(), &mut sink);
-    sink.flush_literals();
+    sink.flush_literals(data.len());
+    let len = sink.pos;
+    out.truncate(len);
 }
 
-/// Writes the snappy wire format as the matcher emits tokens. Literals only
-/// advance `pos`; the pending run `data[lit_start..pos]` is written when
-/// the next copy or the end of input closes it.
+/// Room past the worst-case output for a fixed-size copy's overhang.
+const SLACK: usize = 32;
+/// Literal runs up to this long are copied as one fixed-size block.
+const SHORT_RUN: usize = 16;
+
+/// Writes the snappy wire format as the matcher emits tokens. Literals
+/// cost nothing; the pending run `data[lit_start..at]` is written when the
+/// next copy (at `at`) or the end of input closes it.
 struct Emitter<'a> {
     data: &'a [u8],
-    out: &'a mut Vec<u8>,
-    lit_start: usize,
+    /// The output, sized to the worst case plus [`SLACK`].
+    buf: &'a mut [u8],
+    /// Bytes written.
     pos: usize,
+    lit_start: usize,
 }
 
 // The token stream covers `data` exactly once in order, so `lit_start <=
-// pos <= data.len()` and every literal range is in bounds.
+// end <= data.len()` and every literal range is in bounds; `buf` holds the
+// worst-case output plus `SLACK`, so every write (a short run's overhang
+// included) is in bounds too.
 #[allow(clippy::indexing_slicing)]
 impl Emitter<'_> {
-    fn flush_literals(&mut self) {
-        for chunk in self.data[self.lit_start..self.pos].chunks(MAX_LITERAL_RUN) {
-            self.out.push((chunk.len() - 1) as u8);
-            self.out.extend_from_slice(chunk);
+    #[inline(always)]
+    fn flush_literals(&mut self, end: usize) {
+        let mut start = self.lit_start;
+        while start < end {
+            let run = (end - start).min(MAX_LITERAL_RUN);
+            let at = self.pos + 1;
+            self.buf[self.pos] = (run - 1) as u8;
+            // The bytes past the run are overwritten by what follows, or
+            // cut off at the end.
+            if run <= SHORT_RUN && start + SHORT_RUN <= self.data.len() {
+                self.buf[at..at + SHORT_RUN].copy_from_slice(&self.data[start..start + SHORT_RUN]);
+            } else {
+                self.buf[at..at + run].copy_from_slice(&self.data[start..start + run]);
+            }
+            self.pos = at + run;
+            start += run;
         }
     }
 }
 
+// Indices as above.
+#[allow(clippy::indexing_slicing)]
 impl TokenSink for Emitter<'_> {
     #[inline(always)]
-    fn literal(&mut self, _byte: u8) {
-        self.pos += 1;
-    }
+    fn literal(&mut self, _byte: u8) {}
 
-    fn copy(&mut self, len: usize, dist: usize) {
-        self.flush_literals();
+    #[inline(always)]
+    fn copy(&mut self, at: usize, len: usize, dist: usize) {
+        self.flush_literals(at);
         // Split long matches into <=130-byte chunks.
         let mut remaining = len;
         while remaining > 0 {
@@ -87,12 +119,16 @@ impl TokenSink for Emitter<'_> {
             } else {
                 take
             };
-            self.out.push(128 + (take - MIN_MATCH) as u8);
-            self.out.extend_from_slice(&(dist as u16).to_le_bytes());
+            let [lo, hi] = (dist as u16).to_le_bytes();
+            self.buf[self.pos..self.pos + 3].copy_from_slice(&[
+                128 + (take - MIN_MATCH) as u8,
+                lo,
+                hi,
+            ]);
+            self.pos += 3;
             remaining -= take;
         }
-        self.pos += len;
-        self.lit_start = self.pos;
+        self.lit_start = at + len;
     }
 }
 
@@ -253,6 +289,22 @@ mod tests {
         let data: Vec<u8> = (0..1000u32)
             .map(|i| (i.wrapping_mul(2654435761)) as u8)
             .collect();
+        roundtrip_bytes(&data);
+    }
+
+    #[test]
+    fn worst_case_output_fits_the_presized_buffer() {
+        // A three-byte copy, then one literal never seen before, over and
+        // over: five output bytes per four input bytes, the format's worst
+        // case.
+        let data: Vec<u8> = (0..200u8).flat_map(|k| [1, 2, 3, k + 50]).collect();
+        let c = snappy_compress_bytes(&data);
+        assert!(
+            c.len() >= data.len() * 5 / 4 - 4,
+            "{} of {}",
+            c.len(),
+            data.len()
+        );
         roundtrip_bytes(&data);
     }
 

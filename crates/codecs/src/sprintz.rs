@@ -7,17 +7,27 @@
 //! raw and the rest as zigzagged deltas packed in blocks of 128 with an
 //! 8-bit width header each. Decompression restores the quantized values
 //! exactly, which is the paper's definition of lossless for these codecs.
+//!
+//! Encoding makes one fused pass per block: the backend's
+//! [`quantize_deltas`](crate::simd::Backend::quantize_deltas) quantizes the
+//! block's points, takes their wrapping deltas, zigzags them and ORs them
+//! together (the OR's bit length is the block's width) into a 128-entry
+//! lane, which [`pack_run`](crate::simd::Backend::pack_run) then packs.
+//! The header and every full block are whole bytes, so every block is
+//! packed from a byte boundary. The pass flags exactly the inputs
+//! [`quantize_into`] rejects; such an input is run through it again, so
+//! the error is the one its 64-point chunks report first.
 
 // Decode paths must survive arbitrary corrupted payloads; surface any
 // unchecked indexing so new sites get an explicit justification.
 #![warn(clippy::indexing_slicing)]
 
-use crate::bitio::{bits_needed, BitReader, BitWriter};
+use crate::bitio::{bits_needed, zigzag_encode, BitReader};
 use crate::block::{CodecId, CompressedBlock, CompressedBlockRef};
 use crate::error::{CodecError, Result};
 use crate::scratch::CodecScratch;
 use crate::traits::{Codec, CodecKind};
-use crate::util::{delta_zigzag_into, dequantize_into, quantize_into};
+use crate::util::{dequantize_into, pow10, quantize_into, quantize_point, QUANT_LIMIT};
 
 /// Deltas per bit-packed block.
 const BLOCK: usize = 128;
@@ -66,8 +76,8 @@ impl Codec for Sprintz {
         Ok(out)
     }
 
-    // `q[0]` is in bounds: `quantize_into` fills one slot per input point and
-    // `data` is checked non-empty below.
+    // `data[..1]` is in bounds: `data` is checked non-empty below, and each
+    // chunk of at most `BLOCK` points cuts `lane` to its own length.
     #[allow(clippy::indexing_slicing)]
     fn compress_into<'a>(
         &self,
@@ -77,30 +87,42 @@ impl Codec for Sprintz {
         if data.is_empty() {
             return Err(CodecError::EmptyInput);
         }
-        let CodecScratch {
-            out, u64s, i64s, ..
-        } = scratch;
-        quantize_into(data, self.precision, i64s)?;
-        let q = &*i64s;
-        delta_zigzag_into(q, u64s);
-        let deltas = &*u64s;
-        // Size estimate: header + per-block width bytes + two bytes per
-        // delta, generous enough that smooth signals never regrow (and the
-        // buffer's capacity persists across calls anyway).
-        let estimate = 9 + deltas.len().div_ceil(BLOCK) + deltas.len() * 2;
-        let mut w = BitWriter::over(std::mem::take(out));
-        w.reserve(estimate);
+        let scale = pow10(self.precision)?;
+        let CodecScratch { out, i64s, .. } = scratch;
+        let backend = crate::simd::active();
+        // Worst case: the header, a width byte per block, and every delta
+        // at 64 bits. The buffer's capacity persists across calls.
+        out.clear();
+        out.reserve(9 + data.len().div_ceil(BLOCK) + data.len() * 8);
+        let mut lane = [0u64; BLOCK];
         // Header: precision byte, then the first value raw.
-        w.write_bits(self.precision as u64, 8);
-        w.write_bits(q[0] as u64, 64);
-        for chunk in deltas.chunks(BLOCK) {
-            // OR-folding the deltas finds the block width with one
-            // `bits_needed` instead of one per element (same MSB).
-            let width = bits_needed(chunk.iter().fold(0, |acc, &d| acc | d));
-            w.write_bits(width as u64, 8);
-            w.write_run(chunk, width);
+        let (first, _, mut ok) = backend.quantize_deltas(&data[..1], scale, 0, &mut lane[..1]);
+        out.push(self.precision);
+        out.extend_from_slice(&(first as u64).to_be_bytes());
+        let mut prev = first;
+        for chunk in data[1..].chunks(BLOCK) {
+            if !ok {
+                break;
+            }
+            let lane = &mut lane[..chunk.len()];
+            let (last, folded, block_ok) = backend.quantize_deltas(chunk, scale, prev, lane);
+            ok = block_ok;
+            prev = last;
+            // The header and every full block are whole bytes, so each
+            // block starts on a byte boundary: its width byte, then the
+            // deltas packed MSB-first and zero-padded to a byte.
+            let width = bits_needed(folded);
+            out.push(width as u8);
+            if width > 0 {
+                let (acc, nacc) = backend.pack_run(out, 0, 0, lane, width);
+                out.extend_from_slice(&acc.to_be_bytes()[..nacc.div_ceil(8) as usize]);
+            }
         }
-        *out = w.finish();
+        if !ok {
+            // A rejected point (see the module docs): the chunked quantize
+            // names the error.
+            quantize_into(data, self.precision, i64s)?;
+        }
         Ok(CompressedBlockRef::new(self.id(), data.len(), out))
     }
 
@@ -145,6 +167,49 @@ impl Codec for Sprintz {
         }
         dequantize_into(q, precision, out)
     }
+}
+
+/// Portable Sprintz block front end (the `Backend::Swar` tier of
+/// [`crate::simd::Backend::quantize_deltas`]): the branch-free quantize of
+/// one point, its wrapping delta and zigzag fold, and the running OR, in
+/// one loop. Also the ragged-tail kernel of the AVX2 tier.
+#[inline]
+pub(crate) fn quantize_deltas_swar(
+    points: &[f64],
+    scale: f64,
+    prev: i64,
+    lane: &mut [u64],
+) -> (i64, u64, bool) {
+    let (mut prev, mut folded, mut ok) = (prev, 0u64, true);
+    for (z, &v) in lane.iter_mut().zip(points) {
+        // A NaN or an infinity scales to a magnitude out of range.
+        let (q, _, in_range) = quantize_point(v, scale);
+        ok &= in_range;
+        *z = zigzag_encode(q.wrapping_sub(prev));
+        folded |= *z;
+        prev = q;
+    }
+    (prev, folded, ok)
+}
+
+/// Reference Sprintz block front end (the `Backend::Scalar` tier): check
+/// and `f64::round` each point, then its wrapping delta and zigzag fold.
+pub(crate) fn quantize_deltas_scalar(
+    points: &[f64],
+    scale: f64,
+    prev: i64,
+    lane: &mut [u64],
+) -> (i64, u64, bool) {
+    let (mut prev, mut folded, mut ok) = (prev, 0u64, true);
+    for (z, &v) in lane.iter_mut().zip(points) {
+        let x = v * scale;
+        ok &= v.is_finite() && x.abs() < QUANT_LIMIT;
+        let q = x.round() as i64;
+        *z = zigzag_encode(q.wrapping_sub(prev));
+        folded |= *z;
+        prev = q;
+    }
+    (prev, folded, ok)
 }
 
 #[allow(clippy::indexing_slicing)]

@@ -1,12 +1,12 @@
 //! Small shared helpers: float/byte conversion, fixed-point quantization
-//! and the delta/zigzag preprocessing shared by the quantizing codecs.
+//! and the inverse delta/zigzag transform of the quantizing codecs.
 //!
 //! The `_into` variants write into caller-owned buffers (cleared, capacity
 //! kept); the allocating forms wrap them. The per-point loops are published
 //! as tiers of [`crate::simd::Backend`], whose portable (`Swar`) and
 //! reference (`Scalar`) forms live here.
 
-use crate::bitio::{zigzag_decode, zigzag_encode};
+use crate::bitio::zigzag_decode;
 use crate::error::{CodecError, Result};
 
 /// Points per validation chunk of [`quantize_into`]: a chunk is checked
@@ -166,20 +166,30 @@ pub(crate) fn quantize_lanes(chunk: &[f64], scale: f64, out: &mut [i64]) -> (boo
     let mut finite = true;
     let mut in_range = true;
     for (dst, &v) in out.iter_mut().zip(chunk) {
-        finite &= v.is_finite();
-        let x = v * scale;
-        let a = x.abs();
-        in_range &= a < QUANT_LIMIT;
-        // Below 2^52 the sum rounds `a` to the nearest integer, ties to
-        // even, and the subtraction is exact.
-        let r = (a + TWO52) - TWO52;
-        // A tie that went down to the even neighbour goes up instead:
-        // half away from zero, as `f64::round`.
-        let r = if a - r == 0.5 { r + 1.0 } else { r };
-        let mag = (r + TWO52).to_bits().wrapping_sub(TWO52.to_bits()) as i64;
-        *dst = if x < 0.0 { mag.wrapping_neg() } else { mag };
+        let (q, f, r) = quantize_point(v, scale);
+        finite &= f;
+        in_range &= r;
+        *dst = q;
     }
     (finite, in_range)
+}
+
+/// One point of [`quantize_lanes`]: `round(v * scale)` half away from
+/// zero, whether `v` is finite, and whether the scaled magnitude is below
+/// [`QUANT_LIMIT`]. Exact when both hold, unspecified otherwise.
+#[inline(always)]
+pub(crate) fn quantize_point(v: f64, scale: f64) -> (i64, bool, bool) {
+    let x = v * scale;
+    let a = x.abs();
+    // Below 2^52 the sum rounds `a` to the nearest integer, ties to even,
+    // and the subtraction is exact.
+    let r = (a + TWO52) - TWO52;
+    // A tie that went down to the even neighbour goes up instead: half
+    // away from zero, as `f64::round`.
+    let r = if a - r == 0.5 { r + 1.0 } else { r };
+    let mag = (r + TWO52).to_bits().wrapping_sub(TWO52.to_bits()) as i64;
+    let q = if x < 0.0 { mag.wrapping_neg() } else { mag };
+    (q, v.is_finite(), a < QUANT_LIMIT)
 }
 
 /// Inverse of [`quantize`].
@@ -218,47 +228,6 @@ pub(crate) fn dequantize_swar(q: &[i64], scale: f64, out: &mut [f64]) {
 pub(crate) fn dequantize_scalar(q: &[i64], scale: f64, out: &mut [f64]) {
     for (dst, &x) in out.iter_mut().zip(q) {
         *dst = x as f64 / scale;
-    }
-}
-
-/// Zigzagged consecutive deltas of a quantized segment: `out[i] =
-/// zigzag(q[i+1] - q[i])` (the Sprintz/BUFF preprocessing loop; `q[0]` is
-/// transmitted raw by the caller). Wrapping subtraction matches the
-/// decoder's wrapping accumulation. Dispatches through [`crate::simd`];
-/// every tier produces identical output.
-pub fn delta_zigzag_into(q: &[i64], out: &mut Vec<u64>) {
-    out.clear();
-    if q.len() < 2 {
-        return;
-    }
-    out.resize(q.len() - 1, 0);
-    crate::simd::active().delta_zigzag(q, out);
-}
-
-/// Portable fused delta+zigzag (the `Backend::Swar` tier of
-/// [`crate::simd::Backend::delta_zigzag`]): a subtract/shift/xor loop
-/// over two offset slices — no window bookkeeping, no growth checks,
-/// fully liftable. Requires `out.len() + 1 == q.len()`.
-pub(crate) fn delta_zigzag_swar(q: &[i64], out: &mut [u64]) {
-    delta_zigzag_tail(q, out, 0);
-}
-
-/// Offset-slice delta+zigzag starting at index `from`; the ragged-tail
-/// kernel shared by the SIMD tiers. Requires `out.len() + 1 == q.len()`
-/// and `from <= out.len()`.
-#[inline]
-pub(crate) fn delta_zigzag_tail(q: &[i64], out: &mut [u64], from: usize) {
-    let (prev, next) = (&q[from..q.len() - 1], &q[from + 1..]);
-    for ((dst, &a), &b) in out[from..].iter_mut().zip(prev).zip(next) {
-        *dst = zigzag_encode(b.wrapping_sub(a));
-    }
-}
-
-/// Reference per-element delta+zigzag (the `Backend::Scalar` tier):
-/// indexed loop, one delta at a time.
-pub(crate) fn delta_zigzag_scalar(q: &[i64], out: &mut [u64]) {
-    for (i, dst) in out.iter_mut().enumerate() {
-        *dst = zigzag_encode(q[i + 1].wrapping_sub(q[i]));
     }
 }
 

@@ -10,7 +10,10 @@
 //! Quantize is pinned the same way on arbitrary bit-pattern floats,
 //! constructed `k + 0.5` ties at every precision, subnormals and the
 //! fixed-point range edge, and on its error contract (which error, and
-//! which chunks are left in the output). The FFT butterfly stages are
+//! which chunks are left in the output); Sprintz's fused block front end
+//! (`Backend::quantize_deltas`) on the same points, and the bit pack from
+//! a byte boundary (the AVX2 group-of-eight path) on its own. The FFT
+//! butterfly stages are
 //! pinned through whole forward and inverse transforms at every power of
 //! two from 4 to 65536 and at the Bluestein lengths around 1000, and
 //! directly through `Backend::fft_stages` on random twiddles at every
@@ -25,9 +28,7 @@ use adaedge_codecs::bitio::zigzag_encode;
 use adaedge_codecs::crc32c::crc32c;
 use adaedge_codecs::fft::{dft_on, idft_inplace_on, Complex, Pointwise};
 use adaedge_codecs::simd::{self, Backend};
-use adaedge_codecs::util::{
-    bytes_to_f64s, delta_zigzag_into, dequantize, f64s_to_bytes, pow10, quantize,
-};
+use adaedge_codecs::util::{bytes_to_f64s, dequantize, f64s_to_bytes, pow10, quantize};
 use adaedge_codecs::CodecError;
 use proptest::prelude::*;
 
@@ -330,34 +331,16 @@ proptest! {
     }
 
     #[test]
-    fn delta_zigzag_tiers_match_windows_loop(
-        q in prop::collection::vec(any::<i64>(), 0..300),
-    ) {
-        let naive: Vec<u64> = q
-            .windows(2)
-            .map(|w| zigzag_encode(w[1].wrapping_sub(w[0])))
-            .collect();
-        let mut fused = Vec::new();
-        delta_zigzag_into(&q, &mut fused);
-        prop_assert_eq!(&fused, &naive);
-        if q.len() >= 2 {
-            for b in tiers() {
-                let mut out = vec![0u64; q.len() - 1];
-                b.delta_zigzag(&q, &mut out);
-                prop_assert_eq!(&out, &naive, "{}", b.name());
-            }
-        }
-    }
-
-    #[test]
     fn unzigzag_undelta_tiers_invert_delta_zigzag(
         q in prop::collection::vec(any::<i64>(), 2..300),
     ) {
-        // Forward-transform with the scalar tier, invert with every tier:
-        // must reproduce the original series and final value exactly
-        // (wrapping arithmetic end to end).
-        let mut zs = vec![0u64; q.len() - 1];
-        Backend::Scalar.delta_zigzag(&q, &mut zs);
+        // Zigzag the wrapping deltas, invert with every tier: must
+        // reproduce the original series and final value exactly (wrapping
+        // arithmetic end to end).
+        let zs: Vec<u64> = q
+            .windows(2)
+            .map(|w| zigzag_encode(w[1].wrapping_sub(w[0])))
+            .collect();
         for b in simd::supported() {
             let mut out = vec![0i64; zs.len()];
             let last = b.unzigzag_undelta(q[0], &zs, &mut out);
@@ -442,6 +425,64 @@ proptest! {
         let want = quantize_on(Backend::Scalar, data, scale);
         for b in tiers() {
             prop_assert_eq!(&quantize_on(b, data, scale), &want, "{}", b.name());
+        }
+    }
+
+    #[test]
+    fn quantize_deltas_tiers_match_scalar(
+        points in prop::collection::vec(
+            (0u8..6, any::<u64>(), -2_000_000i64..2_000_000),
+            0..300,
+        ),
+        finite_only in any::<bool>(),
+        precision in 0u8..=12,
+        prev in any::<i64>(),
+    ) {
+        // Sprintz's fused block front end: when every point is accepted,
+        // each tier must give the reference's deltas, OR-fold and last
+        // value; every tier must agree with it on whether they were.
+        let scale = pow10(precision).unwrap();
+        let data: Vec<f64> = points
+            .iter()
+            .map(|&(kind, bits, k)| {
+                let kind = if finite_only { [1, 2, 3, 5][kind as usize % 4] } else { kind };
+                quant_point(kind, bits, k, scale)
+            })
+            .collect();
+        let mut want_lane = vec![0u64; data.len()];
+        let want = Backend::Scalar.quantize_deltas(&data, scale, prev, &mut want_lane);
+        prop_assert_eq!(want.2, quantize_on(Backend::Scalar, &data, scale).0.is_ok());
+        for b in tiers() {
+            let mut lane = vec![7u64; data.len()];
+            let got = b.quantize_deltas(&data, scale, prev, &mut lane);
+            prop_assert_eq!(got.2, want.2, "{} accepts", b.name());
+            if want.2 {
+                prop_assert_eq!(got, want, "{}", b.name());
+                prop_assert_eq!(&lane, &want_lane, "{} lane", b.name());
+            }
+        }
+    }
+
+    #[test]
+    fn pack_run_tiers_match_reference_from_a_byte_boundary(
+        values in prop::collection::vec(any::<u64>(), 0..300),
+        width in 1u32..=20,
+        staged_bytes in 0u32..8,
+        stage in any::<u64>(),
+        prefix in 0usize..9,
+    ) {
+        // Byte-aligned starts (as every Sprintz block has) take the AVX2
+        // group-of-eight path: same bytes and staging state as the
+        // bit-by-bit reference, after any bytes already in the buffer.
+        let nacc = 8 * staged_bytes;
+        let acc = if nacc == 0 { 0 } else { stage & !((1u64 << (64 - nacc)) - 1) };
+        let mut want_buf = vec![0xA5u8; prefix];
+        let want = Backend::Scalar.pack_run(&mut want_buf, acc, nacc, &values, width);
+        for b in tiers() {
+            let mut buf = vec![0xA5u8; prefix];
+            let got = b.pack_run(&mut buf, acc, nacc, &values, width);
+            prop_assert_eq!(got, want, "state {}", b.name());
+            prop_assert_eq!(&buf, &want_buf, "bytes {}", b.name());
         }
     }
 
