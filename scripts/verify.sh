@@ -47,6 +47,11 @@ cargo test --release -q -p adaedge-codecs --test encoder_equivalence
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test encoder_equivalence
 ADAEDGE_SIMD=swar cargo test --release -q -p adaedge-codecs --test encoder_equivalence
 
+echo "==> golden wire format + scratch equivalence in release (detected, scalar, swar backends; release wraps where debug panics)"
+cargo test --release -q -p adaedge-codecs --test golden_wire_format --test scratch_equivalence
+ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test golden_wire_format --test scratch_equivalence
+ADAEDGE_SIMD=swar cargo test --release -q -p adaedge-codecs --test golden_wire_format --test scratch_equivalence
+
 echo "==> FFT plan bit-identity vs frozen unplanned FFT (detected, scalar, swar backends)"
 cargo test --release -q -p adaedge-codecs --test fft_equivalence
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test fft_equivalence
