@@ -1,7 +1,9 @@
 //! Multi-tenant fleet throughput: aggregate segments/s through the
 //! fleet layer (admission → per-stream selectors → shared sharded
 //! workers → priority frame packing) at 1 / 100 / 1k / 10k concurrent
-//! streams, against a same-run single-stream engine baseline.
+//! streams on one worker, plus 10k streams on two workers (the one
+//! multi-shard fleet row), against a same-run single-stream engine
+//! baseline.
 //!
 //! Total work is held constant across stream counts (~20k segments split
 //! evenly), so the sweep isolates the *multiplexing overhead*: per-stream
@@ -55,11 +57,12 @@ fn fleet_specs(
 fn run_fleet_once(
     pool: &Arc<Vec<Vec<f64>>>,
     streams: usize,
+    workers: usize,
     segs_per_stream: usize,
     posterior_path: Option<PathBuf>,
 ) -> FleetReport {
     let config = FleetConfig {
-        n_compression_threads: 1,
+        n_compression_threads: workers,
         batch_segments: BATCH,
         // A gateway-sized buffer: deeper shard queues amortize the
         // producer/worker hand-off when tenants contribute only a
@@ -81,7 +84,7 @@ fn run_fleet_once(
 /// stream burns its few segments exploring expensive codecs), not the
 /// multiplexing machinery the sweep is after.
 fn build_warm_archive(pool: &Arc<Vec<Vec<f64>>>, max_streams: usize, path: &Path) {
-    let train = run_fleet_once(pool, 1, 512, None);
+    let train = run_fleet_once(pool, 1, 1, 512, None);
     let proto = &train.stream_reports[0];
     let posteriors: Vec<StreamPosterior> = (0..max_streams as u64)
         .map(|id| StreamPosterior {
@@ -111,6 +114,7 @@ fn run_engine_once(segments: usize) -> f64 {
 
 struct Row {
     streams: usize,
+    workers: usize,
     segs_per_stream: usize,
     median_seg_per_sec: f64,
     stddev_seg_per_sec: f64,
@@ -126,10 +130,11 @@ fn main() {
     // Equal total work per row; stream counts divide it evenly.
     let total_segments = if quick { 2000 } else { 20_000 };
     let repeats = if quick { 1 } else { 5 };
-    let stream_counts: &[usize] = if quick {
-        &[1000]
+    // (streams, workers) per row.
+    let configs: &[(usize, usize)] = if quick {
+        &[(1000, 1)]
     } else {
-        &[1, 100, 1000, 10_000]
+        &[(1, 1), (100, 1), (1000, 1), (10_000, 1), (10_000, 2)]
     };
     let host_parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -146,7 +151,7 @@ fn main() {
         ));
         p
     };
-    let max_streams = *stream_counts.iter().max().expect("non-empty");
+    let max_streams = configs.iter().map(|&(s, _)| s).max().expect("non-empty");
     build_warm_archive(&pool, max_streams, &archive_path);
     let pristine_archive = std::fs::read(&archive_path).expect("archive bytes");
 
@@ -165,8 +170,9 @@ fn main() {
     );
     println!("Single-stream engine baseline: {engine_med:.0} seg/s (stddev {engine_sd:.0})");
     println!(
-        "{:>8} {:>10} {:>14} {:>10} {:>10} {:>12} {:>8} {:>10} {:>8}",
+        "{:>8} {:>8} {:>10} {:>14} {:>10} {:>10} {:>12} {:>8} {:>10} {:>8}",
         "streams",
+        "workers",
         "segs/strm",
         "segments/s",
         "stddev",
@@ -178,11 +184,12 @@ fn main() {
     );
 
     let mut rows: Vec<Row> = Vec::new();
-    for &streams in stream_counts {
+    for &(streams, workers) in configs {
         let segs_per_stream = (total_segments / streams).max(1);
         run_fleet_once(
             &pool,
             streams,
+            workers,
             segs_per_stream.div_ceil(4).max(1),
             Some(archive_path.clone()),
         );
@@ -192,8 +199,13 @@ fn main() {
             // Restore the pristine converged archive before every run so
             // repeats measure identical posterior state.
             std::fs::write(&archive_path, &pristine_archive).expect("archive reset");
-            let report =
-                run_fleet_once(&pool, streams, segs_per_stream, Some(archive_path.clone()));
+            let report = run_fleet_once(
+                &pool,
+                streams,
+                workers,
+                segs_per_stream,
+                Some(archive_path.clone()),
+            );
             assert_eq!(report.restores, streams as u64, "every stream warm-starts");
             samples.push(report.segments_per_sec);
             last = Some(report);
@@ -207,7 +219,7 @@ fn main() {
         let med = median(&mut samples);
         let vs = med / engine_med;
         println!(
-            "{streams:>8} {segs_per_stream:>10} {med:>14.0} {sd:>10.0} {vs:>10.2} {:>12} {:>8} {:>10} {:>8}",
+            "{streams:>8} {workers:>8} {segs_per_stream:>10} {med:>14.0} {sd:>10.0} {vs:>10.2} {:>12} {:>8} {:>10} {:>8}",
             report.per_stream_state_bytes,
             report.frames.frames,
             report.frames.max_frame_used,
@@ -215,6 +227,7 @@ fn main() {
         );
         rows.push(Row {
             streams,
+            workers,
             segs_per_stream,
             median_seg_per_sec: med,
             stddev_seg_per_sec: sd,
@@ -237,8 +250,9 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"streams\": {}, \"segments_per_stream\": {}, \"segments_per_sec\": {:.0}, \"stddev\": {:.0}, \"vs_engine\": {:.3}, \"per_stream_state_bytes\": {}, \"frames\": {}, \"max_frame_used\": {}, \"stolen_batches\": {} }}{}\n",
+            "    {{ \"streams\": {}, \"workers\": {}, \"segments_per_stream\": {}, \"segments_per_sec\": {:.0}, \"stddev\": {:.0}, \"vs_engine\": {:.3}, \"per_stream_state_bytes\": {}, \"frames\": {}, \"max_frame_used\": {}, \"stolen_batches\": {} }}{}\n",
             row.streams,
+            row.workers,
             row.segs_per_stream,
             row.median_seg_per_sec,
             row.stddev_seg_per_sec,
@@ -253,7 +267,7 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str(
         "  \"notes\": [\n    \
-         \"Total work is constant across rows (~total_segments split evenly), so rows isolate multiplexing overhead: per-stream selector decisions, one-batch-in-flight scheduling, admission and eviction, frame packing. vs_engine is the row's median over the same-run single-stream engine baseline; the scale target is >= 0.80 at 10k streams.\",\n    \
+         \"Total work is constant across rows (~total_segments split evenly), so rows isolate multiplexing overhead: per-stream selector decisions, one-batch-in-flight scheduling, admission and eviction, frame packing. vs_engine is the row's median over the same-run single-stream engine baseline; the scale target is >= 0.80 at 10k streams on one worker. The 10k-stream row at two workers is the only multi-shard fleet measurement; its vs_engine still divides by the one-worker engine.\",\n    \
          \"All streams cycle one shared pre-generated segment pool at distinct phases (SharedCycleSource), so generation cost and pool memory are flat in the stream count; per_stream_state_bytes is the fleet's own resident cost per admitted stream (stream + selector posterior).\",\n    \
          \"Every stream warm-starts from a converged posterior through the fleet's evict/restore path (restores == streams is asserted), modelling a gateway whose tenants resume learned state. Without warm-start, rows with few segments per stream measure bandit cold-start - thousands of fresh selectors burning their only segments exploring expensive codecs - which is inherent to the bandit, not to the multiplexing machinery. The engine baseline self-converges within ~50 of its segments, which is negligible at this scale.\",\n    \
          \"At high stream counts segments_per_stream falls below K, so the effective batch shrinks and the fleet pays more selector decisions per segment than the engine row - that, plus frame packing, is the overhead being measured.\",\n    \
