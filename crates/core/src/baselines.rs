@@ -5,11 +5,12 @@
 //! * **CodecDB-like** — static data-driven lossless selection: samples the
 //!   first segments, commits to the best lossless codec, and *fails* when
 //!   the required ratio is out of lossless reach (it has no lossy path).
-//! * **TVStore-like** — a single lossy method (PLA) at every level.
+//! * **TVStore-like** — a single lossy method (PLA) at every level; its
+//!   recoding cascade is [`FixedPairOffline`] over `FixedPair(Raw, Pla)`.
 
 use crate::error::{AdaEdgeError, Result};
 use crate::offline::{BudgetedStore, PolicyKind};
-use crate::selector::Selection;
+use crate::selector::{same_family, Selection};
 use adaedge_codecs::{CodecError, CodecId, CodecRegistry, CompressedBlock};
 use std::time::Instant;
 
@@ -53,7 +54,7 @@ impl FixedPair {
     }
 
     /// Recode an existing block to a tighter ratio: virtual decompression
-    /// when the block already uses the pair's lossy codec, otherwise a full
+    /// when the block is of the pair's lossy family, otherwise a full
     /// decompress + re-compress (this is where slow decompressors — e.g.
     /// Gorilla in Figure 14 — lose the race).
     pub fn recode(
@@ -63,9 +64,7 @@ impl FixedPair {
         ratio: f64,
     ) -> Result<Selection> {
         let t0 = Instant::now();
-        let same_family = block.codec == self.lossy
-            || (self.lossy == CodecId::BuffLossy && block.codec == CodecId::Buff);
-        let new_block = if same_family {
+        let new_block = if same_family(block.codec, self.lossy) {
             reg.recode(block, ratio)?
         } else {
             let decoded = reg.decompress(block)?;
@@ -175,7 +174,8 @@ impl CodecDbBaseline {
     }
 }
 
-/// TVStore-like baseline: PLA at every compression level.
+/// TVStore-like baseline: PLA at every compression level. Recoding is
+/// [`FixedPair::recode`] with `FixedPair::new(Raw, Pla)`.
 #[derive(Debug, Default)]
 pub struct TvStoreBaseline;
 
@@ -200,30 +200,6 @@ impl TvStoreBaseline {
             codec: CodecId::Pla,
             block,
             seconds,
-            reward: 0.0,
-        })
-    }
-
-    /// Recode an existing PLA block to a tighter ratio.
-    pub fn recode(
-        &self,
-        reg: &CodecRegistry,
-        block: &CompressedBlock,
-        ratio: f64,
-    ) -> Result<Selection> {
-        let t0 = Instant::now();
-        let new_block = if block.codec == CodecId::Pla {
-            reg.recode(block, ratio)?
-        } else {
-            let decoded = reg.decompress(block)?;
-            reg.get_lossy(CodecId::Pla)
-                .expect("PLA is lossy")
-                .compress_to_ratio(&decoded, ratio)?
-        };
-        Ok(Selection {
-            codec: CodecId::Pla,
-            block: new_block,
-            seconds: t0.elapsed().as_secs_f64(),
             reward: 0.0,
         })
     }
@@ -422,7 +398,8 @@ mod tests {
             assert!(sel.block.ratio() <= ratio + 1e-9);
         }
         let sel = tv.compress(&reg, &data, 0.3).unwrap();
-        let recoded = tv.recode(&reg, &sel.block, 0.1).unwrap();
+        let pair = FixedPair::new(CodecId::Raw, CodecId::Pla);
+        let recoded = pair.recode(&reg, &sel.block, 0.1).unwrap();
         assert!(recoded.block.ratio() <= 0.1 + 1e-9);
     }
 }

@@ -96,23 +96,22 @@ impl Default for EngineConfig {
 pub const DEFAULT_SYNC_INTERVAL: usize = 32;
 
 /// The engines' ingestion stage (caller thread): refill recycled buffers
-/// from the round-robin cursor's pool onward and enqueue them on their
-/// home shard. Returns the segments that found their queue full (spills).
+/// (the producer sweeps the pools round-robin) and enqueue each batch on
+/// its home shard. Returns the segments that found their queue full
+/// (spills).
 fn ingest(
-    producer: &ShardProducer<'_, ()>,
+    producer: &mut ShardProducer<'_, ()>,
     source: &mut dyn SegmentSource,
     n_segments: usize,
     k: usize,
 ) -> u64 {
     let mut spills = 0u64;
-    let mut next = 0usize;
     let mut remaining = n_segments;
     while remaining > 0 {
         let take = k.min(remaining);
-        let Some((home, segs)) = producer.acquire(next, take, source) else {
+        let Some((home, segs)) = producer.acquire(take, source) else {
             break;
         };
-        next = home + 1;
         remaining -= take;
         match producer.enqueue(home, (), segs) {
             Some(spilled) => spills += spilled as u64,

@@ -9,22 +9,23 @@
 //! the tenant count. This module provides that layer:
 //!
 //! * **Single-owner stream state.** Each admitted stream is one boxed
-//!   value: id, priority, its own [`crate::selector::LosslessSelector`]
-//!   and its counters. It lives either in its producer-side driver or in
-//!   the tag of its one in-flight batch. A worker selects, compresses and
-//!   reports on the stream it was handed, with no lock, and sends it back
-//!   with the batch's completion.
+//!   value: id, priority, its own [`crate::selector::LosslessSelector`],
+//!   its segment source, the segments it has left and its counters. It
+//!   lives either in the producer's ready queue or in the tag of its one
+//!   in-flight batch. A worker selects, compresses and reports on the
+//!   stream it was handed, with no lock, and sends it back with the
+//!   batch's completion.
 //! * **One shard runtime.** Batches travel the same per-shard queues,
 //!   recycle pools and parked-wake work stealing as the engines'
 //!   (`shard::ShardQueues`), and every segment goes through the engines'
 //!   contained compress step (`shard::compress_batch`). What the fleet
 //!   adds is the per-stream decision and what it emits.
-//! * **Fair, work-conserving scheduling.** The producer round-robins
-//!   ready streams into the shard queues: a stream dispatches one batch
-//!   per turn and rejoins the back of its home queue when that batch
-//!   completes, so a hot stream cannot starve others; a stream with
-//!   nothing to send sits in no queue and costs zero cycles; an idle
-//!   shard steals batches from busy ones.
+//! * **Fair, work-conserving scheduling.** Ready streams wait in one
+//!   queue: a stream dispatches one batch per turn and rejoins the back
+//!   of the queue when that batch completes, so a hot stream cannot
+//!   starve others; a stream with nothing to send sits in no queue and
+//!   costs zero cycles. Batches round-robin over the shards' pools, and
+//!   an idle shard steals batches from busy ones.
 //! * **Per-stream ordering.** A stream's state travels inside its batch,
 //!   so it has at most one batch in flight and its select→report pairs
 //!   never interleave — its posterior after a multi-stream run is
@@ -45,7 +46,7 @@
 use crate::error::{AdaEdgeError, Result};
 use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamEgress};
 use crate::selector::{check_lossless_arms, ArmOutcome, LosslessSelector, SelectorConfig};
-use crate::shard::{compress_batch, ShardQueues, ShardWorker};
+use crate::shard::{compress_batch, derive_seed, ShardQueues, ShardWorker};
 use crate::uplink::{LinkPressure, PressureGauge};
 use adaedge_bandit::EpsilonGreedy;
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
@@ -54,11 +55,6 @@ use adaedge_storage::posterior::{load_posteriors, save_posteriors, StreamPosteri
 use crossbeam::channel;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
-
-/// Knuth's multiplicative hash constant, also used by the shard replicas'
-/// seed derivation — stream id 0 leaves the seed unchanged, which is what
-/// makes a 1-stream fleet bit-identical to the engine's shard 0.
-const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Workers hand frame descriptors to the egress stage in chunks of this
 /// many items (plus a final partial flush), trading a bounded amount of
@@ -160,14 +156,18 @@ impl Default for FleetConfig {
     }
 }
 
-/// A resident stream's state. It has one owner at a time: its driver on
-/// the producer while the stream waits for a turn, or the tag of its one
+/// A resident stream. It has one owner at a time: the producer's ready
+/// queue while the stream waits for a turn, or the tag of its one
 /// in-flight batch while a worker compresses it.
-#[derive(Debug)]
 struct Stream {
     id: u64,
     priority: Priority,
     selector: LosslessSelector,
+    source: Box<dyn SegmentSource>,
+    /// Segments of its spec not yet dispatched.
+    remaining: usize,
+    /// Whether it resumed from an archived posterior.
+    restored: bool,
     segments: u64,
     bytes_in: u64,
     bytes_out: u64,
@@ -175,18 +175,16 @@ struct Stream {
 }
 
 impl Stream {
-    /// A fresh stream whose selector is seeded `seed ^ id·φ`.
-    fn new(
-        id: u64,
-        priority: Priority,
-        arms: Vec<CodecId>,
-        mut config: SelectorConfig,
-    ) -> Box<Self> {
-        config.seed ^= id.wrapping_mul(HASH_MULT);
+    /// A fresh stream for `spec`, its selector seeded `seed ^ id·φ`.
+    fn new(spec: StreamSpec, arms: Vec<CodecId>, mut config: SelectorConfig) -> Box<Self> {
+        config.seed = derive_seed(config.seed, spec.id);
         Box::new(Self {
-            id,
-            priority,
+            id: spec.id,
+            priority: spec.priority,
             selector: LosslessSelector::new(arms, config),
+            source: spec.source,
+            remaining: spec.n_segments,
+            restored: false,
             segments: 0,
             bytes_in: 0,
             bytes_out: 0,
@@ -195,11 +193,7 @@ impl Stream {
     }
 
     /// The evicted stream's final rollup and the posterior to archive.
-    fn retire(
-        self: Box<Self>,
-        arms: &[CodecId],
-        restored: bool,
-    ) -> (StreamReport, StreamPosterior) {
+    fn retire(self: Box<Self>, arms: &[CodecId]) -> (StreamReport, StreamPosterior) {
         let sel = &self.selector;
         let posterior = StreamPosterior {
             stream_id: self.id,
@@ -220,7 +214,7 @@ impl Stream {
             estimates: posterior.estimates.clone(),
             failure_totals: posterior.failure_totals.clone(),
             quarantine_bits: posterior.quarantine_bits,
-            restored,
+            restored: self.restored,
             egress: StreamEgress::default(),
         };
         (report, posterior)
@@ -229,19 +223,15 @@ impl Stream {
 
 /// Resident bytes one admitted stream costs: its `Box<Stream>` (the
 /// selector nests inline), the boxed ε-greedy policy, and the per-arm
-/// heap vectors. Reported so capacity planning for `max_resident_streams`
-/// has a number to multiply.
+/// heap vectors; not its segment source, which the caller sized. Reported
+/// so capacity planning for `max_resident_streams` has a number to
+/// multiply.
 fn per_stream_state_bytes(n_arms: usize) -> usize {
     std::mem::size_of::<Stream>()
         + std::mem::size_of::<EpsilonGreedy>()
         // q + n (policy), failure totals, consecutive streaks, codec ids,
-        // quarantine + mask bools.
-        + n_arms * (8 + 8 + 8 + 4 + std::mem::size_of::<CodecId>() + 2)
-}
-
-/// A stream's home shard.
-fn map_shard(id: u64, n: usize) -> usize {
-    ((id.wrapping_mul(HASH_MULT) >> 32) as usize) % n
+        // mask bools.
+        + n_arms * (8 + 8 + 8 + 4 + std::mem::size_of::<CodecId>() + 1)
 }
 
 /// One stream's final rollup. Posterior vectors align with
@@ -336,25 +326,11 @@ pub struct FleetReport {
     pub stream_reports: Vec<StreamReport>,
 }
 
-/// A dispatched batch's tag: the stream's driver slot, the stream itself,
-/// and the ingest sequence of the batch's first segment.
-type Dispatch = (usize, Box<Stream>, u64);
+/// A dispatched batch's tag: the stream and the ingest sequence of the
+/// batch's first segment.
+type Dispatch = (Box<Stream>, u64);
 
-/// A completed batch, sent back to the producer: the driver slot and the
-/// stream.
-type Completion = (usize, Box<Stream>);
-
-/// Producer-side driver for one resident stream.
-struct StreamDriver {
-    /// The stream's state, or `None` while its batch is in flight.
-    stream: Option<Box<Stream>>,
-    source: Box<dyn SegmentSource>,
-    remaining: usize,
-    home: usize,
-    restored: bool,
-}
-
-/// The producer's bookkeeping: admission, the ready queues and eviction.
+/// The producer's bookkeeping: admission, the ready queue and eviction.
 /// Only the producer thread touches it.
 struct Scheduler<'a> {
     config: &'a FleetConfig,
@@ -362,12 +338,9 @@ struct Scheduler<'a> {
     /// Ids of the resident streams: the residency bound, and the rule that
     /// a repeated id waits for its previous session's eviction.
     resident: HashSet<u64>,
-    drivers: Vec<Option<StreamDriver>>,
-    free_slots: Vec<usize>,
-    /// Per-shard queues of the driver slots whose stream is home with
-    /// segments left.
-    ready: Vec<VecDeque<usize>>,
-    rr_shard: usize,
+    /// Resident streams with segments left that wait for a turn, in turn
+    /// order.
+    ready: VecDeque<Box<Stream>>,
     in_flight: usize,
     /// Posteriors of evicted streams, keyed by id; re-admitted ids resume
     /// from here.
@@ -392,56 +365,30 @@ impl Scheduler<'_> {
             }
             self.peak_resident = self.peak_resident.max(self.resident.len());
             let arms = self.config.lossless_arms.clone();
-            let mut stream = Stream::new(spec.id, spec.priority, arms, self.config.selector);
-            let restored = match self.archive.get(&spec.id) {
-                Some(p) => {
-                    stream.selector.restore_posterior(
-                        &p.pulls,
-                        &p.estimates,
-                        &p.failure_totals,
-                        p.quarantine_bits,
-                    );
-                    self.restores += 1;
-                    true
-                }
-                None => false,
-            };
-            let driver = StreamDriver {
-                stream: None,
-                source: spec.source,
-                remaining: spec.n_segments,
-                home: map_shard(spec.id, self.ready.len()),
-                restored,
-            };
-            let slot = match self.free_slots.pop() {
-                Some(s) => {
-                    self.drivers[s] = Some(driver);
-                    s
-                }
-                None => {
-                    self.drivers.push(Some(driver));
-                    self.drivers.len() - 1
-                }
-            };
-            self.requeue_or_evict(slot, stream);
+            let mut stream = Stream::new(spec, arms, self.config.selector);
+            if let Some(p) = self.archive.get(&stream.id) {
+                stream.selector.restore_posterior(
+                    &p.pulls,
+                    &p.estimates,
+                    &p.failure_totals,
+                    p.quarantine_bits,
+                );
+                stream.restored = true;
+                self.restores += 1;
+            }
+            self.requeue_or_evict(stream);
         }
     }
 
-    /// Hand a stream back to its driver: to the back of its home ready
-    /// queue while it has segments left, else evicted and archived.
-    /// Returns whether it was evicted.
-    fn requeue_or_evict(&mut self, slot: usize, stream: Box<Stream>) -> bool {
-        let d = self.drivers[slot].as_mut().expect("live slot");
-        if d.remaining > 0 {
-            d.stream = Some(stream);
-            self.ready[d.home].push_back(slot);
+    /// Put a stream at the back of the ready queue while it has segments
+    /// left, else evict and archive it. Returns whether it was evicted.
+    fn requeue_or_evict(&mut self, stream: Box<Stream>) -> bool {
+        if stream.remaining > 0 {
+            self.ready.push_back(stream);
             return false;
         }
-        let restored = d.restored;
-        self.drivers[slot] = None;
-        self.free_slots.push(slot);
         self.resident.remove(&stream.id);
-        let (report, posterior) = stream.retire(&self.config.lossless_arms, restored);
+        let (report, posterior) = stream.retire(&self.config.lossless_arms);
         self.archive.insert(posterior.stream_id, posterior);
         self.reports.push(report);
         true
@@ -449,24 +396,11 @@ impl Scheduler<'_> {
 
     /// Take back a completed batch's stream, admitting waiting specs if
     /// that evicted it.
-    fn complete(&mut self, (slot, stream): Completion) {
+    fn complete(&mut self, stream: Box<Stream>) {
         self.in_flight -= 1;
-        if self.requeue_or_evict(slot, stream) {
+        if self.requeue_or_evict(stream) {
             self.admit();
         }
-    }
-
-    /// The next ready stream's slot, round-robin over the shards.
-    fn next_ready(&mut self) -> Option<usize> {
-        let n = self.ready.len();
-        for off in 0..n {
-            let sh = (self.rr_shard + off) % n;
-            if let Some(slot) = self.ready[sh].pop_front() {
-                self.rr_shard = (sh + 1) % n;
-                return Some(slot);
-            }
-        }
-        None
     }
 }
 
@@ -517,7 +451,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
     // per worker) — plus the one batch dispatched in between:
     // `S·batch_cap + S + 1 ≤ S·shard_pool_size`, the total recycle-pool
     // batches. A worker's send therefore never blocks.
-    let (done_tx, done_rx) = channel::bounded::<Completion>(queues.pool_batches());
+    let (done_tx, done_rx) = channel::bounded::<Box<Stream>>(queues.pool_batches());
     // Frame descriptors in `FRAME_FLUSH_ITEMS` chunks: two chunks per
     // worker, so a worker can run one chunk ahead of the egress stage. The
     // egress thread only consumes, so a full channel stalls a worker only
@@ -532,10 +466,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         config,
         pending: specs.into_iter().collect(),
         resident: HashSet::new(),
-        drivers: Vec::new(),
-        free_slots: Vec::new(),
-        ready: (0..n_shards).map(|_| VecDeque::new()).collect(),
-        rr_shard: 0,
+        ready: VecDeque::new(),
         in_flight: 0,
         archive,
         reports: Vec::new(),
@@ -574,7 +505,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             // that wakeup pair costs more than the batch.
             let mut items: Vec<FrameItem> = Vec::with_capacity(FRAME_FLUSH_ITEMS);
             while let Some(batch) = worker.recv() {
-                let (slot, mut stream, base_seq) = batch.tag;
+                let (mut stream, base_seq) = batch.tag;
                 let segs = batch.segs;
                 let (id, priority) = (stream.id, stream.priority);
                 // One decision per batch, arm sticky. Under link pressure
@@ -608,10 +539,9 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     .iter()
                     .filter(|&&o| o == ArmOutcome::Failure)
                     .count() as u64;
-                // Never blocks, by the channel's bound.
-                done_tx
-                    .send((slot, stream))
-                    .expect("the completion receiver outlives the workers");
+                // Never blocks, by the channel's bound, and never fails: the
+                // receiver outlives the workers.
+                let _ = done_tx.send(stream);
                 worker.recycle(batch.home, segs);
                 if items.len() >= FRAME_FLUSH_ITEMS {
                     let chunk =
@@ -634,7 +564,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                 while let Ok(done) = done_rx.try_recv() {
                     sched.complete(done);
                 }
-                let Some(slot) = sched.next_ready() else {
+                let Some(mut stream) = sched.ready.pop_front() else {
                     // Every resident stream is in flight; with none in
                     // flight, nothing is resident or waiting.
                     if sched.in_flight == 0 {
@@ -644,18 +574,15 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     sched.complete(done);
                     continue;
                 };
-                // Acquire buffers, preferring the stream's home pool.
-                let d = sched.drivers[slot].as_mut().expect("ready slot live");
-                let take = k.min(d.remaining);
-                let Some((bhome, segs)) = producer.acquire(d.home, take, d.source.as_mut()) else {
+                let take = k.min(stream.remaining);
+                let Some((home, segs)) = producer.acquire(take, stream.source.as_mut()) else {
                     break;
                 };
-                d.remaining -= take;
-                let stream = d.stream.take().expect("a ready stream is home");
+                stream.remaining -= take;
                 sched.in_flight += 1;
-                let tag = (slot, stream, seq);
+                let tag = (stream, seq);
                 seq += take as u64;
-                if producer.enqueue(bhome, tag, segs).is_none() {
+                if producer.enqueue(home, tag, segs).is_none() {
                     break;
                 }
             }
@@ -734,6 +661,7 @@ mod tests {
     use adaedge_datasets::SineStream;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::sync::{Arc, Mutex};
 
     thread_local! {
         /// Heap bytes live from this thread's allocations (net of frees).
@@ -782,22 +710,85 @@ mod tests {
 
     #[global_allocator]
     static GLOBAL: PerThreadBytes = PerThreadBytes;
+
+    /// A source of no size: boxing it allocates nothing.
+    struct NoSource;
+
+    impl SegmentSource for NoSource {
+        fn segment_len(&self) -> usize {
+            0
+        }
+
+        fn next_segment(&mut self) -> Vec<f64> {
+            Vec::new()
+        }
+    }
+
     #[test]
     fn state_bytes_match_what_admitting_a_stream_allocates() {
         // The formula must equal the heap one admitted stream really
         // holds: the `Box<Stream>` (selector nested inline, counted once)
         // plus the selector's own heap parts.
         let arms = CodecRegistry::lossless_candidates();
+        let spec = StreamSpec::new(1, Priority::Normal, 0, Box::new(NoSource));
         let before = LIVE_BYTES.with(Cell::get);
-        let s = Stream::new(1, Priority::Normal, arms.clone(), SelectorConfig::default());
+        let s = Stream::new(spec, arms.clone(), SelectorConfig::default());
         let held = LIVE_BYTES.with(Cell::get) - before;
         assert_eq!(held as usize, per_stream_state_bytes(arms.len()));
+        // The fleet holds one of these per resident stream: keep it from
+        // growing past its recorded size.
+        assert!(held <= 498, "{held} B per stream");
         drop(s);
         assert_eq!(
             LIVE_BYTES.with(Cell::get),
             before,
             "stream frees all it holds"
         );
+    }
+
+    /// Logs its stream id on every fill.
+    struct Recording {
+        id: u64,
+        log: Arc<Mutex<Vec<u64>>>,
+        inner: SineStream,
+    }
+
+    impl SegmentSource for Recording {
+        fn segment_len(&self) -> usize {
+            self.inner.segment_len()
+        }
+
+        fn next_segment(&mut self) -> Vec<f64> {
+            self.log.lock().unwrap().push(self.id);
+            self.inner.next_segment()
+        }
+    }
+
+    #[test]
+    fn streams_take_turns_one_batch_at_a_time() {
+        // One batch per turn, then the back of the queue; the one-segment
+        // stream is evicted after its only turn.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let specs = [5, 1, 3]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(n, id)| {
+                let source = Recording {
+                    id,
+                    log: log.clone(),
+                    inner: SineStream::new(64, 0.1, 4, id),
+                };
+                StreamSpec::new(id, Priority::Normal, n, Box::new(source))
+            })
+            .collect();
+        let config = FleetConfig {
+            n_compression_threads: 1,
+            batch_segments: 1,
+            ..Default::default()
+        };
+        let report = run_fleet(specs, &config).unwrap();
+        assert_eq!(report.segments, 9);
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 0, 2, 0, 2, 0, 0]);
     }
 
     #[test]

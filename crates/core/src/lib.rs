@@ -60,7 +60,7 @@ pub use spooling::{
 pub use targets::{OptimizationTarget, RewardEvaluator, TargetComponent};
 pub use uplink::{
     run_session, Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker,
-    FaultSpec, FaultyLink, FrameKind, LinkPressure, PerfectLink, Phase, PressureGauge,
-    PressureWatermarks, Receiver, SessionReport, Transport, Uplink, UplinkConfig, UplinkCounters,
-    UplinkFrame, WireFragment,
+    FaultSpec, FaultyLink, FrameKind, LinkPressure, Phase, PressureGauge, PressureWatermarks,
+    Receiver, SessionReport, Transport, Uplink, UplinkConfig, UplinkCounters, UplinkFrame,
+    WireFragment,
 };

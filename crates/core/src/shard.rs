@@ -57,6 +57,14 @@ fn to_units(reward: f64) -> u64 {
     (reward * REWARD_UNIT).round() as u64
 }
 
+/// The RNG seed of shard replica or fleet stream `id`: `seed ^ id·φ`, with
+/// φ Knuth's multiplicative hash constant. Id 0 keeps `seed` unchanged,
+/// which makes shard 0 the centralized selector and a 1-stream fleet the
+/// engine's shard 0, bit for bit.
+pub(crate) fn derive_seed(seed: u64, id: u64) -> u64 {
+    seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Resolve a configured thread/shard count: `0` means "one per core"
 /// (`std::thread::available_parallelism`), anything else is taken as is.
 pub fn resolve_threads(requested: usize) -> usize {
@@ -226,8 +234,7 @@ pub(crate) struct ShardBatch<T> {
     /// home, which keeps each pool's accounting exact.
     pub(crate) home: usize,
     /// What the worker needs besides the data: `()` for the engines; the
-    /// driver slot, the stream itself and the ingest sequence for the
-    /// fleet.
+    /// stream itself and the ingest sequence for the fleet.
     pub(crate) tag: T,
     /// The segments.
     pub(crate) segs: Vec<Vec<f64>>,
@@ -303,7 +310,7 @@ impl ShardQueues {
         T: Send,
         R: Send,
         W: Fn(&mut ShardWorker<'_, T>) -> R + Sync,
-        P: FnOnce(&ShardProducer<'_, T>),
+        P: FnOnce(&mut ShardProducer<'_, T>),
     {
         let n = self.n_shards;
         let pool = shard_pool_size(self.batch_cap, n);
@@ -334,11 +341,12 @@ impl ShardQueues {
                 })
                 .collect();
             drop((work_rxs, recycle_txs));
-            producer(&ShardProducer {
+            producer(&mut ShardProducer {
                 work_txs,
                 recycle_rxs,
                 gate: &self.gate,
                 segment_len: self.segment_len,
+                next: 0,
             });
             // The producer's channel ends are gone: wake parked workers so
             // they observe the disconnected queues and drain out.
@@ -442,24 +450,27 @@ pub(crate) struct ShardProducer<'q, T> {
     recycle_rxs: Vec<Receiver<Vec<Vec<f64>>>>,
     gate: &'q WorkGate,
     segment_len: usize,
+    /// The pool the next [`Self::acquire`] sweeps first: the one after the
+    /// last batch's home, so batches round-robin over the shards.
+    next: usize,
 }
 
 impl<T> ShardProducer<'_, T> {
     /// Take recycled buffers and fill `take` of them from `source`. The
-    /// pools are swept from shard `start` (mod the shard count), blocking
-    /// on that pool only when every pool is momentarily drained (the pool
-    /// bound guarantees a batch comes back). The buffers are truncated on
-    /// a final partial batch and regrown after one, so the pools never
-    /// shed buffers. Returns the supplying shard, which is the batch's
-    /// home, and the filled segments; `None` once the workers are gone.
+    /// pools are swept round-robin, from the one after the previous
+    /// batch's home, blocking on the first swept pool only when every pool
+    /// is momentarily drained (the pool bound guarantees a batch comes
+    /// back). The buffers are truncated on a final partial batch and
+    /// regrown after one, so the pools never shed buffers. Returns the
+    /// supplying shard, which is the batch's home, and the filled
+    /// segments; `None` once the workers are gone.
     pub(crate) fn acquire(
-        &self,
-        start: usize,
+        &mut self,
         take: usize,
         source: &mut dyn SegmentSource,
     ) -> Option<(usize, Vec<Vec<f64>>)> {
         let n = self.recycle_rxs.len();
-        let start = start % n;
+        let start = self.next;
         let swept = (0..n)
             .map(|off| (start + off) % n)
             .find_map(|sh| self.recycle_rxs[sh].try_recv().ok().map(|segs| (sh, segs)));
@@ -467,6 +478,7 @@ impl<T> ShardProducer<'_, T> {
             Some(found) => found,
             None => (start, self.recycle_rxs[start].recv().ok()?),
         };
+        self.next = (home + 1) % n;
         segs.truncate(take);
         segs.resize_with(take, || Vec::with_capacity(self.segment_len));
         for seg in segs.iter_mut() {
@@ -639,7 +651,7 @@ impl<'t> ReplicaSelector<'t> {
     ) -> Self {
         assert_eq!(arms.len(), table.n_arms(), "table/roster arm mismatch");
         let mut config = config;
-        config.seed ^= (shard_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        config.seed = derive_seed(config.seed, shard_id as u64);
         let n = arms.len();
         Self {
             inner: LosslessSelector::new(arms, config),

@@ -342,25 +342,6 @@ pub trait Transport {
     fn is_empty(&self) -> bool;
 }
 
-/// A lossless fixed-latency link — the control-group transport.
-#[derive(Debug, Default)]
-pub struct PerfectLink {
-    /// Delivery latency in ticks (both directions).
-    pub latency: u64,
-    frames: BTreeMap<u64, Vec<UplinkFrame>>,
-    acks: BTreeMap<u64, Vec<Ack>>,
-}
-
-impl PerfectLink {
-    /// A perfect link with the given one-way latency.
-    pub fn new(latency: u64) -> Self {
-        Self {
-            latency,
-            ..Self::default()
-        }
-    }
-}
-
 fn drain_due<T>(map: &mut BTreeMap<u64, Vec<T>>, now: u64) -> Vec<T> {
     let mut out = Vec::new();
     let due: Vec<u64> = map.range(..=now).map(|(&k, _)| k).collect();
@@ -368,31 +349,6 @@ fn drain_due<T>(map: &mut BTreeMap<u64, Vec<T>>, now: u64) -> Vec<T> {
         out.extend(map.remove(&k).expect("key from range"));
     }
     out
-}
-
-impl Transport for PerfectLink {
-    fn send_frame(&mut self, now: u64, frame: UplinkFrame) {
-        self.frames
-            .entry(now + self.latency)
-            .or_default()
-            .push(frame);
-    }
-
-    fn send_ack(&mut self, now: u64, ack: Ack) {
-        self.acks.entry(now + self.latency).or_default().push(ack);
-    }
-
-    fn poll_frames(&mut self, now: u64) -> Vec<UplinkFrame> {
-        drain_due(&mut self.frames, now)
-    }
-
-    fn poll_acks(&mut self, now: u64) -> Vec<Ack> {
-        drain_due(&mut self.acks, now)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.frames.is_empty() && self.acks.is_empty()
-    }
 }
 
 // --- the faulty link --------------------------------------------------------
@@ -429,7 +385,8 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// A clean link with the given latency.
+    /// A clean link with the given latency: it draws no randomness and
+    /// delivers every message `delay_ticks` after its send, in send order.
     pub fn clean(delay_ticks: u64) -> Self {
         Self {
             delay_ticks,
@@ -1780,14 +1737,14 @@ mod tests {
         assert!(b.on_timeout(13), "trip_after=1 trips immediately again");
     }
 
-    // --- sender over a perfect link -------------------------------------
+    // --- sender over a clean link ---------------------------------------
 
     #[test]
     fn perfect_link_delivers_everything_exactly_once_no_retries() {
         let recs = records(40, 50);
         let mut up = Uplink::new(small_cfg());
         let mut rx = Receiver::new();
-        let mut link = PerfectLink::new(2);
+        let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
         let report = run_session(&recs, &mut up, &mut rx, &mut link, 10_000);
         assert!(report.completed);
         assert_eq!(report.delivered_records, 40);
@@ -1808,7 +1765,7 @@ mod tests {
         let mut up = Uplink::new(cfg);
         let mut rx = Receiver::new();
         // High latency: the window must throttle, never exceed 2.
-        let mut link = PerfectLink::new(6);
+        let mut link = FaultyLink::new(FaultSpec::clean(6), 1);
         let mut offered = 0usize;
         for now in 0..2_000u64 {
             for frame in link.poll_frames(now) {
