@@ -37,6 +37,10 @@
 //!   streams are evicted, their posterior archived (optionally persisted
 //!   via [`adaedge_storage::posterior`], CRC-framed) and restored
 //!   bit-exactly if the stream returns ([`adaedge_bandit::Policy::restore`]).
+//!   The archive is flat: one row per stream id, one column per posterior
+//!   field. Admission only books residency; a stream's selector is built,
+//!   and restored from its archive row, at its first turn, so that work
+//!   overlaps the workers' compression.
 //! * **Priority-aware egress.** Workers emit compressed-segment
 //!   descriptors to a dedicated egress stage that packs them into bounded
 //!   transport frames in priority-then-deadline order
@@ -51,9 +55,13 @@ use crate::uplink::{LinkPressure, PressureGauge};
 use adaedge_bandit::EpsilonGreedy;
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::SegmentSource;
-use adaedge_storage::posterior::{load_posteriors, save_posteriors, StreamPosterior};
+use adaedge_storage::posterior::{
+    PosteriorDecoder, PosteriorEncoder, PosteriorRecord, StreamPosterior,
+};
 use crossbeam::channel;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::path::Path;
 use std::time::Instant;
 
 /// Workers hand frame descriptors to the egress stage in chunks of this
@@ -192,32 +200,144 @@ impl Stream {
         })
     }
 
-    /// The evicted stream's final rollup and the posterior to archive.
-    fn retire(self: Box<Self>, arms: &[CodecId]) -> (StreamReport, StreamPosterior) {
+    /// The evicted stream's final rollup.
+    fn report(&self) -> StreamReport {
         let sel = &self.selector;
-        let posterior = StreamPosterior {
-            stream_id: self.id,
-            arms: arms.to_vec(),
-            pulls: sel.pulls().to_vec(),
-            estimates: sel.estimates().to_vec(),
-            failure_totals: sel.failure_totals().to_vec(),
-            quarantine_bits: sel.quarantine_bits(),
-        };
-        let report = StreamReport {
+        StreamReport {
             id: self.id,
             priority: self.priority,
             segments: self.segments,
             bytes_in: self.bytes_in,
             bytes_out: self.bytes_out,
             codec_failures: self.codec_failures,
-            pulls: posterior.pulls.clone(),
-            estimates: posterior.estimates.clone(),
-            failure_totals: posterior.failure_totals.clone(),
-            quarantine_bits: posterior.quarantine_bits,
+            pulls: sel.pulls().to_vec(),
+            estimates: sel.estimates().to_vec(),
+            failure_totals: sel.failure_totals().to_vec(),
+            quarantine_bits: sel.quarantine_bits(),
             restored: self.restored,
             egress: StreamEgress::default(),
+        }
+    }
+}
+
+/// Posteriors of evicted streams and of the loaded archive file: one row
+/// per stream id, one column per field, per-arm columns `n_arms` wide and
+/// aligned with [`FleetConfig::lossless_arms`].
+struct Archive {
+    n_arms: usize,
+    rows: HashMap<u64, usize>,
+    ids: Vec<u64>,
+    pulls: Vec<u64>,
+    estimates: Vec<f64>,
+    failure_totals: Vec<u64>,
+    quarantine_bits: Vec<u64>,
+}
+
+impl Archive {
+    fn new(n_arms: usize, capacity: usize) -> Self {
+        Self {
+            n_arms,
+            rows: HashMap::with_capacity(capacity),
+            ids: Vec::with_capacity(capacity),
+            pulls: Vec::with_capacity(capacity * n_arms),
+            estimates: Vec::with_capacity(capacity * n_arms),
+            failure_totals: Vec::with_capacity(capacity * n_arms),
+            quarantine_bits: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Load the archive file at `path`, whose every record must hold the
+    /// `arms` roster. The file's bytes are freed before this returns.
+    fn load(path: &Path, arms: &[CodecId]) -> Result<Self> {
+        fn unreadable<E>(_: E) -> AdaEdgeError {
+            AdaEdgeError::Config("posterior archive unreadable")
+        }
+        let bytes = std::fs::read(path).map_err(unreadable)?;
+        let mut dec = PosteriorDecoder::new(&bytes).map_err(unreadable)?;
+        let mut archive = Self::new(arms.len(), dec.remaining());
+        let mut p = StreamPosterior::default();
+        while dec.next_into(&mut p).map_err(unreadable)? {
+            if p.arms != arms {
+                return Err(AdaEdgeError::Config(
+                    "posterior archive arm roster mismatch",
+                ));
+            }
+            archive.store(
+                p.stream_id,
+                &p.pulls,
+                &p.estimates,
+                &p.failure_totals,
+                p.quarantine_bits,
+            );
+        }
+        Ok(archive)
+    }
+
+    /// Overwrite `id`'s row, or append one.
+    fn store(
+        &mut self,
+        id: u64,
+        pulls: &[u64],
+        estimates: &[f64],
+        failure_totals: &[u64],
+        quarantine_bits: u64,
+    ) {
+        match self.rows.entry(id) {
+            Entry::Occupied(e) => {
+                let row = *e.get();
+                let cols = row * self.n_arms..(row + 1) * self.n_arms;
+                self.pulls[cols.clone()].copy_from_slice(pulls);
+                self.estimates[cols.clone()].copy_from_slice(estimates);
+                self.failure_totals[cols].copy_from_slice(failure_totals);
+                self.quarantine_bits[row] = quarantine_bits;
+            }
+            Entry::Vacant(e) => {
+                e.insert(self.ids.len());
+                self.ids.push(id);
+                self.pulls.extend_from_slice(pulls);
+                self.estimates.extend_from_slice(estimates);
+                self.failure_totals.extend_from_slice(failure_totals);
+                self.quarantine_bits.push(quarantine_bits);
+            }
+        }
+    }
+
+    /// Restore `id`'s archived posterior into `sel`; whether it had one.
+    fn restore(&self, id: u64, sel: &mut LosslessSelector) -> bool {
+        let Some(&row) = self.rows.get(&id) else {
+            return false;
         };
-        (report, posterior)
+        let cols = row * self.n_arms..(row + 1) * self.n_arms;
+        sel.restore_posterior(
+            &self.pulls[cols.clone()],
+            &self.estimates[cols.clone()],
+            &self.failure_totals[cols],
+            self.quarantine_bits[row],
+        );
+        true
+    }
+
+    /// Write every row to `path` in stream-id order, in one call.
+    fn save(&self, path: &Path, arms: &[CodecId]) -> Result<()> {
+        let mut order: Vec<usize> = (0..self.ids.len()).collect();
+        if !self.ids.is_sorted() {
+            order.sort_unstable_by_key(|&row| self.ids[row]);
+        }
+        let unwritable = |_| AdaEdgeError::Config("posterior archive unwritable");
+        let mut enc = PosteriorEncoder::with_capacity(order.len(), arms);
+        for row in order {
+            let cols = row * self.n_arms..(row + 1) * self.n_arms;
+            enc.push(PosteriorRecord {
+                stream_id: self.ids[row],
+                arms,
+                pulls: &self.pulls[cols.clone()],
+                estimates: &self.estimates[cols.clone()],
+                failure_totals: &self.failure_totals[cols],
+                quarantine_bits: self.quarantine_bits[row],
+            })
+            .map_err(unwritable)?;
+        }
+        enc.write_to(path).map_err(unwritable)
     }
 }
 
@@ -291,9 +411,14 @@ pub struct FleetReport {
     pub bytes_in: u64,
     /// Compressed bytes out.
     pub bytes_out: u64,
-    /// Wall-clock runtime.
+    /// Wall-clock runtime of the run itself: admission, scheduling,
+    /// compression and egress. It excludes loading the posterior archive
+    /// before the run and writing it back after; a caller that times the
+    /// whole `run_fleet` call, as perfbench's `fleet` episode does, sees
+    /// those too.
     pub elapsed_seconds: f64,
-    /// Aggregate throughput in segments per second.
+    /// Aggregate throughput in segments per second, over
+    /// [`Self::elapsed_seconds`].
     pub segments_per_sec: f64,
     /// Aggregate throughput in points per second.
     pub points_per_sec: f64,
@@ -330,6 +455,13 @@ pub struct FleetReport {
 /// batch's first segment.
 type Dispatch = (Box<Stream>, u64);
 
+/// A resident stream waiting for a turn: admitted and not yet built, or
+/// built and back from its last batch.
+enum Ready {
+    Admitted(StreamSpec),
+    Built(Box<Stream>),
+}
+
 /// The producer's bookkeeping: admission, the ready queue and eviction.
 /// Only the producer thread touches it.
 struct Scheduler<'a> {
@@ -340,11 +472,10 @@ struct Scheduler<'a> {
     resident: HashSet<u64>,
     /// Resident streams with segments left that wait for a turn, in turn
     /// order.
-    ready: VecDeque<Box<Stream>>,
+    ready: VecDeque<Ready>,
     in_flight: usize,
-    /// Posteriors of evicted streams, keyed by id; re-admitted ids resume
-    /// from here.
-    archive: HashMap<u64, StreamPosterior>,
+    /// Posteriors of evicted streams; re-admitted ids resume from here.
+    archive: Archive,
     reports: Vec<StreamReport>,
     restores: u64,
     peak_resident: usize,
@@ -364,33 +495,45 @@ impl Scheduler<'_> {
                 continue;
             }
             self.peak_resident = self.peak_resident.max(self.resident.len());
-            let arms = self.config.lossless_arms.clone();
-            let mut stream = Stream::new(spec, arms, self.config.selector);
-            if let Some(p) = self.archive.get(&stream.id) {
-                stream.selector.restore_posterior(
-                    &p.pulls,
-                    &p.estimates,
-                    &p.failure_totals,
-                    p.quarantine_bits,
-                );
-                stream.restored = true;
-                self.restores += 1;
+            if spec.n_segments > 0 {
+                self.ready.push_back(Ready::Admitted(spec));
+            } else {
+                // It gets no turn: build and evict it now.
+                let stream = self.build(spec);
+                self.requeue_or_evict(stream);
             }
-            self.requeue_or_evict(stream);
         }
+    }
+
+    /// An admitted spec's stream, restored from its archive row if it has
+    /// one.
+    fn build(&mut self, spec: StreamSpec) -> Box<Stream> {
+        let arms = self.config.lossless_arms.clone();
+        let mut stream = Stream::new(spec, arms, self.config.selector);
+        if self.archive.restore(stream.id, &mut stream.selector) {
+            stream.restored = true;
+            self.restores += 1;
+        }
+        stream
     }
 
     /// Put a stream at the back of the ready queue while it has segments
     /// left, else evict and archive it. Returns whether it was evicted.
     fn requeue_or_evict(&mut self, stream: Box<Stream>) -> bool {
         if stream.remaining > 0 {
-            self.ready.push_back(stream);
+            self.ready.push_back(Ready::Built(stream));
             return false;
         }
         self.resident.remove(&stream.id);
-        let (report, posterior) = stream.retire(&self.config.lossless_arms);
-        self.archive.insert(posterior.stream_id, posterior);
-        self.reports.push(report);
+        let sel = &stream.selector;
+        self.archive.store(
+            stream.id,
+            sel.pulls(),
+            sel.estimates(),
+            sel.failure_totals(),
+            sel.quarantine_bits(),
+        );
+        self.reports.push(stream.report());
         true
     }
 
@@ -426,21 +569,11 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
 
     // Posterior archive: optionally seeded from disk in the CRC-framed
     // format, and written back after the run.
-    let mut archive: HashMap<u64, StreamPosterior> = HashMap::new();
-    if let Some(path) = &config.posterior_path {
-        if path.exists() {
-            let loaded = load_posteriors(path)
-                .map_err(|_| AdaEdgeError::Config("posterior archive unreadable"))?;
-            for p in loaded {
-                if p.arms != config.lossless_arms {
-                    return Err(AdaEdgeError::Config(
-                        "posterior archive arm roster mismatch",
-                    ));
-                }
-                archive.insert(p.stream_id, p);
-            }
-        }
-    }
+    let arms = &config.lossless_arms;
+    let archive = match &config.posterior_path {
+        Some(path) if path.exists() => Archive::load(path, arms)?,
+        _ => Archive::new(arms.len(), 0),
+    };
 
     // Completed batches return their stream here. Bound: the producer
     // drains this channel with `try_recv` at the top of every turn, before
@@ -564,7 +697,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                 while let Ok(done) = done_rx.try_recv() {
                     sched.complete(done);
                 }
-                let Some(mut stream) = sched.ready.pop_front() else {
+                let Some(next) = sched.ready.pop_front() else {
                     // Every resident stream is in flight; with none in
                     // flight, nothing is resident or waiting.
                     if sched.in_flight == 0 {
@@ -573,6 +706,12 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     let done = done_rx.recv().expect("the workers hold a sender");
                     sched.complete(done);
                     continue;
+                };
+                // A stream is built at its first turn, while the workers
+                // compress earlier batches.
+                let mut stream = match next {
+                    Ready::Built(stream) => stream,
+                    Ready::Admitted(spec) => sched.build(spec),
                 };
                 let take = k.min(stream.remaining);
                 let Some((home, segs)) = producer.acquire(take, stream.source.as_mut()) else {
@@ -608,10 +747,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
     } = sched;
 
     if let Some(path) = &config.posterior_path {
-        let mut all: Vec<&StreamPosterior> = archive.values().collect();
-        all.sort_by_key(|p| p.stream_id);
-        save_posteriors(path, all.into_iter())
-            .map_err(|_| AdaEdgeError::Config("posterior archive unwritable"))?;
+        archive.save(path, arms)?;
     }
 
     stream_reports.sort_by_key(|r| r.id);
@@ -896,6 +1032,69 @@ mod tests {
             );
             assert!(sessions.last().unwrap().restored);
         }
+    }
+
+    #[test]
+    fn archive_write_back_keeps_idle_rows_and_reports_retired_ones() {
+        // Stream 3 restores from the file and retires; stream 5 is new;
+        // stream 1000 is archived but never runs.
+        let arms = CodecRegistry::lossless_candidates();
+        let n = arms.len();
+        let archived = |stream_id: u64, quarantine_bits| StreamPosterior {
+            stream_id,
+            arms: arms.clone(),
+            pulls: (0..n as u64).map(|i| 40 + i * stream_id).collect(),
+            estimates: (0..n).map(|i| 0.3 + i as f64 / 7.0).collect(),
+            failure_totals: (0..n as u64).map(|i| i % 2).collect(),
+            quarantine_bits,
+        };
+        let path = std::env::temp_dir().join(format!(
+            "adaedge-fleet-archive-{}.posteriors",
+            std::process::id()
+        ));
+        let before = [archived(3, 0), archived(1000, 0b10)];
+        adaedge_storage::save_posteriors(&path, before.iter()).unwrap();
+        let original = std::fs::read(&path).unwrap();
+
+        let mk = |id, n| {
+            StreamSpec::new(
+                id,
+                Priority::Normal,
+                n,
+                Box::new(SineStream::new(128, 0.1, 4, id)),
+            )
+        };
+        let config = FleetConfig {
+            posterior_path: Some(path.clone()),
+            ..Default::default()
+        };
+        let report = run_fleet(vec![mk(5, 3), mk(3, 4)], &config).unwrap();
+        assert_eq!(report.restores, 1);
+        let written = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        // The idle record is last in id order, byte for byte as loaded.
+        let record_len = (original.len() - 14) / 2;
+        assert!(written.ends_with(&original[original.len() - record_len..]));
+        // Every retired stream's record is its report's posterior.
+        let mut expected = Vec::new();
+        for r in &report.stream_reports {
+            assert_eq!(r.restored, r.id == 3);
+            expected.push(StreamPosterior {
+                stream_id: r.id,
+                arms: arms.clone(),
+                pulls: r.pulls.clone(),
+                estimates: r.estimates.clone(),
+                failure_totals: r.failure_totals.clone(),
+                quarantine_bits: r.quarantine_bits,
+            });
+        }
+        expected.push(before[1].clone());
+        let mut enc = PosteriorEncoder::new();
+        for p in &expected {
+            enc.push(p.as_record()).unwrap();
+        }
+        assert_eq!(written, enc.into_bytes());
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub mod store;
 
 pub use persist::{load_segments, save_segments, PersistError};
 pub use policy::{CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy};
-pub use posterior::{load_posteriors, save_posteriors, StreamPosterior};
+pub use posterior::{
+    load_posteriors, save_posteriors, PosteriorDecoder, PosteriorEncoder, PosteriorRecord,
+    StreamPosterior,
+};
 pub use segment::{Segment, SegmentData, SegmentId};
 pub use spool::{ReplayItem, Replayer, Spool, SpoolConfig, SpoolError, SpoolRecord, SpoolStats};
 pub use store::{SegmentStore, StoreError};

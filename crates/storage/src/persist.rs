@@ -40,6 +40,9 @@ pub enum PersistError {
     Corrupt(&'static str),
     /// A record's bytes no longer match its stored CRC-32C (bit rot).
     ChecksumMismatch,
+    /// A value handed to a writer that the format cannot encode; nothing
+    /// was written.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for PersistError {
@@ -51,6 +54,7 @@ impl std::fmt::Display for PersistError {
             PersistError::ChecksumMismatch => {
                 write!(f, "segment record failed checksum verification")
             }
+            PersistError::Invalid(what) => write!(f, "cannot encode: {what}"),
         }
     }
 }

@@ -25,13 +25,15 @@ cargo fmt --check
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> forced-scalar backend gate (ADAEDGE_SIMD=scalar, full codec suite, core unit tests)"
+echo "==> forced-scalar backend gate (ADAEDGE_SIMD=scalar, full codec suite, core and storage unit tests)"
 ADAEDGE_SIMD=scalar cargo test -q -p adaedge-codecs
 ADAEDGE_SIMD=scalar cargo test -q -p adaedge-core --lib
+ADAEDGE_SIMD=scalar cargo test -q -p adaedge-storage --lib
 
-echo "==> forced-swar backend gate (ADAEDGE_SIMD=swar, full codec suite, core unit tests)"
+echo "==> forced-swar backend gate (ADAEDGE_SIMD=swar, full codec suite, core and storage unit tests)"
 ADAEDGE_SIMD=swar cargo test -q -p adaedge-codecs
 ADAEDGE_SIMD=swar cargo test -q -p adaedge-core --lib
+ADAEDGE_SIMD=swar cargo test -q -p adaedge-storage --lib
 
 echo "==> forced-scalar decode-fuzz (reference tier must survive the same corpus)"
 ADAEDGE_SIMD=scalar cargo test --release -q -p adaedge-codecs --test decode_fuzz
