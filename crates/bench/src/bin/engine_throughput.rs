@@ -1,5 +1,5 @@
 //! End-to-end online-engine throughput: segments/s through the full
-//! ingest → sharded queues → replica-MAB select → compress pipeline at
+//! ingest → work queue → replica-MAB select → compress pipeline at
 //! 1/2/4/8 shards (worker threads — the §V-C scalability axis, measured at
 //! the segment granularity the allocation work targets), at batch size
 //! K = 1 (exact per-segment bandit) and K = 8 (sticky-arm batching).
@@ -50,7 +50,6 @@ struct Row {
     /// Per-thread throughput relative to the 1-shard median at the same K:
     /// `(seg/s ÷ threads) ÷ seg/s(1 shard)`. 1.0 = perfect linear scaling.
     efficiency_vs_1t: f64,
-    stolen_batches: u64,
     oversubscribed: bool,
 }
 
@@ -66,8 +65,8 @@ fn main() {
         "Engine throughput: {segments} segments x {SEGMENT_LEN} points, median of {repeats} (+/- sample stddev), host cores: {host_parallelism}"
     );
     println!(
-        "{:>8} {:>6} {:>16} {:>12} {:>12} {:>10} {:>8} {:>6}",
-        "shards", "K", "segments/s", "stddev", "egress", "eff/1T", "stolen", "over?"
+        "{:>8} {:>6} {:>16} {:>12} {:>12} {:>10} {:>6}",
+        "shards", "K", "segments/s", "stddev", "egress", "eff/1T", "over?"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -77,12 +76,10 @@ fn main() {
             run_once(threads, batch, segments / 4);
             let mut samples = Vec::with_capacity(repeats);
             let mut egress = 0.0;
-            let mut stolen = 0u64;
             for _ in 0..repeats {
                 let report = run_once(threads, batch, segments);
                 samples.push(report.points_per_sec / SEGMENT_LEN as f64);
                 egress = report.bytes_out as f64 / report.bytes_in as f64;
-                stolen = report.stolen_batches;
             }
             let sd = stddev(&samples);
             let med = median(&mut samples);
@@ -98,7 +95,7 @@ fn main() {
             };
             let oversubscribed = threads > host_parallelism;
             println!(
-                "{threads:>8} {batch:>6} {med:>16.0} {sd:>12.0} {egress:>12.4} {eff:>10.2} {stolen:>8} {:>6}",
+                "{threads:>8} {batch:>6} {med:>16.0} {sd:>12.0} {egress:>12.4} {eff:>10.2} {:>6}",
                 if oversubscribed { "yes" } else { "" }
             );
             rows.push(Row {
@@ -108,7 +105,6 @@ fn main() {
                 stddev_seg_per_sec: sd,
                 egress_ratio: egress,
                 efficiency_vs_1t: eff,
-                stolen_batches: stolen,
                 oversubscribed,
             });
         }
@@ -130,14 +126,13 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"shards\": {}, \"batch_segments\": {}, \"segments_per_sec\": {:.0}, \"stddev\": {:.0}, \"egress_ratio\": {:.4}, \"efficiency_vs_1t\": {:.2}, \"stolen_batches\": {}, \"oversubscribed\": {} }}{}\n",
+            "    {{ \"shards\": {}, \"batch_segments\": {}, \"segments_per_sec\": {:.0}, \"stddev\": {:.0}, \"egress_ratio\": {:.4}, \"efficiency_vs_1t\": {:.2}, \"oversubscribed\": {} }}{}\n",
             row.threads,
             row.batch,
             row.median_seg_per_sec,
             row.stddev_seg_per_sec,
             row.egress_ratio,
             row.efficiency_vs_1t,
-            row.stolen_batches,
             row.oversubscribed,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -146,7 +141,7 @@ fn main() {
     json.push_str(
         "  \"notes\": [\n    \
          \"Each figure is the median of N timed runs after one untimed warm-up; the sample standard deviation (n-1) is reported alongside. Median-of-N replaced best-of-N: on a noisy single-core host best-of-N converges to the luckiest scheduling interleave and overstates steady-state throughput.\",\n    \
-         \"Each shard (worker thread) runs its own bounded queue, recycle pool and replica selector; arm decisions are lock-free and replicas delta-sync through an atomic outcome table. efficiency_vs_1t is (seg/s / shards) / seg/s(1 shard) at the same K: 1.0 is perfect linear scaling.\",\n    \
+         \"Every shard (worker thread) takes batches from one bounded work queue, returns buffers to one recycle pool and runs its own replica selector; arm decisions are lock-free and replicas delta-sync through an atomic outcome table. efficiency_vs_1t is (seg/s / shards) / seg/s(1 shard) at the same K: 1.0 is perfect linear scaling.\",\n    \
          \"batch_segments=1 is the exact per-segment bandit (one lock-free replica decision per segment); batch_segments=8 holds one arm sticky across each batch and publishes rewards as one atomic delta per batch.\",\n    \
          \"Egress ratio is taken from the last run of each configuration; arm selection is seeded, so run-to-run egress drift is epsilon-greedy exploration noise only.\"",
     );

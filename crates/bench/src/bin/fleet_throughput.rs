@@ -1,6 +1,6 @@
 //! Multi-tenant fleet throughput: aggregate segments/s through the
-//! fleet layer (admission → per-stream selectors → shared sharded
-//! workers → priority frame packing) at 1 / 100 / 1k / 10k concurrent
+//! fleet layer (admission → per-stream selectors → workers sharing one
+//! work queue → priority frame packing) at 1 / 100 / 1k / 10k concurrent
 //! streams on one worker, plus 10k streams on two workers (the one
 //! multi-shard fleet row), against a same-run single-stream engine
 //! baseline.
@@ -21,7 +21,8 @@
 //! not best-of-N).
 //!
 //! Run: `cargo run --release -p adaedge-bench --bin fleet_throughput`
-//! (`-- --quick` for the CI smoke configuration: 1k streams, one run).
+//! (`-- --quick` for the CI smoke configuration: 1k streams on one and on
+//! two workers, one run each).
 //! Prints a table and a JSON object suitable for `BENCH_fleet.json`.
 
 use adaedge_bench::harness::{median, stddev};
@@ -64,7 +65,7 @@ fn run_fleet_once(
     let config = FleetConfig {
         n_compression_threads: workers,
         batch_segments: BATCH,
-        // A gateway-sized buffer: deeper shard queues amortize the
+        // A gateway-sized buffer: a deeper work queue amortizes the
         // producer/worker hand-off when tenants contribute only a
         // batch or two each, instead of futex-bouncing every few
         // batches through a device-sized 64-segment buffer.
@@ -122,7 +123,6 @@ struct Row {
     per_stream_state_bytes: usize,
     frames: u64,
     max_frame_used: usize,
-    stolen_batches: u64,
 }
 
 fn main() {
@@ -132,7 +132,7 @@ fn main() {
     let repeats = if quick { 1 } else { 5 };
     // (streams, workers) per row.
     let configs: &[(usize, usize)] = if quick {
-        &[(1000, 1)]
+        &[(1000, 1), (1000, 2)]
     } else {
         &[(1, 1), (100, 1), (1000, 1), (10_000, 1), (10_000, 2)]
     };
@@ -170,7 +170,7 @@ fn main() {
     );
     println!("Single-stream engine baseline: {engine_med:.0} seg/s (stddev {engine_sd:.0})");
     println!(
-        "{:>8} {:>8} {:>10} {:>14} {:>10} {:>10} {:>12} {:>8} {:>10} {:>8}",
+        "{:>8} {:>8} {:>10} {:>14} {:>10} {:>10} {:>12} {:>8} {:>10}",
         "streams",
         "workers",
         "segs/strm",
@@ -179,8 +179,7 @@ fn main() {
         "vs engine",
         "state B/strm",
         "frames",
-        "max frame",
-        "stolen"
+        "max frame"
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -219,11 +218,10 @@ fn main() {
         let med = median(&mut samples);
         let vs = med / engine_med;
         println!(
-            "{streams:>8} {workers:>8} {segs_per_stream:>10} {med:>14.0} {sd:>10.0} {vs:>10.2} {:>12} {:>8} {:>10} {:>8}",
+            "{streams:>8} {workers:>8} {segs_per_stream:>10} {med:>14.0} {sd:>10.0} {vs:>10.2} {:>12} {:>8} {:>10}",
             report.per_stream_state_bytes,
             report.frames.frames,
             report.frames.max_frame_used,
-            report.stolen_batches,
         );
         rows.push(Row {
             streams,
@@ -235,7 +233,6 @@ fn main() {
             per_stream_state_bytes: report.per_stream_state_bytes,
             frames: report.frames.frames,
             max_frame_used: report.frames.max_frame_used,
-            stolen_batches: report.stolen_batches,
         });
     }
 
@@ -250,7 +247,7 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"streams\": {}, \"workers\": {}, \"segments_per_stream\": {}, \"segments_per_sec\": {:.0}, \"stddev\": {:.0}, \"vs_engine\": {:.3}, \"per_stream_state_bytes\": {}, \"frames\": {}, \"max_frame_used\": {}, \"stolen_batches\": {} }}{}\n",
+            "    {{ \"streams\": {}, \"workers\": {}, \"segments_per_stream\": {}, \"segments_per_sec\": {:.0}, \"stddev\": {:.0}, \"vs_engine\": {:.3}, \"per_stream_state_bytes\": {}, \"frames\": {}, \"max_frame_used\": {} }}{}\n",
             row.streams,
             row.workers,
             row.segs_per_stream,
@@ -260,7 +257,6 @@ fn main() {
             row.per_stream_state_bytes,
             row.frames,
             row.max_frame_used,
-            row.stolen_batches,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

@@ -2,15 +2,14 @@
 //! scalability experiment), sharded per core.
 //!
 //! Both engines run on the shard runtime of [`crate::shard`]: S shards
-//! (S = worker threads), each with a bounded queue and a recycle pool
-//! (`ShardQueues`), workers that steal from foreign queues when their
-//! own runs dry, and one contained compress step per batch
-//! (`compress_batch`). What the engines add is the decision: each shard
-//! owns a local [`ReplicaSelector`] that picks arms lock-free from its own
-//! copy of the bandit state, publishes per-batch outcome deltas into a
+//! (S = worker threads) that receive batches from one bounded work queue
+//! and return their buffers to one recycle pool (`ShardQueues`), and one
+//! contained compress step per batch (`compress_batch`). What the engines
+//! add is the decision: each shard owns a local [`ReplicaSelector`] that
+//! picks arms lock-free from its own copy of the bandit state for every
+//! batch its worker takes, publishes per-batch outcome deltas into a
 //! [`SharedOutcomeTable`] with plain `fetch_add`s and folds foreign deltas
-//! back every [`EngineConfig::sync_interval`] decisions. A stolen batch is
-//! decided by the *stealing* worker's replica.
+//! back every [`EngineConfig::sync_interval`] decisions.
 //!
 //! Segments move in batches of [`EngineConfig::batch_segments`] (K): one
 //! arm decision held sticky per batch, outcomes accumulated locally and
@@ -44,9 +43,9 @@ pub struct EngineConfig {
     /// Number of compression worker threads — one pipeline shard each.
     /// `0` means one per core (`std::thread::available_parallelism`).
     pub n_compression_threads: usize,
-    /// Uncompressed-buffer capacity in segments, split evenly across the
-    /// shard queues; ingestion that finds a shard's queue full counts a
-    /// spill.
+    /// Uncompressed-buffer capacity in segments: the work queue holds this
+    /// many segments in batches, and at least two batches per shard.
+    /// Ingestion that finds the queue full counts a spill.
     pub buffer_segments: usize,
     /// Lossless candidate arms, replicated into every shard's selector.
     pub lossless_arms: Vec<CodecId>,
@@ -96,11 +95,10 @@ impl Default for EngineConfig {
 pub const DEFAULT_SYNC_INTERVAL: usize = 32;
 
 /// The engines' ingestion stage (caller thread): refill recycled buffers
-/// (the producer sweeps the pools round-robin) and enqueue each batch on
-/// its home shard. Returns the segments that found their queue full
-/// (spills).
+/// from the pool and enqueue each batch on the work queue. Returns the
+/// segments that found the queue full (spills).
 fn ingest(
-    producer: &mut ShardProducer<'_, ()>,
+    producer: &ShardProducer<()>,
     source: &mut dyn SegmentSource,
     n_segments: usize,
     k: usize,
@@ -109,11 +107,11 @@ fn ingest(
     let mut remaining = n_segments;
     while remaining > 0 {
         let take = k.min(remaining);
-        let Some((home, segs)) = producer.acquire(take, source) else {
+        let Some(segs) = producer.acquire(take, source) else {
             break;
         };
         remaining -= take;
-        match producer.enqueue(home, (), segs) {
+        match producer.enqueue((), segs) {
             Some(spilled) => spills += spilled as u64,
             None => break,
         }
@@ -136,7 +134,7 @@ pub struct EngineReport {
     pub elapsed_seconds: f64,
     /// Achieved throughput in points per second.
     pub points_per_sec: f64,
-    /// Times the ingestion stage found a shard queue full.
+    /// Times the ingestion stage found the work queue full.
     pub spills: u64,
     /// How often each codec was selected.
     pub codec_counts: HashMap<CodecId, u64>,
@@ -148,8 +146,6 @@ pub struct EngineReport {
     pub quarantined: Vec<CodecId>,
     /// Pipeline shards (= worker threads) the run used.
     pub shards: usize,
-    /// Batches a worker took from a foreign shard's queue.
-    pub stolen_batches: u64,
     /// Delta-sync folds performed across all shard replicas.
     pub selector_syncs: u64,
 }
@@ -185,7 +181,7 @@ pub fn run_pipeline(
 
     let start = Instant::now();
     let locals = queues.run(
-        |worker: &mut ShardWorker<()>| {
+        |worker: &ShardWorker<()>| {
             let mut replica = ReplicaSelector::new(
                 config.lossless_arms.clone(),
                 config.selector,
@@ -197,7 +193,7 @@ pub fn run_pipeline(
             let mut outcomes = Vec::with_capacity(k);
             let mut counts: HashMap<CodecId, u64> = HashMap::new();
             let mut bytes_out = 0u64;
-            while let Some(ShardBatch { home, segs, .. }) = worker.recv() {
+            while let Some(ShardBatch { segs, .. }) = worker.recv() {
                 // One lock-free decision per batch, arm held sticky;
                 // outcomes publish as one atomic delta.
                 let (arm, codec) = replica.select_arm();
@@ -206,7 +202,7 @@ pub fn run_pipeline(
                     *counts.entry(b.codec).or_insert(0) += 1;
                 });
                 replica.report_batch(arm, &outcomes);
-                worker.recycle(home, segs);
+                worker.recycle(segs);
             }
             // Final fold so the replica's view is complete at exit.
             replica.sync();
@@ -236,7 +232,6 @@ pub fn run_pipeline(
         codec_failures: table.failure_total(),
         quarantined: table.quarantined_arms(&config.lossless_arms),
         shards: queues.shards(),
-        stolen_batches: queues.stolen_batches(),
         selector_syncs: table.syncs(),
     })
 }
@@ -249,7 +244,8 @@ pub struct OfflineEngineConfig {
     /// Compression worker threads — one pipeline shard each; `0` means one
     /// per core.
     pub n_compression_threads: usize,
-    /// Uncompressed-buffer capacity in segments, split across shards.
+    /// Uncompressed-buffer capacity in segments, as in
+    /// [`EngineConfig::buffer_segments`].
     pub buffer_segments: usize,
     /// Hard storage budget in bytes.
     pub storage_budget_bytes: usize,
@@ -318,14 +314,12 @@ pub struct OfflineEngineReport {
     pub quarantined: Vec<CodecId>,
     /// Pipeline shards (= worker threads) the run used.
     pub shards: usize,
-    /// Batches a worker took from a foreign shard's queue.
-    pub stolen_batches: u64,
     /// Delta-sync folds performed across all shard replicas.
     pub selector_syncs: u64,
 }
 
 /// Run the multithreaded offline pipeline: ingestion (caller thread) →
-/// sharded queues → compression workers → shared budgeted store, with a
+/// one work queue → compression workers → shared budgeted store, with a
 /// dedicated recoding thread that runs the offline cascade (the one
 /// [`OfflineAdaEdge`](crate::offline::OfflineAdaEdge) runs) on the store
 /// through the banded lossy MAB it owns outright (no selector mutex
@@ -408,7 +402,7 @@ pub fn run_offline_pipeline(
         });
 
         let workers = queues.run(
-            |worker: &mut ShardWorker<()>| {
+            |worker: &ShardWorker<()>| {
                 let mut replica = ReplicaSelector::new(
                     config.lossless_arms.clone(),
                     config.selector,
@@ -419,7 +413,7 @@ pub fn run_offline_pipeline(
                 let mut scratch = CodecScratch::new();
                 let mut outcomes = Vec::with_capacity(k);
                 let mut blocks = Vec::with_capacity(k);
-                while let Some(ShardBatch { home, segs, .. }) = worker.recv() {
+                while let Some(ShardBatch { segs, .. }) = worker.recv() {
                     // One lock-free decision per batch (arm held sticky),
                     // one replica report, then the store puts. The store
                     // takes ownership, so each block is materialized.
@@ -430,7 +424,7 @@ pub fn run_offline_pipeline(
                     // A segment even Raw rejected is lost.
                     drops.fetch_add((segs.len() - blocks.len()) as u64, Ordering::Relaxed);
                     replica.report_batch(arm, &outcomes);
-                    worker.recycle(home, segs);
+                    worker.recycle(segs);
                     for block in blocks.drain(..) {
                         // A block that does not fit announces its bytes, so
                         // the recoder makes room for it even under θ, then
@@ -488,7 +482,6 @@ pub fn run_offline_pipeline(
         codec_failures: table.failure_total(),
         quarantined: table.quarantined_arms(&config.lossless_arms),
         shards: queues.shards(),
-        stolen_batches: queues.stolen_batches(),
         selector_syncs: table.syncs(),
     })
 }
@@ -554,8 +547,6 @@ mod tests {
         assert!(report.points_per_sec > 0.0);
         assert!(report.elapsed_seconds > 0.0);
         assert_eq!(report.shards, 1);
-        // A single shard can never steal from itself.
-        assert_eq!(report.stolen_batches, 0);
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //!   in-flight batch. A worker selects, compresses and reports on the
 //!   stream it was handed, with no lock, and sends it back with the
 //!   batch's completion.
-//! * **One shard runtime.** Batches travel the same per-shard queues,
-//!   recycle pools and parked-wake work stealing as the engines'
-//!   (`shard::ShardQueues`), and every segment goes through the engines'
-//!   contained compress step (`shard::compress_batch`). What the fleet
-//!   adds is the per-stream decision and what it emits.
+//! * **One shard runtime.** Batches travel the same work queue and
+//!   recycle pool as the engines' (`shard::ShardQueues`), and every
+//!   segment goes through the engines' contained compress step
+//!   (`shard::compress_batch`). What the fleet adds is the per-stream
+//!   decision and what it emits.
 //! * **Fair, work-conserving scheduling.** Ready streams wait in one
 //!   queue: a stream dispatches one batch per turn and rejoins the back
 //!   of the queue when that batch completes, so a hot stream cannot
 //!   starve others; a stream with nothing to send sits in no queue and
-//!   costs zero cycles. Batches round-robin over the shards' pools, and
-//!   an idle shard steals batches from busy ones.
+//!   costs zero cycles. Whichever worker is free takes the next batch
+//!   from the one work queue.
 //! * **Per-stream ordering.** A stream's state travels inside its batch,
 //!   so it has at most one batch in flight and its select→report pairs
 //!   never interleave — its posterior after a multi-stream run is
@@ -117,7 +117,8 @@ impl std::fmt::Debug for StreamSpec {
 pub struct FleetConfig {
     /// Worker threads — one pipeline shard each; `0` = one per core.
     pub n_compression_threads: usize,
-    /// Uncompressed-buffer capacity in segments, split across shards.
+    /// Uncompressed-buffer capacity in segments, as in
+    /// [`crate::engine::EngineConfig::buffer_segments`].
     pub buffer_segments: usize,
     /// Lossless candidate arms (every stream's selector gets this roster).
     pub lossless_arms: Vec<CodecId>,
@@ -428,8 +429,6 @@ pub struct FleetReport {
     pub codec_failures: u64,
     /// Worker shards the run used.
     pub shards: usize,
-    /// Batches a worker took from a foreign shard's queue.
-    pub stolen_batches: u64,
     /// Streams evicted (every completed stream is).
     pub evictions: u64,
     /// Streams that resumed from an archived posterior.
@@ -579,11 +578,10 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
     // drains this channel with `try_recv` at the top of every turn, before
     // any call that can block, and dispatches at most one batch per turn.
     // So the completions that can arrive between two drains are those of
-    // the batches unreported at the first — each in a shard's work queue
-    // (at most `batch_cap` per shard) or in a worker's hands (at most one
-    // per worker) — plus the one batch dispatched in between:
-    // `S·batch_cap + S + 1 ≤ S·shard_pool_size`, the total recycle-pool
-    // batches. A worker's send therefore never blocks.
+    // the batches unreported at the first — each in the work queue (at
+    // most `queue_cap`) or in a worker's hands (at most one per worker) —
+    // plus the one batch dispatched in between: `queue_cap + S + 1`, the
+    // recycle pool's batches. A worker's send therefore never blocks.
     let (done_tx, done_rx) = channel::bounded::<Box<Stream>>(queues.pool_batches());
     // Frame descriptors in `FRAME_FLUSH_ITEMS` chunks: two chunks per
     // worker, so a worker can run one chunk ahead of the egress stage. The
@@ -627,7 +625,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         let reg = &reg;
         // Owns `frame_tx`: the egress stage sees the end of input once the
         // run is over and this closure is dropped.
-        let compress = move |worker: &mut ShardWorker<'_, Dispatch>| {
+        let compress = move |worker: &ShardWorker<Dispatch>| {
             let mut scratch = CodecScratch::new();
             let mut counts: HashMap<CodecId, u64> = HashMap::new();
             let mut degraded = 0u64;
@@ -675,7 +673,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                 // Never blocks, by the channel's bound, and never fails: the
                 // receiver outlives the workers.
                 let _ = done_tx.send(stream);
-                worker.recycle(batch.home, segs);
+                worker.recycle(segs);
                 if items.len() >= FRAME_FLUSH_ITEMS {
                     let chunk =
                         std::mem::replace(&mut items, Vec::with_capacity(FRAME_FLUSH_ITEMS));
@@ -714,14 +712,14 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     Ready::Admitted(spec) => sched.build(spec),
                 };
                 let take = k.min(stream.remaining);
-                let Some((home, segs)) = producer.acquire(take, stream.source.as_mut()) else {
+                let Some(segs) = producer.acquire(take, stream.source.as_mut()) else {
                     break;
                 };
                 stream.remaining -= take;
                 sched.in_flight += 1;
                 let tag = (stream, seq);
                 seq += take as u64;
-                if producer.enqueue(home, tag, segs).is_none() {
+                if producer.enqueue(tag, segs).is_none() {
                     break;
                 }
             }
@@ -774,7 +772,6 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         codec_counts,
         codec_failures,
         shards: n_shards,
-        stolen_batches: queues.stolen_batches(),
         evictions: completed,
         restores,
         peak_resident,

@@ -5,20 +5,21 @@
 //! [`crate::engine::run_pipeline`], [`crate::engine::run_offline_pipeline`]
 //! and [`crate::fleet::run_fleet`] all run on the same two pieces:
 //! `compress_batch`, the one contained compress step (codec errors and
-//! panics degrade a segment to Raw), and `ShardQueues`, the per-shard
-//! bounded work queues, recycle pools and parked-wake work stealing (the
-//! crate-private `WorkGate` has no other user). Each entry point
-//! supplies only its per-batch decision and what it does with the
-//! compressed blocks; the fleet's batches carry their stream's state.
+//! panics degrade a segment to Raw), and `ShardQueues`, one bounded work
+//! queue that every worker receives from and one recycle pool of segment
+//! buffers that every worker returns to. Each entry point supplies only
+//! its per-batch decision and what it does with the compressed blocks;
+//! the fleet's batches carry their stream's state.
 //!
-//! The engines make every arm decision lock-free from a **local selector
-//! replica**: each shard's own copy of the bandit state. Replicas stay
-//! coherent through a [`SharedOutcomeTable`]: per-batch outcome deltas are
-//! published with plain `fetch_add`s (no mutex anywhere on the segment hot
-//! path), and every [`ReplicaSelector::sync_interval`] decisions a replica
-//! folds the *foreign* deltas — everything other shards published since
-//! its last sync — back into its local policy via
-//! [`adaedge_bandit::Policy::fold`].
+//! A *shard* is one worker thread. The engines make every arm decision
+//! lock-free from a **local selector replica**: each shard's own copy of
+//! the bandit state, which decides whichever batch its worker takes next.
+//! Replicas stay coherent through a [`SharedOutcomeTable`]: per-batch
+//! outcome deltas are published with plain `fetch_add`s (no mutex
+//! anywhere on the segment hot path), and every
+//! [`ReplicaSelector::sync_interval`] decisions a replica folds the
+//! *foreign* deltas — everything other shards published since its last
+//! sync — back into its local policy via [`adaedge_bandit::Policy::fold`].
 //!
 //! Staleness semantics: between syncs a replica's estimates lag the global
 //! posterior by at most `(S − 1) · sync_interval` decisions' worth of
@@ -40,11 +41,9 @@ use crate::error::{AdaEdgeError, Result};
 use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch, CompressedBlockRef};
 use adaedge_datasets::SegmentSource;
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed-point scale for reward sums in the shared table: rewards lie in
 /// `[0, 1]`, so 2³² units per unit reward keeps published sums exact to
@@ -77,111 +76,19 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Per-shard recycle-pool size for a shard whose queue holds `batch_cap`
-/// batches in a pipeline with `n_shards` worker shards.
+/// Recycle-pool size for a work queue of `queue_cap` batches drained by
+/// `n_shards` workers.
 ///
-/// Derivation (the pigeonhole no-deadlock argument, re-derived for
-/// sharding with work-stealing): a shard's batches can simultaneously sit
-/// in (a) its own queue — at most `batch_cap`, since the producer only
-/// enqueues a batch on its home shard's queue; (b) workers' hands — at
-/// most `n_shards`, because **any** worker may steal and hold one batch
-/// from this shard, not just the shard's own worker; (c) the producer's
-/// hand — at most 1. With `batch_cap + n_shards + 1` batches in the pool,
-/// at least one is therefore always in (or headed to) the recycle channel
-/// and the producer's blocking `recv` cannot deadlock. The pre-shard
-/// global bound (`cap + threads + 1`) naively ported per shard would give
-/// `batch_cap + 1 + 1` (one worker per shard) and under-provisions by the
-/// `n_shards − 1` batches stealing can strand in foreign workers' hands.
-pub fn shard_pool_size(batch_cap: usize, n_shards: usize) -> usize {
-    batch_cap + n_shards + 1
-}
-
-/// A parked-wake rendezvous between queue producers and sweeping
-/// consumers, replacing the old fixed 1 ms steal-backoff sleep.
-///
-/// The work-stealing loop's problem: a worker that sweeps every shard
-/// queue, finds them all momentarily empty and blocks on *one* queue's
-/// condvar sleeps through a batch that lands on any *other* queue —
-/// with the old `recv_timeout(1ms)` rescan, up to a millisecond per
-/// arrival (the tuning item flagged in ROADMAP). The gate gives sweepers
-/// one place to park that **every** enqueue wakes:
-///
-/// * A producer calls [`WorkGate::notify`] after each enqueue: one
-///   `fetch_add` on the epoch plus a sleeper check — it takes the mutex
-///   only when somebody is actually parked, so the hot path with busy
-///   workers costs two uncontended atomics.
-/// * A consumer snapshots [`WorkGate::epoch`], registers as a sleeper,
-///   re-sweeps the queues, and only then parks via [`WorkGate::park`],
-///   which re-checks the epoch under the gate lock before sleeping.
-///
-/// The sleeper registration *precedes* the final re-sweep and the
-/// producer bumps the epoch *before* checking for sleepers, so every
-/// interleaving either lets the consumer find the batch in its re-sweep
-/// or leaves the epoch visibly changed when it tries to park — there is
-/// no window where an enqueue slips between sweep and sleep unnoticed.
-/// A coarse safety timeout (50 ms) bounds the damage of any future
-/// protocol regression without ever being load-bearing.
-#[derive(Debug, Default)]
-pub(crate) struct WorkGate {
-    /// Bumped by every enqueue; consumers park against a snapshot of it.
-    epoch: AtomicU64,
-    /// Consumers currently between registration and wake.
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-/// Safety net for [`WorkGate::park`]: never load-bearing (the epoch
-/// protocol guarantees wakeups), only bounding a hypothetical regression.
-const PARK_SAFETY_TIMEOUT: Duration = Duration::from_millis(50);
-
-impl WorkGate {
-    /// Create an idle gate.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current epoch; take a snapshot *before* sweeping the queues, then
-    /// hand it to [`WorkGate::park`] if the sweep came up empty.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Announce intent to park. Must be called *before* the final
-    /// pre-park queue sweep so a concurrent [`WorkGate::notify`] is
-    /// guaranteed to see the sleeper; pair with [`WorkGate::park`] or
-    /// [`WorkGate::cancel_park`].
-    pub(crate) fn register_sleeper(&self) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Withdraw a [`WorkGate::register_sleeper`] after the re-sweep found
-    /// work (no park happened).
-    pub(crate) fn cancel_park(&self) {
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Park until the epoch moves past `ticket` (an enqueue happened since
-    /// the snapshot) or the safety timeout lapses. The caller must have
-    /// registered as a sleeper first; the registration is consumed.
-    pub(crate) fn park(&self, ticket: u64) {
-        let mut guard = self.lock.lock();
-        if self.epoch.load(Ordering::SeqCst) == ticket {
-            self.cv.wait_for(&mut guard, PARK_SAFETY_TIMEOUT);
-        }
-        drop(guard);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Signal that work was enqueued (or that the pipeline is shutting
-    /// down and parked consumers should re-check their queues).
-    pub(crate) fn notify(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.lock.lock();
-            self.cv.notify_all();
-        }
-    }
+/// Derivation (the pigeonhole no-deadlock argument): a batch can sit in
+/// (a) the work queue — at most `queue_cap`; (b) a worker's hands — at
+/// most one per worker, `n_shards` in all; (c) the producer's hand — at
+/// most 1. With `queue_cap + n_shards + 1` batches in the pool, at least
+/// one is therefore always in (or headed to) the recycle channel and the
+/// producer's blocking `recv` cannot deadlock. A worker that dies loses
+/// at most the one batch in its hands, and takes its hand out of (b) with
+/// it, so the argument holds for the workers that are left.
+pub fn shard_pool_size(queue_cap: usize, n_shards: usize) -> usize {
+    queue_cap + n_shards + 1
 }
 
 /// Compress every segment of one batch with the batch's sticky `codec`.
@@ -227,12 +134,8 @@ pub(crate) fn compress_batch(
     }
 }
 
-/// A batch of segment buffers on its way through the shard queues.
+/// A batch of segment buffers on its way through the work queue.
 pub(crate) struct ShardBatch<T> {
-    /// The shard whose recycle pool owns the buffers. A stolen batch is
-    /// compressed by a foreign worker, but its buffers always return
-    /// home, which keeps each pool's accounting exact.
-    pub(crate) home: usize,
     /// What the worker needs besides the data: `()` for the engines; the
     /// stream itself and the ingest sequence for the fleet.
     pub(crate) tag: T,
@@ -240,29 +143,24 @@ pub(crate) struct ShardBatch<T> {
     pub(crate) segs: Vec<Vec<f64>>,
 }
 
-/// The per-shard queue set every sharded pipeline runs on.
+/// The queue pair every multithreaded pipeline runs on: one bounded work
+/// queue that every worker receives from, and one recycle pool of segment
+/// buffers that every worker returns to.
 ///
-/// Each shard has a bounded work queue and a recycle pool of segment
-/// buffers; the set also owns the [`WorkGate`] parked workers wait on and
-/// the stolen-batch counter. The queues hold `buffer_segments` segments in
-/// K-batches split across the shards, with a floor of two batches per
-/// shard so a worker can drain one batch while the producer fills the
-/// next (a single-slot queue serializes the two stages). Each pool holds
-/// [`shard_pool_size`] batches.
-///
-/// The channels live only for one [`ShardQueues::run`]; the counters stay
-/// readable afterwards.
+/// The queue holds `buffer_segments` segments in K-batches, with a floor
+/// of two batches per worker so a worker can drain one batch while the
+/// producer fills the next (a single-slot queue serializes the two
+/// stages). The pool holds [`shard_pool_size`] batches. The channels live
+/// only for one [`ShardQueues::run`].
 pub(crate) struct ShardQueues {
     n_shards: usize,
     k: usize,
     segment_len: usize,
-    batch_cap: usize,
-    gate: WorkGate,
-    stolen_batches: AtomicU64,
+    queue_cap: usize,
 }
 
 impl ShardQueues {
-    /// Size a queue set: `threads` workers (`0` = one per core, see
+    /// Size a queue pair: `threads` workers (`0` = one per core, see
     /// [`resolve_threads`]), `buffer_segments` of in-flight buffer,
     /// `k` segments per batch of `segment_len` points.
     pub(crate) fn new(
@@ -277,9 +175,7 @@ impl ShardQueues {
             n_shards,
             k,
             segment_len,
-            batch_cap: buffer_segments.max(1).div_ceil(k).div_ceil(n_shards).max(2),
-            gate: WorkGate::new(),
-            stolen_batches: AtomicU64::new(0),
+            queue_cap: buffer_segments.max(1).div_ceil(k).max(2 * n_shards),
         }
     }
 
@@ -288,70 +184,55 @@ impl ShardQueues {
         self.n_shards
     }
 
-    /// Batches across all recycle pools: an upper bound on the batches a
-    /// run can have in flight at once.
+    /// Batches in the recycle pool: an upper bound on the batches a run
+    /// can have in flight at once.
     pub(crate) fn pool_batches(&self) -> usize {
-        self.n_shards * shard_pool_size(self.batch_cap, self.n_shards)
-    }
-
-    /// Batches a worker took from a foreign shard's queue so far.
-    pub(crate) fn stolen_batches(&self) -> u64 {
-        self.stolen_batches.load(Ordering::Relaxed)
+        shard_pool_size(self.queue_cap, self.n_shards)
     }
 
     /// Run one pipeline: spawn a worker thread per shard running `worker`,
-    /// drive `producer` on the calling thread, then close the queues, wake
-    /// parked workers and join them all. Returns each worker's result in
-    /// shard order. Every worker is joined before the outcome is decided,
-    /// so one that panicked yields `Err(AdaEdgeError::WorkerFailed)`
-    /// rather than an unjoined panic.
+    /// drive `producer` on the calling thread, then close the work queue
+    /// and join every worker. Returns each worker's result in shard order.
+    /// Every worker is joined before the outcome is decided, so one that
+    /// panicked yields `Err(AdaEdgeError::WorkerFailed)` rather than an
+    /// unjoined panic.
     pub(crate) fn run<T, R, W, P>(&self, worker: W, producer: P) -> Result<Vec<R>>
     where
         T: Send,
         R: Send,
-        W: Fn(&mut ShardWorker<'_, T>) -> R + Sync,
-        P: FnOnce(&mut ShardProducer<'_, T>),
+        W: Fn(&ShardWorker<T>) -> R + Sync,
+        P: FnOnce(&ShardProducer<T>),
     {
-        let n = self.n_shards;
-        let pool = shard_pool_size(self.batch_cap, n);
-        let (work_txs, work_rxs): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| channel::bounded(self.batch_cap)).unzip();
-        let (recycle_txs, recycle_rxs): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| channel::bounded(pool)).unzip();
-        for tx in &recycle_txs {
-            for _ in 0..pool {
-                let segs = (0..self.k).map(|_| Vec::with_capacity(self.segment_len));
-                tx.try_send(segs.collect())
-                    .expect("a fresh recycle channel holds its whole pool");
-            }
+        let pool = self.pool_batches();
+        let (work_tx, work_rx) = channel::bounded(self.queue_cap);
+        let (recycle_tx, recycle_rx) = channel::bounded(pool);
+        for _ in 0..pool {
+            let segs = (0..self.k).map(|_| Vec::with_capacity(self.segment_len));
+            recycle_tx
+                .try_send(segs.collect())
+                .expect("a fresh recycle channel holds its whole pool");
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
+            let handles: Vec<_> = (0..self.n_shards)
                 .map(|me| {
-                    let mut state = ShardWorker {
+                    let state = ShardWorker {
                         me,
-                        rxs: work_rxs.clone(),
-                        open: vec![true; n],
-                        recycle_txs: recycle_txs.clone(),
-                        gate: &self.gate,
-                        stolen: &self.stolen_batches,
+                        rx: work_rx.clone(),
+                        recycle_tx: recycle_tx.clone(),
                     };
                     let worker = &worker;
-                    scope.spawn(move || worker(&mut state))
+                    scope.spawn(move || worker(&state))
                 })
                 .collect();
-            drop((work_rxs, recycle_txs));
-            producer(&mut ShardProducer {
-                work_txs,
-                recycle_rxs,
-                gate: &self.gate,
+            drop((work_rx, recycle_tx));
+            // Dropping the producer's end closes the work queue: the
+            // workers drain it and their `recv` then returns `None`.
+            producer(&ShardProducer {
+                work_tx,
+                recycle_rx,
                 segment_len: self.segment_len,
-                next: 0,
             });
-            // The producer's channel ends are gone: wake parked workers so
-            // they observe the disconnected queues and drain out.
-            self.gate.notify();
-            let mut results = Vec::with_capacity(n);
+            let mut results = Vec::with_capacity(self.n_shards);
             let mut lost_worker = false;
             for handle in handles {
                 match handle.join() {
@@ -370,140 +251,72 @@ impl ShardQueues {
 }
 
 /// One worker's end of a [`ShardQueues`] run.
-pub(crate) struct ShardWorker<'q, T> {
+pub(crate) struct ShardWorker<T> {
     me: usize,
-    rxs: Vec<Receiver<ShardBatch<T>>>,
-    /// Work queues not yet known to be disconnected.
-    open: Vec<bool>,
-    recycle_txs: Vec<Sender<Vec<Vec<f64>>>>,
-    gate: &'q WorkGate,
-    stolen: &'q AtomicU64,
+    rx: Receiver<ShardBatch<T>>,
+    recycle_tx: Sender<Vec<Vec<f64>>>,
 }
 
-impl<T> ShardWorker<'_, T> {
+impl<T> ShardWorker<T> {
     /// This worker's shard.
     pub(crate) fn shard(&self) -> usize {
         self.me
     }
 
-    /// Receive the next batch: a non-blocking sweep over every queue, then
-    /// a park on the gate that any enqueue ends at once, so no worker ever
-    /// sleeps through an arrival on a foreign queue. Returns `None` once
-    /// every queue is disconnected and drained.
-    pub(crate) fn recv(&mut self) -> Option<ShardBatch<T>> {
-        loop {
-            if let Some(b) = self.try_take() {
-                return Some(b);
-            }
-            if !self.open.contains(&true) {
-                return None;
-            }
-            // Everything open is momentarily empty. Register as a sleeper
-            // *before* the confirmation sweep: an enqueue that lands after
-            // the sweep either sees the registration (and notifies) or
-            // bumps the epoch before `park` re-checks it.
-            self.gate.register_sleeper();
-            let ticket = self.gate.epoch();
-            let found = self.try_take();
-            if found.is_some() || !self.open.contains(&true) {
-                self.gate.cancel_park();
-                return found;
-            }
-            self.gate.park(ticket);
-        }
+    /// Receive the next batch, blocking while the queue is empty. Returns
+    /// `None` once the producer is done and the queue is drained.
+    pub(crate) fn recv(&self) -> Option<ShardBatch<T>> {
+        self.rx.recv().ok()
     }
 
-    /// One non-blocking sweep: own queue first, then a steal pass over the
-    /// foreign queues starting just past its own shard, so contending
-    /// stealers fan out over different victims.
-    fn try_take(&mut self) -> Option<ShardBatch<T>> {
-        let n = self.rxs.len();
-        for off in 0..n {
-            let j = (self.me + off) % n;
-            if !self.open[j] {
-                continue;
-            }
-            match self.rxs[j].try_recv() {
-                Ok(b) => {
-                    if j != self.me {
-                        self.stolen.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Some(b);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => self.open[j] = false,
-            }
-        }
-        None
-    }
-
-    /// Hand a drained batch's buffers back to their home pool (a no-op
-    /// once the producer is done).
-    pub(crate) fn recycle(&self, home: usize, segs: Vec<Vec<f64>>) {
-        let _ = self.recycle_txs[home].send(segs);
+    /// Hand a drained batch's buffers back to the pool (a no-op once the
+    /// producer is done).
+    pub(crate) fn recycle(&self, segs: Vec<Vec<f64>>) {
+        let _ = self.recycle_tx.send(segs);
     }
 }
 
 /// The producer's end of a [`ShardQueues`] run.
-pub(crate) struct ShardProducer<'q, T> {
-    work_txs: Vec<Sender<ShardBatch<T>>>,
-    recycle_rxs: Vec<Receiver<Vec<Vec<f64>>>>,
-    gate: &'q WorkGate,
+pub(crate) struct ShardProducer<T> {
+    work_tx: Sender<ShardBatch<T>>,
+    recycle_rx: Receiver<Vec<Vec<f64>>>,
     segment_len: usize,
-    /// The pool the next [`Self::acquire`] sweeps first: the one after the
-    /// last batch's home, so batches round-robin over the shards.
-    next: usize,
 }
 
-impl<T> ShardProducer<'_, T> {
-    /// Take recycled buffers and fill `take` of them from `source`. The
-    /// pools are swept round-robin, from the one after the previous
-    /// batch's home, blocking on the first swept pool only when every pool
-    /// is momentarily drained (the pool bound guarantees a batch comes
-    /// back). The buffers are truncated on a final partial batch and
-    /// regrown after one, so the pools never shed buffers. Returns the
-    /// supplying shard, which is the batch's home, and the filled
-    /// segments; `None` once the workers are gone.
+impl<T> ShardProducer<T> {
+    /// Take recycled buffers, blocking while the pool is drained (the pool
+    /// bound guarantees a batch comes back), and fill `take` of them from
+    /// `source`. The buffers are truncated on a final partial batch and
+    /// regrown after one, so the pool never sheds buffers. Returns `None`
+    /// once the workers are gone.
     pub(crate) fn acquire(
-        &mut self,
+        &self,
         take: usize,
         source: &mut dyn SegmentSource,
-    ) -> Option<(usize, Vec<Vec<f64>>)> {
-        let n = self.recycle_rxs.len();
-        let start = self.next;
-        let swept = (0..n)
-            .map(|off| (start + off) % n)
-            .find_map(|sh| self.recycle_rxs[sh].try_recv().ok().map(|segs| (sh, segs)));
-        let (home, mut segs) = match swept {
-            Some(found) => found,
-            None => (start, self.recycle_rxs[start].recv().ok()?),
-        };
-        self.next = (home + 1) % n;
+    ) -> Option<Vec<Vec<f64>>> {
+        let mut segs = self.recycle_rx.recv().ok()?;
         segs.truncate(take);
         segs.resize_with(take, || Vec::with_capacity(self.segment_len));
         for seg in segs.iter_mut() {
             source.next_segment_into(seg);
         }
-        Some((home, segs))
+        Some(segs)
     }
 
-    /// Enqueue a batch of `segs` tagged `tag` on shard `home`'s queue and
-    /// wake a parked worker. A full queue blocks until there is room, and
-    /// the batch's segments count as spilled. Returns the spilled segments
-    /// (0 when the queue had room), or `None` once the workers are gone.
-    pub(crate) fn enqueue(&self, home: usize, tag: T, segs: Vec<Vec<f64>>) -> Option<usize> {
-        let tx = &self.work_txs[home];
-        let spilled = match tx.try_send(ShardBatch { home, tag, segs }) {
-            Ok(()) => 0,
+    /// Enqueue a batch of `segs` tagged `tag`. A full queue blocks until
+    /// there is room, and the batch's segments count as spilled. Returns
+    /// the spilled segments (0 when the queue had room), or `None` once
+    /// the workers are gone.
+    pub(crate) fn enqueue(&self, tag: T, segs: Vec<Vec<f64>>) -> Option<usize> {
+        match self.work_tx.try_send(ShardBatch { tag, segs }) {
+            Ok(()) => Some(0),
             Err(TrySendError::Full(batch)) => {
                 let len = batch.segs.len();
-                tx.send(batch).ok()?;
-                len
+                self.work_tx.send(batch).ok()?;
+                Some(len)
             }
-            Err(TrySendError::Disconnected(_)) => return None,
-        };
-        self.gate.notify();
-        Some(spilled)
+            Err(TrySendError::Disconnected(_)) => None,
+        }
     }
 }
 
@@ -618,10 +431,11 @@ pub struct ReplicaSelector<'t> {
     table: &'t SharedOutcomeTable,
     sync_interval: usize,
     decisions_since_sync: usize,
-    /// Per-arm global pulls already reflected in `inner` (own published
-    /// plus previously folded foreign).
-    accounted_pulls: Vec<u64>,
-    /// Per-arm table reward units already reflected in `inner`.
+    /// Per-arm table reward units already reflected in `inner`. The
+    /// matching pull counts need no copy: every policy counts one pull per
+    /// `update` and `pulls` per `fold`, and a replica never restores, so
+    /// the local policy's [`LosslessSelector::pulls`] are exactly the
+    /// global pulls reflected so far (own published plus folded foreign).
     accounted_units: Vec<u64>,
 }
 
@@ -658,7 +472,6 @@ impl<'t> ReplicaSelector<'t> {
             table,
             sync_interval: sync_interval.max(1),
             decisions_since_sync: 0,
-            accounted_pulls: vec![0; n],
             accounted_units: vec![0; n],
         }
     }
@@ -707,7 +520,6 @@ impl<'t> ReplicaSelector<'t> {
                 }
             }
         }
-        self.accounted_pulls[arm] += batch_pulls;
         self.accounted_units[arm] += batch_units;
         self.table.publish(arm, batch_pulls, batch_units);
         self.decisions_since_sync += 1;
@@ -721,10 +533,10 @@ impl<'t> ReplicaSelector<'t> {
     /// verdicts from the table. Allocation-free; O(arms).
     pub fn sync(&mut self) {
         self.decisions_since_sync = 0;
-        for arm in 0..self.accounted_pulls.len() {
+        for arm in 0..self.accounted_units.len() {
             let g_pulls = self.table.arms[arm].pulls.load(Ordering::Acquire);
             let g_units = self.table.arms[arm].reward_units.load(Ordering::Relaxed);
-            let dp = g_pulls - self.accounted_pulls[arm];
+            let dp = g_pulls - self.inner.pulls()[arm];
             if dp == 0 {
                 continue;
             }
@@ -737,12 +549,11 @@ impl<'t> ReplicaSelector<'t> {
             let cap = ((dp as u128) << 32).min(u64::MAX as u128) as u64;
             let du = du.min(cap);
             self.inner.fold_foreign(arm, dp, du as f64 / REWARD_UNIT);
-            self.accounted_pulls[arm] = g_pulls;
             self.accounted_units[arm] += du;
         }
         let bits = self.table.quarantine_bits();
         if bits != 0 {
-            for arm in 0..self.accounted_pulls.len() {
+            for arm in 0..self.accounted_units.len() {
                 if bits & (1u64 << arm) != 0 {
                     self.inner.quarantine_arm(arm);
                 }
@@ -756,6 +567,7 @@ impl<'t> ReplicaSelector<'t> {
 mod tests {
     use super::*;
     use adaedge_codecs::CodecRegistry;
+    use std::time::Duration;
 
     fn arms() -> Vec<CodecId> {
         CodecRegistry::lossless_candidates()
@@ -867,11 +679,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_bound_accounts_for_stealing_workers() {
-        // Regression for the per-shard re-derivation: with S shards, up to
-        // S workers can simultaneously hold one of a shard's batches, so
-        // the pool must exceed the naive per-shard port of the old global
-        // bound (batch_cap + 1 worker + 1 producer) by S − 1.
+    fn pool_bound_counts_every_workers_hand() {
+        // With S workers draining one queue, each can hold a batch at
+        // once, so the pool must exceed the one-worker bound
+        // (queue_cap + 1 worker + 1 producer) by S − 1.
         assert_eq!(shard_pool_size(1, 4), 6);
         assert_eq!(shard_pool_size(8, 1), 10);
         for s in 1..=8 {
@@ -880,43 +691,103 @@ mod tests {
     }
 
     #[test]
-    fn work_gate_wakes_parked_consumer_on_notify() {
-        let gate = WorkGate::new();
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            let ticket = gate.epoch();
-            gate.register_sleeper();
-            // (re-sweep would go here and find nothing)
-            scope.spawn(|| {
-                // Give the consumer a moment to actually park.
-                std::thread::sleep(Duration::from_millis(5));
-                gate.notify();
+    fn queue_and_pool_sizes() {
+        // One worker: `buffer_segments` in K-batches, floored at 2.
+        let one = ShardQueues::new(1, 64, 8, 16);
+        assert_eq!((one.queue_cap, one.pool_batches()), (8, 10));
+        let one = ShardQueues::new(1, 1, 2, 16);
+        assert_eq!((one.queue_cap, one.pool_batches()), (2, 4));
+        // Several workers share the queue, floored at 2 batches each.
+        let four = ShardQueues::new(4, 64, 8, 16);
+        assert_eq!((four.queue_cap, four.pool_batches()), (8, 13));
+        let four = ShardQueues::new(4, 1, 2, 16);
+        assert_eq!((four.queue_cap, four.pool_batches()), (8, 13));
+    }
+
+    /// What a two-worker run with dying workers left behind: whether it
+    /// failed with `WorkerFailed`, the batches the producer got into the
+    /// queue, and the tags of the batches a surviving worker drained.
+    struct DeadWorkerRun {
+        worker_failed: bool,
+        enqueued: usize,
+        drained: Vec<usize>,
+    }
+
+    /// Run two workers over up to `max_batches` one-segment batches tagged
+    /// by their index: worker 0 dies on its first batch, and worker 1 dies
+    /// too if `both_die`, else drains the queue once worker 0 holds its
+    /// batch. The producer stops early when `acquire` or `enqueue` returns
+    /// `None`. Runs on a watchdog thread, so a hang fails the test.
+    fn run_with_dead_workers(max_batches: usize, both_die: bool) -> DeadWorkerRun {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut source = adaedge_datasets::SineStream::new(64, 0.1, 4, 7);
+            let queues = ShardQueues::new(2, 4, 1, source.segment_len());
+            let took_first = std::sync::Barrier::new(2);
+            let drained = std::sync::Mutex::new(Vec::new());
+            let mut enqueued = 0;
+            let result = queues.run(
+                |worker: &ShardWorker<usize>| {
+                    if worker.shard() == 1 && !both_die {
+                        took_first.wait();
+                        while let Some(batch) = worker.recv() {
+                            drained.lock().unwrap().push(batch.tag);
+                            worker.recycle(batch.segs);
+                        }
+                        return;
+                    }
+                    let batch = worker.recv();
+                    if worker.shard() == 0 && !both_die {
+                        took_first.wait();
+                    }
+                    panic!(
+                        "worker {} dies holding {:?}",
+                        worker.shard(),
+                        batch.map(|b| b.tag)
+                    );
+                },
+                |producer| {
+                    while enqueued < max_batches {
+                        let Some(segs) = producer.acquire(1, &mut source) else {
+                            break;
+                        };
+                        if producer.enqueue(enqueued, segs).is_none() {
+                            break;
+                        }
+                        enqueued += 1;
+                    }
+                },
+            );
+            let _ = tx.send(DeadWorkerRun {
+                worker_failed: matches!(result, Err(AdaEdgeError::WorkerFailed { .. })),
+                enqueued,
+                drained: drained.into_inner().unwrap(),
             });
-            gate.park(ticket);
         });
-        // Far below the 50 ms safety timeout: the notify woke us.
-        assert!(start.elapsed() < Duration::from_millis(45));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("ShardQueues::run hung with a dead worker")
     }
 
     #[test]
-    fn work_gate_notify_between_snapshot_and_park_prevents_sleep() {
-        let gate = WorkGate::new();
-        let ticket = gate.epoch();
-        gate.register_sleeper();
-        gate.notify(); // enqueue lands after the sweep started
-        let start = std::time::Instant::now();
-        gate.park(ticket); // epoch moved: must return immediately
-        assert!(start.elapsed() < Duration::from_millis(45));
+    fn a_dead_worker_fails_the_run_and_the_survivor_drains_the_rest() {
+        // More batches than the pool holds: the lost batch's buffers never
+        // come back, and the pool bound still keeps the producer going.
+        let n = 40;
+        let run = run_with_dead_workers(n, false);
+        assert!(run.worker_failed);
+        assert_eq!(run.enqueued, n);
+        // Worker 0 took batch 0 before worker 1 started receiving.
+        assert_eq!(run.drained, (1..n).collect::<Vec<_>>());
     }
 
     #[test]
-    fn work_gate_cancel_park_balances_sleepers() {
-        let gate = WorkGate::new();
-        gate.register_sleeper();
-        gate.cancel_park();
-        // No sleepers: notify must stay on the cheap path and not deadlock.
-        gate.notify();
-        assert_eq!(gate.epoch(), 1);
+    fn two_dead_workers_stop_the_producer_and_fail_the_run() {
+        let run = run_with_dead_workers(usize::MAX, true);
+        assert!(run.worker_failed);
+        // Each worker took one batch before it died; the producer then
+        // stopped on a `None` instead of enqueuing forever.
+        assert!(run.enqueued >= 2, "{}", run.enqueued);
+        assert!(run.drained.is_empty());
     }
 
     fn sine_segments(n: usize) -> Vec<Vec<f64>> {
