@@ -81,11 +81,11 @@ pub fn direct_agg(block: &CompressedBlock, op: AggOp) -> Result<Option<f64>> {
     }
     let value = match block.codec {
         CodecId::Paa => {
-            let (window, means) = Paa::parse(block)?;
+            let (window, means) = Paa::means(block)?;
             match op {
                 AggOp::Sum | AggOp::Avg => {
                     let mut sum = 0.0;
-                    for (w_idx, &mean) in means.iter().enumerate() {
+                    for (w_idx, mean) in means.enumerate() {
                         let count = window.min(n - w_idx * window);
                         sum += mean * count as f64;
                     }
@@ -95,8 +95,8 @@ pub fn direct_agg(block: &CompressedBlock, op: AggOp) -> Result<Option<f64>> {
                         sum
                     }
                 }
-                AggOp::Max => means.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                AggOp::Min => means.iter().cloned().fold(f64::INFINITY, f64::min),
+                AggOp::Max => means.fold(f64::NEG_INFINITY, f64::max),
+                AggOp::Min => means.fold(f64::INFINITY, f64::min),
             }
         }
         CodecId::RrdSample => {

@@ -60,7 +60,11 @@ impl Paa {
         Ok(())
     }
 
-    pub(crate) fn parse(block: &CompressedBlock) -> Result<(usize, Vec<f64>)> {
+    /// The window and the window means of `block`, read straight off the
+    /// payload, after checking the payload against the block's length.
+    pub(crate) fn means(
+        block: &CompressedBlock,
+    ) -> Result<(usize, impl ExactSizeIterator<Item = f64> + '_)> {
         if block.payload.len() < HDR_BYTES
             || !(block.payload.len() - HDR_BYTES).is_multiple_of(MEAN_BYTES)
         {
@@ -71,12 +75,10 @@ impl Paa {
         if window == 0 {
             return Err(CodecError::Corrupt("paa zero window"));
         }
-        let means: Vec<f64> = block.payload[HDR_BYTES..]
+        let means = block.payload[HDR_BYTES..]
             .chunks_exact(MEAN_BYTES)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let n = block.n_points as usize;
-        if means.len() != n.div_ceil(window) {
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
+        if means.len() != (block.n_points as usize).div_ceil(window) {
             return Err(CodecError::Corrupt("paa mean count mismatch"));
         }
         Ok((window, means))
@@ -120,26 +122,10 @@ impl Codec for Paa {
     ) -> Result<()> {
         self.check_block(block)?;
         let n = block.n_points as usize;
-        // Same validation as `parse`, but expand means straight off the
-        // payload without materializing the intermediate vector.
-        if block.payload.len() < HDR_BYTES
-            || !(block.payload.len() - HDR_BYTES).is_multiple_of(MEAN_BYTES)
-        {
-            return Err(CodecError::Corrupt("paa payload size"));
-        }
-        let window =
-            u32::from_le_bytes(block.payload[..HDR_BYTES].try_into().expect("4 bytes")) as usize;
-        if window == 0 {
-            return Err(CodecError::Corrupt("paa zero window"));
-        }
-        let means = block.payload[HDR_BYTES..].chunks_exact(MEAN_BYTES);
-        if means.len() != n.div_ceil(window) {
-            return Err(CodecError::Corrupt("paa mean count mismatch"));
-        }
+        let (window, means) = Self::means(block)?;
         out.clear();
         out.reserve(n);
-        for (w_idx, c) in means.enumerate() {
-            let mean = f64::from_le_bytes(c.try_into().expect("8 bytes"));
+        for (w_idx, mean) in means.enumerate() {
             let count = window.min(n - w_idx * window);
             out.extend(std::iter::repeat_n(mean, count));
         }
@@ -209,7 +195,8 @@ impl LossyCodec for Paa {
             ));
         }
         let n = block.n_points as usize;
-        let (window, means) = Self::parse(block)?;
+        let (window, means) = Self::means(block)?;
+        let means: Vec<f64> = means.collect();
         let m_new = Self::windows_for(n, ratio);
         if m_new == 0 {
             return Err(CodecError::RatioUnreachable {

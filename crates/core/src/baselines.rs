@@ -226,7 +226,7 @@ impl std::fmt::Debug for FixedPairOffline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FixedPairOffline")
             .field("pair", &self.pair.name())
-            .field("store", &self.cascade.store)
+            .field("store", self.cascade.store())
             .finish()
     }
 }
@@ -251,7 +251,7 @@ impl FixedPairOffline {
 
     /// Read access to the store.
     pub fn store(&self) -> &adaedge_storage::SegmentStore {
-        &self.cascade.store
+        self.cascade.store()
     }
 
     /// Ingest one segment through the fixed cascade.

@@ -16,8 +16,8 @@
 //!   stream it was handed, with no lock, and sends it back with the
 //!   batch's completion.
 //! * **One shard runtime.** Batches travel the same work queue and
-//!   recycle pool as the engines' (`shard::ShardQueues`), and every
-//!   segment goes through the engines' contained compress step
+//!   recycle pool as the engine's (`shard::ShardQueues`), and every
+//!   segment goes through the engine's contained compress step
 //!   (`shard::compress_batch`). What the fleet adds is the per-stream
 //!   decision and what it emits.
 //! * **Fair, work-conserving scheduling.** Ready streams wait in one
@@ -454,6 +454,23 @@ pub struct FleetReport {
 /// batch's first segment.
 type Dispatch = (Box<Stream>, u64);
 
+/// A batch's completion: its stream back, or `None` from a worker that
+/// died outside the contained compress step (see [`DeathNotice`]).
+type Completion = Option<Box<Stream>>;
+
+/// Held by every worker: sends a `None` completion if its worker unwinds,
+/// so a producer waiting for the stream that worker held wakes up, stops
+/// dispatching, and lets the run report the failure.
+struct DeathNotice<'a>(&'a channel::Sender<Completion>);
+
+impl Drop for DeathNotice<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(None);
+        }
+    }
+}
+
 /// A resident stream waiting for a turn: admitted and not yet built, or
 /// built and back from its last batch.
 enum Ready {
@@ -581,8 +598,10 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
     // the batches unreported at the first — each in the work queue (at
     // most `queue_cap`) or in a worker's hands (at most one per worker) —
     // plus the one batch dispatched in between: `queue_cap + S + 1`, the
-    // recycle pool's batches. A worker's send therefore never blocks.
-    let (done_tx, done_rx) = channel::bounded::<Box<Stream>>(queues.pool_batches());
+    // recycle pool's batches. Each worker also sends at most one `None`
+    // when it dies, after which the producer stops draining: S more. A
+    // worker's send therefore never blocks.
+    let (done_tx, done_rx) = channel::bounded::<Completion>(queues.pool_batches() + n_shards);
     // Frame descriptors in `FRAME_FLUSH_ITEMS` chunks: two chunks per
     // worker, so a worker can run one chunk ahead of the egress stage. The
     // egress thread only consumes, so a full channel stalls a worker only
@@ -626,6 +645,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
         // Owns `frame_tx`: the egress stage sees the end of input once the
         // run is over and this closure is dropped.
         let compress = move |worker: &ShardWorker<Dispatch>| {
+            let _notice = DeathNotice(&done_tx);
             let mut scratch = CodecScratch::new();
             let mut counts: HashMap<CodecId, u64> = HashMap::new();
             let mut degraded = 0u64;
@@ -650,6 +670,10 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     degraded += 1;
                 }
                 let (arm, codec) = stream.selector.select_arm_biased(level);
+                #[cfg(test)]
+                if id == tests::DOOMED_STREAM {
+                    panic!("worker dies outside the contained compress step");
+                }
                 let mut bytes_out = 0u64;
                 compress_batch(reg, codec, &segs, &mut scratch, &mut outcomes, |i, b| {
                     *counts.entry(b.codec).or_insert(0) += 1;
@@ -672,7 +696,7 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     .count() as u64;
                 // Never blocks, by the channel's bound, and never fails: the
                 // receiver outlives the workers.
-                let _ = done_tx.send(stream);
+                let _ = done_tx.send(Some(stream));
                 worker.recycle(segs);
                 if items.len() >= FRAME_FLUSH_ITEMS {
                     let chunk =
@@ -692,7 +716,9 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             sched.admit();
             let mut seq = 0u64;
             loop {
+                // A `None` completion: a worker died, and the run fails.
                 while let Ok(done) = done_rx.try_recv() {
+                    let Some(done) = done else { return };
                     sched.complete(done);
                 }
                 let Some(next) = sched.ready.pop_front() else {
@@ -701,8 +727,10 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
                     if sched.in_flight == 0 {
                         break;
                     }
-                    let done = done_rx.recv().expect("the workers hold a sender");
-                    sched.complete(done);
+                    match done_rx.recv() {
+                        Ok(Some(done)) => sched.complete(done),
+                        _ => return,
+                    }
                     continue;
                 };
                 // A stream is built at its first turn, while the workers
@@ -791,58 +819,9 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap;
     use adaedge_datasets::SineStream;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
     use std::sync::{Arc, Mutex};
-
-    thread_local! {
-        /// Heap bytes live from this thread's allocations (net of frees).
-        static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
-    }
-
-    fn track(delta: isize) {
-        // `try_with`: allocations during thread teardown go uncounted.
-        let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + delta));
-    }
-
-    /// Wraps the system allocator and tracks live bytes per thread, so a
-    /// test can measure what one construction leaves on the heap while
-    /// other tests run on other threads.
-    struct PerThreadBytes;
-
-    // SAFETY: every call forwards to `System` with the caller's arguments;
-    // the counter is a thread-local `Cell` with a const initializer, so
-    // tracking never allocates or re-enters the allocator.
-    unsafe impl GlobalAlloc for PerThreadBytes {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            track(layout.size() as isize);
-            // SAFETY: forwarded unchanged; the caller upholds `alloc`'s
-            // contract.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            track(-(layout.size() as isize));
-            // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            track(layout.size() as isize);
-            // SAFETY: forwarded unchanged.
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            track(new_size as isize - layout.size() as isize);
-            // SAFETY: forwarded unchanged; `ptr` came from `System`.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: PerThreadBytes = PerThreadBytes;
 
     /// A source of no size: boxing it allocates nothing.
     struct NoSource;
@@ -864,19 +843,15 @@ mod tests {
         // plus the selector's own heap parts.
         let arms = CodecRegistry::lossless_candidates();
         let spec = StreamSpec::new(1, Priority::Normal, 0, Box::new(NoSource));
-        let before = LIVE_BYTES.with(Cell::get);
+        let before = heap::live_bytes();
         let s = Stream::new(spec, arms.clone(), SelectorConfig::default());
-        let held = LIVE_BYTES.with(Cell::get) - before;
+        let held = heap::live_bytes() - before;
         assert_eq!(held as usize, per_stream_state_bytes(arms.len()));
         // The fleet holds one of these per resident stream: keep it from
         // growing past its recorded size.
         assert!(held <= 498, "{held} B per stream");
         drop(s);
-        assert_eq!(
-            LIVE_BYTES.with(Cell::get),
-            before,
-            "stream frees all it holds"
-        );
+        assert_eq!(heap::live_bytes(), before, "stream frees all it holds");
     }
 
     /// Logs its stream id on every fill.
@@ -922,6 +897,42 @@ mod tests {
         let report = run_fleet(specs, &config).unwrap();
         assert_eq!(report.segments, 9);
         assert_eq!(*log.lock().unwrap(), [0, 1, 2, 0, 2, 0, 2, 0, 0]);
+    }
+
+    /// The stream whose worker panics right after its arm decision, in
+    /// test builds: an id no other test uses.
+    pub(super) const DOOMED_STREAM: u64 = u64::MAX / 2;
+
+    #[test]
+    fn a_dead_worker_fails_the_run_instead_of_hanging() {
+        // A worker panics outside the contained compress step, on the
+        // doomed stream's first batch. The producer must stop and the run
+        // report the lost worker; it runs on a watchdog thread so a hang
+        // fails the test instead of blocking it.
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let specs: Vec<StreamSpec> = (0..8)
+                    .map(|i| {
+                        let id = DOOMED_STREAM - 3 + i;
+                        let source = SineStream::new(256, 0.1, 4, i);
+                        StreamSpec::new(id, Priority::Normal, 16, Box::new(source))
+                    })
+                    .collect();
+                let config = FleetConfig {
+                    n_compression_threads: threads,
+                    ..Default::default()
+                };
+                let _ = tx.send(run_fleet(specs, &config).err());
+            });
+            let err = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("run_fleet hung at S = {threads}"));
+            assert!(
+                matches!(err, Some(AdaEdgeError::WorkerFailed { .. })),
+                "S = {threads}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`online`] / [`offline`] — the two operating modes.
 //! * [`baselines`] — fixed pairs, CodecDB-like and TVStore-like baselines.
 //! * [`query`] — aggregation queries over reconstructed segments.
-//! * [`engine`] — the multithreaded ingest/compress/recode runtime.
-//! * [`shard`] — the shard runtime the engines and the fleet share, plus
+//! * [`engine`] — the multithreaded ingest/compress runtime.
+//! * [`shard`] — the shard runtime the engine and the fleet share, plus
 //!   per-shard selector replicas and the delta-sync outcome table.
 //! * [`fleet`] — the multi-tenant gateway: thousands of independent
 //!   streams multiplexed over the shared sharded workers.
@@ -64,3 +64,72 @@ pub use uplink::{
     Receiver, SessionReport, Transport, Uplink, UplinkConfig, UplinkCounters, UplinkFrame,
     WireFragment,
 };
+
+/// The test builds' global allocator: heap accounting per thread, so a
+/// test can measure what one call allocates or leaves on the heap while
+/// other tests run on other threads.
+#[cfg(test)]
+mod heap {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Heap bytes live from this thread's allocations (net of frees).
+        static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+        /// Allocations (reallocations included) made by this thread.
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Heap bytes this thread's allocations hold now.
+    pub(crate) fn live_bytes() -> isize {
+        LIVE_BYTES.with(Cell::get)
+    }
+
+    /// Allocations this thread has made so far.
+    pub(crate) fn allocations() -> u64 {
+        ALLOCATIONS.with(Cell::get)
+    }
+
+    fn track(delta: isize, allocates: bool) {
+        // `try_with`: allocations during thread teardown go uncounted.
+        let _ = LIVE_BYTES.try_with(|b| b.set(b.get() + delta));
+        if allocates {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    struct PerThread;
+
+    // SAFETY: every call forwards to `System` with the caller's arguments;
+    // the counters are thread-local `Cell`s with const initializers, so
+    // tracking never allocates or re-enters the allocator.
+    unsafe impl GlobalAlloc for PerThread {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            track(layout.size() as isize, true);
+            // SAFETY: forwarded unchanged; the caller upholds `alloc`'s
+            // contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            track(-(layout.size() as isize), false);
+            // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            track(layout.size() as isize, true);
+            // SAFETY: forwarded unchanged.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            track(new_size as isize - layout.size() as isize, true);
+            // SAFETY: forwarded unchanged; `ptr` came from `System`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: PerThread = PerThread;
+}

@@ -8,6 +8,10 @@
 //! using virtual decompression. A segment that cannot shrink further is
 //! skipped; the experiment fails only when even the cascade cannot make
 //! room for new data.
+//!
+//! The mode is single-threaded: [`OfflineAdaEdge`] compresses, makes room
+//! and stores each segment in turn, and the fixed-pair baselines run the
+//! same cascade with their own recode step.
 
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
@@ -16,7 +20,7 @@ use adaedge_codecs::{CodecError, CodecId, CodecRegistry, CodecScratch, Compresse
 use adaedge_ml::Model;
 use adaedge_storage::{
     CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy, Segment, SegmentData, SegmentId,
-    SegmentStore, StoreError,
+    SegmentStore, StoreError, VictimKey,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -128,15 +132,20 @@ pub struct IngestReport {
 }
 
 /// A hard-budgeted [`SegmentStore`] and the one recoding cascade that
-/// keeps it under θ × budget (§IV-C2), shared by [`OfflineAdaEdge`], the
-/// fixed-pair baselines and the multithreaded offline engine. Each driver
-/// supplies only its recode step.
+/// keeps it under θ × budget (§IV-C2), shared by [`OfflineAdaEdge`] and
+/// the fixed-pair baselines. Each driver supplies only its recode step,
+/// and every segment enters through [`BudgetedStore::put`].
 pub(crate) struct BudgetedStore {
-    pub(crate) store: SegmentStore,
+    store: SegmentStore,
     budget: usize,
     threshold: f64,
     recode_factor: f64,
     originals: Option<HashMap<SegmentId, Vec<f64>>>,
+    /// Raw bytes (points × 8) of the stored segments; a recode keeps a
+    /// segment's point count, so only `put` and `remove` change it.
+    raw_bytes: usize,
+    /// The victim order of the current cascade pass, reused across passes.
+    order: Vec<(VictimKey, SegmentId)>,
     /// Committed recodes so far.
     pub(crate) total_recodes: u64,
 }
@@ -163,8 +172,20 @@ impl BudgetedStore {
             threshold,
             recode_factor,
             originals: keep_originals.then(HashMap::new),
+            raw_bytes: 0,
+            order: Vec::new(),
             total_recodes: 0,
         })
+    }
+
+    /// The segment store (read access).
+    pub(crate) fn store(&self) -> &SegmentStore {
+        &self.store
+    }
+
+    /// Record a query of segment `id` with the policy.
+    fn touch(&mut self, id: SegmentId) {
+        self.store.get(id);
     }
 
     /// The original of segment `id`, when originals are kept.
@@ -174,7 +195,9 @@ impl BudgetedStore {
 
     /// Store `block`, holding `original` when originals are kept.
     pub(crate) fn put(&mut self, block: CompressedBlock, original: &[f64]) -> Result<SegmentId> {
+        let raw = block.n_points as usize * adaedge_codecs::POINT_BYTES;
         let id = self.store.put_compressed(block)?;
+        self.raw_bytes += raw;
         if let Some(originals) = self.originals.as_mut() {
             originals.insert(id, original.to_vec());
         }
@@ -184,6 +207,7 @@ impl BudgetedStore {
     /// Remove segment `id` and its original.
     fn remove(&mut self, id: SegmentId) -> Result<Segment> {
         let seg = self.store.remove(id)?;
+        self.raw_bytes -= seg.n_points() * adaedge_codecs::POINT_BYTES;
         if let Some(originals) = self.originals.as_mut() {
             originals.remove(&id);
         }
@@ -218,15 +242,10 @@ impl BudgetedStore {
     /// depth-first on the policy order and over-compresses old segments
     /// (damaging accuracy) while fresh segments never share the burden.
     fn required_mean_ratio(&self) -> f64 {
-        let raw_bytes: usize = self
-            .store
-            .iter()
-            .map(|s| s.n_points() * adaedge_codecs::POINT_BYTES)
-            .sum();
-        if raw_bytes == 0 {
+        if self.raw_bytes == 0 {
             return 0.0;
         }
-        (self.threshold * self.budget as f64 / raw_bytes as f64).min(1.0)
+        (self.threshold * self.budget as f64 / self.raw_bytes as f64).min(1.0)
     }
 
     /// Make room so `incoming` more bytes keep usage at or below θ × budget,
@@ -247,17 +266,21 @@ impl BudgetedStore {
                 return Ok((recodes, seconds));
             }
             let r_req = self.required_mean_ratio();
-            // Two passes over the policy order: first only victims still
+            // Two walks over the policy order: first only victims still
             // above the globally required mean ratio, then anything that
             // can shrink.
-            let (above, below): (Vec<_>, Vec<_>) = self
-                .store
-                .victim_order()
-                .into_iter()
-                .filter_map(|id| Some((id, self.store.peek(id)?.ratio())))
-                .partition(|&(_, ratio)| ratio > r_req);
-            for (id, ratio) in above.into_iter().chain(below) {
-                let Some(block) = self.store.peek(id).and_then(|s| s.block()) else {
+            self.store.victim_order_into(&mut self.order);
+            let n = self.order.len();
+            for step in 0..2 * n {
+                let id = self.order[step % n].1;
+                let Some(seg) = self.store.peek(id) else {
+                    continue;
+                };
+                let ratio = seg.ratio();
+                if (ratio > r_req) != (step < n) {
+                    continue;
+                }
+                let Some(block) = seg.block() else {
                     continue;
                 };
                 let old_bytes = block.compressed_bytes();
@@ -308,7 +331,7 @@ pub struct OfflineAdaEdge {
 impl std::fmt::Debug for OfflineAdaEdge {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OfflineAdaEdge")
-            .field("store", &self.cascade.store)
+            .field("store", self.cascade.store())
             .field("total_recodes", &self.cascade.total_recodes)
             .finish()
     }
@@ -346,12 +369,12 @@ impl OfflineAdaEdge {
 
     /// The segment store (read access).
     pub fn store(&self) -> &SegmentStore {
-        &self.cascade.store
+        self.cascade.store()
     }
 
     /// Storage utilization in [0, 1].
     pub fn utilization(&self) -> f64 {
-        self.cascade.store.utilization()
+        self.cascade.store().utilization()
     }
 
     /// Total recoding passes so far.
@@ -381,7 +404,7 @@ impl OfflineAdaEdge {
             recodes,
             recode_seconds,
             recode_commit_seconds,
-            utilization: self.cascade.store.utilization(),
+            utilization: self.cascade.store().utilization(),
         })
     }
 
@@ -406,7 +429,7 @@ impl OfflineAdaEdge {
     /// transmitted byte). Greedy knapsack by recency: a segment that does
     /// not fit is skipped in favour of smaller, older ones.
     pub fn drain_plan(&self, byte_budget: usize) -> Vec<SegmentId> {
-        let store = &self.cascade.store;
+        let store = self.cascade.store();
         let mut ids: Vec<SegmentId> = store.ids();
         ids.sort_by_key(|&id| std::cmp::Reverse(store.peek(id).map(|s| s.timestamp).unwrap_or(0)));
         let mut plan = Vec::new();
@@ -441,7 +464,7 @@ impl OfflineAdaEdge {
     /// Run a query over a stored segment: reconstructs it and marks the
     /// access so the LRU policy protects it from aggressive recoding.
     pub fn query_segment(&mut self, id: SegmentId) -> Result<Vec<f64>> {
-        self.cascade.store.get(id);
+        self.cascade.touch(id);
         self.cascade.decode(&self.reg, id)
     }
 }
@@ -572,6 +595,32 @@ mod tests {
             protected > 0,
             "queries never kept a segment less compressed"
         );
+    }
+
+    #[test]
+    fn a_warm_pass_that_commits_nothing_allocates_nothing() {
+        let reg = CodecRegistry::new(4);
+        let mut cascade = BudgetedStore::new(5_000, PolicyKind::Lru, 0.8, 0.5, false).unwrap();
+        // Six ~800 B raw blocks: over θ × budget, within the budget.
+        for s in 0..6 {
+            let block = reg
+                .get(CodecId::Raw)
+                .compress(&smooth_segment(s, 100))
+                .unwrap();
+            cascade.put(block, &[]).unwrap();
+        }
+        let mut attempts = 0;
+        let mut pass = |cascade: &mut BudgetedStore| {
+            cascade.make_room(0, |_, _, _| {
+                attempts += 1;
+                Err(AdaEdgeError::Codec(CodecError::RecodeUnsupported("test")))
+            })
+        };
+        pass(&mut cascade).unwrap();
+        let before = crate::heap::allocations();
+        assert_eq!(pass(&mut cascade).unwrap(), (0, 0.0));
+        assert_eq!(crate::heap::allocations(), before, "a warm pass allocated");
+        assert_eq!(attempts, 12, "each pass tries every victim once");
     }
 
     #[test]

@@ -1246,9 +1246,7 @@ mod tests {
 
     #[test]
     fn bad_lossless_rosters_are_config_errors_at_every_entry_point() {
-        use crate::engine::{
-            run_offline_pipeline, run_pipeline, EngineConfig, OfflineEngineConfig,
-        };
+        use crate::engine::{run_pipeline, EngineConfig};
         use crate::fleet::{run_fleet, FleetConfig, StreamSpec};
         use crate::frame::Priority;
         use adaedge_datasets::SineStream;
@@ -1258,10 +1256,6 @@ mod tests {
                 lossless_arms: arms.clone(),
                 ..Default::default()
             };
-            let offline = OfflineEngineConfig {
-                lossless_arms: arms.clone(),
-                ..OfflineEngineConfig::new(1 << 20, OptimizationTarget::agg(AggKind::Sum))
-            };
             let fleet = FleetConfig {
                 lossless_arms: arms.clone(),
                 ..Default::default()
@@ -1269,10 +1263,6 @@ mod tests {
             let spec = StreamSpec::new(0, Priority::Normal, 4, Box::new(sine()));
             let results = [
                 ("run_pipeline", run_pipeline(&mut sine(), 4, &online).err()),
-                (
-                    "run_offline_pipeline",
-                    run_offline_pipeline(&mut sine(), 4, &offline).err(),
-                ),
                 ("run_fleet", run_fleet(vec![spec], &fleet).err()),
             ];
             for (entry, err) in results {
@@ -1287,27 +1277,14 @@ mod tests {
 
     #[test]
     fn bad_recode_thresholds_are_config_errors_at_every_entry_point() {
-        use crate::engine::{run_offline_pipeline, OfflineEngineConfig};
         use crate::offline::{OfflineAdaEdge, OfflineConfig};
-        use adaedge_datasets::SineStream;
         let target = || OptimizationTarget::agg(AggKind::Sum);
         for threshold in [f64::NAN, -0.5, 1.5] {
             let edge = OfflineConfig {
                 recode_threshold: threshold,
                 ..OfflineConfig::new(1 << 20, target())
             };
-            let engine = OfflineEngineConfig {
-                recode_threshold: threshold,
-                ..OfflineEngineConfig::new(1 << 20, target())
-            };
-            let mut sine = SineStream::new(64, 0.1, 4, 1);
-            let results = [
-                ("OfflineAdaEdge::new", OfflineAdaEdge::new(edge).err()),
-                (
-                    "run_offline_pipeline",
-                    run_offline_pipeline(&mut sine, 4, &engine).err(),
-                ),
-            ];
+            let results = [("OfflineAdaEdge::new", OfflineAdaEdge::new(edge).err())];
             for (entry, err) in results {
                 assert!(
                     matches!(err, Some(AdaEdgeError::Config(_))),

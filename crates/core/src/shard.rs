@@ -2,8 +2,8 @@
 //! selector replication with delta-sync (the CStream-style
 //! parallel-scaling layer).
 //!
-//! [`crate::engine::run_pipeline`], [`crate::engine::run_offline_pipeline`]
-//! and [`crate::fleet::run_fleet`] all run on the same two pieces:
+//! [`crate::engine::run_pipeline`] and [`crate::fleet::run_fleet`] both
+//! run on the same two pieces:
 //! `compress_batch`, the one contained compress step (codec errors and
 //! panics degrade a segment to Raw), and `ShardQueues`, one bounded work
 //! queue that every worker receives from and one recycle pool of segment
@@ -11,7 +11,7 @@
 //! its per-batch decision and what it does with the compressed blocks;
 //! the fleet's batches carry their stream's state.
 //!
-//! A *shard* is one worker thread. The engines make every arm decision
+//! A *shard* is one worker thread. The engine makes every arm decision
 //! lock-free from a **local selector replica**: each shard's own copy of
 //! the bandit state, which decides whichever batch its worker takes next.
 //! Replicas stay coherent through a [`SharedOutcomeTable`]: per-batch
@@ -136,7 +136,7 @@ pub(crate) fn compress_batch(
 
 /// A batch of segment buffers on its way through the work queue.
 pub(crate) struct ShardBatch<T> {
-    /// What the worker needs besides the data: `()` for the engines; the
+    /// What the worker needs besides the data: `()` for the engine; the
     /// stream itself and the ingest sequence for the fleet.
     pub(crate) tag: T,
     /// The segments.

@@ -1,4 +1,4 @@
-//! Store-and-forward wiring between the offline engine and the durable
+//! Store-and-forward wiring between the offline mode and the durable
 //! segment spool (DESIGN.md §6d).
 //!
 //! During a disconnect the offline pipeline keeps compressing under its

@@ -7,9 +7,7 @@
 //! fully deterministic, so the tolerance assertions cannot flake.
 
 use adaedge_codecs::CodecId;
-use adaedge_core::engine::{run_offline_pipeline, run_pipeline, EngineConfig, OfflineEngineConfig};
-use adaedge_core::query::AggKind;
-use adaedge_core::targets::OptimizationTarget;
+use adaedge_core::engine::{run_pipeline, EngineConfig};
 use adaedge_datasets::SineStream;
 
 fn run_with_k(k: usize, threads: usize, segments: usize) -> adaedge_core::engine::EngineReport {
@@ -86,19 +84,4 @@ fn sticky_arm_batches_match_k1_selection_distribution() {
             "K={k}: egress ratio {egressk:.4} vs K=1 {egress1:.4}"
         );
     }
-}
-
-#[test]
-fn offline_pipeline_batches_under_pressure() {
-    let mut source = SineStream::new(1000, 0.3, 4, 3);
-    let config = OfflineEngineConfig {
-        storage_budget_bytes: 60_000,
-        batch_segments: 4,
-        ..OfflineEngineConfig::new(60_000, OptimizationTarget::agg(AggKind::Sum))
-    };
-    let report = run_offline_pipeline(&mut source, 100, &config).expect("pipeline");
-    assert_eq!(report.segments + report.drops, 100);
-    assert!(report.drops <= 2, "drops {}", report.drops);
-    assert!(report.recodes > 0, "recoder never ran");
-    assert!(report.stored_bytes <= 60_000);
 }

@@ -19,11 +19,9 @@
 //!    lazily (documented bound: ≤ 5 % vs centralized at equal decisions).
 
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
-use adaedge_core::engine::{run_offline_pipeline, run_pipeline, EngineConfig, OfflineEngineConfig};
-use adaedge_core::query::AggKind;
+use adaedge_core::engine::{run_pipeline, EngineConfig};
 use adaedge_core::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
 use adaedge_core::shard::{ReplicaSelector, SharedOutcomeTable};
-use adaedge_core::targets::OptimizationTarget;
 use adaedge_datasets::{SegmentSource, SineStream};
 use proptest::prelude::*;
 
@@ -195,22 +193,6 @@ fn pool_exhaustion_under_sharding_does_not_deadlock() {
     assert_eq!(report.segments, 300);
     let total: u64 = report.codec_counts.values().sum();
     assert_eq!(total, 300);
-}
-
-#[test]
-fn offline_sharded_pipeline_accounts_under_pressure() {
-    let mut source = SineStream::new(1000, 0.3, 4, 3);
-    let config = OfflineEngineConfig {
-        storage_budget_bytes: 60_000,
-        n_compression_threads: 4,
-        batch_segments: 2,
-        ..OfflineEngineConfig::new(60_000, OptimizationTarget::agg(AggKind::Sum))
-    };
-    let report = run_offline_pipeline(&mut source, 100, &config).expect("pipeline");
-    assert_eq!(report.segments + report.drops, 100);
-    assert!(report.drops <= 4, "drops {}", report.drops);
-    assert_eq!(report.shards, 4);
-    assert!(report.stored_bytes <= 60_000);
 }
 
 /// Apply a prescribed outcome script round-robin across `s` replicas at

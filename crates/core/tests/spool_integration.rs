@@ -1,4 +1,4 @@
-//! Store-and-forward integration: the offline engine spools compressed
+//! Store-and-forward integration: the offline mode spools compressed
 //! egress through a long disconnect, then replays it through the frame
 //! packer with ACK-gated GC (ISSUE 8's 48h-disconnect simulation smoke).
 //!

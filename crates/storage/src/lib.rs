@@ -26,7 +26,7 @@ pub mod spool;
 pub mod store;
 
 pub use persist::{load_segments, save_segments, PersistError};
-pub use policy::{CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy};
+pub use policy::{CompressionPolicy, FifoPolicy, LruPolicy, QueryCountPolicy, VictimKey};
 pub use posterior::{
     load_posteriors, save_posteriors, PosteriorDecoder, PosteriorEncoder, PosteriorRecord,
     StreamPosterior,

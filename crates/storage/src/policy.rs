@@ -10,6 +10,9 @@
 use crate::segment::SegmentId;
 use std::collections::HashMap;
 
+/// A policy's sort key for one segment: recoding order is ascending key.
+pub type VictimKey = (u64, u64);
+
 /// Notification interface + victim ordering for recoding policies.
 pub trait CompressionPolicy: Send {
     /// A segment was inserted (PUT).
@@ -25,8 +28,17 @@ pub trait CompressionPolicy: Send {
     /// A segment was removed.
     fn on_remove(&mut self, id: SegmentId);
 
+    /// Append every segment with its key to `out`, in any order. Keys are
+    /// unique, and ascending key is recoding order: least valuable first.
+    fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>);
+
     /// Segments in recoding order: least valuable first.
-    fn victim_order(&self) -> Vec<SegmentId>;
+    fn victim_order(&self) -> Vec<SegmentId> {
+        let mut keyed = Vec::new();
+        self.victim_keys(&mut keyed);
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, id)| id).collect()
+    }
 
     /// Human-readable policy name.
     fn name(&self) -> &'static str;
@@ -68,11 +80,8 @@ impl CompressionPolicy for LruPolicy {
         self.last_touch.remove(&id);
     }
 
-    fn victim_order(&self) -> Vec<SegmentId> {
-        let mut ids: Vec<(SegmentId, u64)> =
-            self.last_touch.iter().map(|(&id, &s)| (id, s)).collect();
-        ids.sort_by_key(|&(_, s)| s);
-        ids.into_iter().map(|(id, _)| id).collect()
+    fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>) {
+        out.extend(self.last_touch.iter().map(|(&id, &s)| ((s, 0), id)));
     }
 
     fn name(&self) -> &'static str {
@@ -109,11 +118,8 @@ impl CompressionPolicy for FifoPolicy {
         self.inserted.remove(&id);
     }
 
-    fn victim_order(&self) -> Vec<SegmentId> {
-        let mut ids: Vec<(SegmentId, u64)> =
-            self.inserted.iter().map(|(&id, &s)| (id, s)).collect();
-        ids.sort_by_key(|&(_, s)| s);
-        ids.into_iter().map(|(id, _)| id).collect()
+    fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>) {
+        out.extend(self.inserted.iter().map(|(&id, &s)| ((s, 0), id)));
     }
 
     fn name(&self) -> &'static str {
@@ -156,11 +162,8 @@ impl CompressionPolicy for QueryCountPolicy {
         self.stats.remove(&id);
     }
 
-    fn victim_order(&self) -> Vec<SegmentId> {
-        let mut ids: Vec<(SegmentId, (u64, u64))> =
-            self.stats.iter().map(|(&id, &s)| (id, s)).collect();
-        ids.sort_by_key(|&(_, s)| s);
-        ids.into_iter().map(|(id, _)| id).collect()
+    fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>) {
+        out.extend(self.stats.iter().map(|(&id, &s)| (s, id)));
     }
 
     fn name(&self) -> &'static str {

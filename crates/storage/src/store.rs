@@ -1,7 +1,7 @@
 //! The segment store: byte-accounted segment map with a pluggable
 //! compression-sequencing policy and an optional hard storage budget.
 
-use crate::policy::{CompressionPolicy, LruPolicy};
+use crate::policy::{CompressionPolicy, LruPolicy, VictimKey};
 use crate::segment::{Segment, SegmentData, SegmentId};
 use adaedge_codecs::CompressedBlock;
 use std::collections::HashMap;
@@ -214,7 +214,7 @@ impl SegmentStore {
     }
 
     /// Peek a segment without touching the policy (internal reads, e.g. by
-    /// the recoding thread). With verification enabled, a segment whose
+    /// the recoding cascade). With verification enabled, a segment whose
     /// bytes fail their checksum reads as `None` (and is counted in
     /// [`SegmentStore::checksum_failures`]) so it never reaches a decoder.
     pub fn peek(&self, id: SegmentId) -> Option<&Segment> {
@@ -312,6 +312,15 @@ impl SegmentStore {
     /// Recoding order from the policy: least valuable first.
     pub fn victim_order(&self) -> Vec<SegmentId> {
         self.policy.victim_order()
+    }
+
+    /// The recoding order into `order`, each id after its policy key:
+    /// [`SegmentStore::victim_order`] without allocating once `order` has
+    /// held as many segments.
+    pub fn victim_order_into(&self, order: &mut Vec<(VictimKey, SegmentId)>) {
+        order.clear();
+        self.policy.victim_keys(order);
+        order.sort_unstable();
     }
 
     /// Iterate all segments (no policy effect), in unspecified order.
