@@ -19,8 +19,9 @@
 //!   streams multiplexed over the shared sharded workers.
 //! * [`frame`] — priority-aware packing of compressed segments into
 //!   bounded transport frames.
-//! * [`spooling`] — store-and-forward: durable spool sink for disconnect
-//!   egress and ACK-gated reconnect replay through the frame packer.
+//! * [`spooling`] — store-and-forward: the `Forwarder` that spools every
+//!   block, offers it live, and replays the backlog through the uplink
+//!   with ACK-gated GC; the ingest side's exactly-once ledger.
 //! * [`uplink`] — fault-tolerant transport: ACK windows, retry/backoff,
 //!   circuit breaking, the `FaultyLink` chaos transport, and the
 //!   `LinkPressure` degradation signal that biases the selectors.
@@ -53,16 +54,12 @@ pub use selector::{
     ELEVATED_EXPLORE_SCALE,
 };
 pub use shard::{resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable};
-pub use spooling::{
-    decode_block, encode_block, run_reconnect, spool_offline_egress, IngestLedger, RelayError,
-    ReplayConfig, ReplayReport, SpoolSink,
-};
+pub use spooling::{decode_block, encode_block, Forwarder, IngestLedger};
 pub use targets::{OptimizationTarget, RewardEvaluator, TargetComponent};
 pub use uplink::{
-    run_session, Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker,
-    FaultSpec, FaultyLink, FrameKind, LinkPressure, Phase, PressureGauge, PressureWatermarks,
-    Receiver, SessionReport, Transport, Uplink, UplinkConfig, UplinkCounters, UplinkFrame,
-    WireFragment,
+    Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker, FaultSpec,
+    FaultyLink, FrameKind, LinkPressure, Phase, PressureGauge, PressureWatermarks, Receiver,
+    Transport, Uplink, UplinkConfig, UplinkCounters, UplinkFrame, WireFragment,
 };
 
 /// The test builds' global allocator: heap accounting per thread, so a

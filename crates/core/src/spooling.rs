@@ -1,55 +1,23 @@
-//! Store-and-forward wiring between the offline mode and the durable
-//! segment spool (DESIGN.md §6d).
+//! Store-and-forward (DESIGN.md §6d): one [`Forwarder`] drives the
+//! durable spool into the uplink, and the ingest side's [`IngestLedger`]
+//! admits each sequence once.
 //!
-//! During a disconnect the offline pipeline keeps compressing under its
-//! storage budget; egress drains land in the [`adaedge_storage::Spool`]
-//! as CRC-framed, sequenced records via [`SpoolSink`]. On reconnect,
-//! [`run_reconnect`] replays the backlog **in capture order at a
-//! controlled rate** through the existing [`FramePacker`], while the
-//! ingest side's [`IngestLedger`] dedups duplicates idempotently and
-//! reports `acked_seq` (highest contiguous durably-ingested sequence)
-//! back to the spool — which garbage-collects only fully-ACKed closed
-//! segments. Together: at-least-once delivery, exactly-once ingest.
+//! Every compressed block goes through [`Forwarder::submit`]: it is
+//! encoded ([`encode_block`]), appended to the [`Spool`] as a CRC-framed,
+//! sequenced record, and offered to the [`Uplink`] at once when the
+//! sender has room. What the sender cannot take — a full buffer, an open
+//! breaker, the records a trip handed back — stays on disk, and
+//! [`Forwarder::tick`] re-reads it in capture order through a lazy spool
+//! cursor as fast as the uplink accepts it, so the forwarder holds at most
+//! the sender's `accept_limit` records in memory, whatever the backlog.
+//! The receiver's cumulative ACK goes back to the spool, which
+//! garbage-collects only fully-ACKed closed segments. Together:
+//! at-least-once delivery, exactly-once ingest.
 
-use crate::error::AdaEdgeError;
-use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamId, TransportFrame};
-use crate::offline::OfflineAdaEdge;
-use adaedge_codecs::{CodecId, CodecRegistry, CompressedBlock};
-use adaedge_storage::spool::{ReplayItem, Spool, SpoolError, SpoolStats};
+use crate::uplink::{Transport, Uplink, UplinkConfig};
+use adaedge_codecs::{CodecId, CompressedBlock};
+use adaedge_storage::spool::{ReplayItem, Replayer, Spool, SpoolError};
 use std::collections::BTreeSet;
-
-/// Errors from the store-and-forward layer: either the durable spool or
-/// the compression engine feeding it.
-#[derive(Debug)]
-pub enum RelayError {
-    /// The spool failed (I/O, configuration).
-    Spool(SpoolError),
-    /// The engine failed while producing egress.
-    Engine(AdaEdgeError),
-}
-
-impl std::fmt::Display for RelayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RelayError::Spool(e) => write!(f, "relay spool error: {e}"),
-            RelayError::Engine(e) => write!(f, "relay engine error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RelayError {}
-
-impl From<SpoolError> for RelayError {
-    fn from(e: SpoolError) -> Self {
-        RelayError::Spool(e)
-    }
-}
-
-impl From<AdaEdgeError> for RelayError {
-    fn from(e: AdaEdgeError) -> Self {
-        RelayError::Engine(e)
-    }
-}
 
 /// Serialize a compressed block into a spool-record payload.
 ///
@@ -94,101 +62,19 @@ pub fn decode_block(bytes: &[u8]) -> Option<CompressedBlock> {
     })
 }
 
-/// The disconnect-side sink: compressed egress goes into the durable
-/// spool instead of over the (down) link.
-#[derive(Debug)]
-pub struct SpoolSink {
-    spool: Spool,
-    spooled_blocks: u64,
-    spooled_payload_bytes: u64,
-}
-
-impl SpoolSink {
-    /// Wrap an open spool.
-    pub fn new(spool: Spool) -> Self {
-        Self {
-            spool,
-            spooled_blocks: 0,
-            spooled_payload_bytes: 0,
-        }
-    }
-
-    /// Spool one compressed block, returning its capture sequence.
-    pub fn put_block(
-        &mut self,
-        timestamp: u64,
-        block: &CompressedBlock,
-    ) -> Result<u64, SpoolError> {
-        let payload = encode_block(block);
-        let seq = self.spool.append(timestamp, &payload)?;
-        self.spooled_blocks += 1;
-        self.spooled_payload_bytes += payload.len() as u64;
-        Ok(seq)
-    }
-
-    /// Flush the batched-sync window (ship-boundary durability).
-    pub fn sync(&mut self) -> Result<(), SpoolError> {
-        self.spool.sync()
-    }
-
-    /// Blocks spooled through this sink.
-    pub fn spooled_blocks(&self) -> u64 {
-        self.spooled_blocks
-    }
-
-    /// Encoded payload bytes spooled through this sink (frame overheads
-    /// excluded).
-    pub fn spooled_payload_bytes(&self) -> u64 {
-        self.spooled_payload_bytes
-    }
-
-    /// The underlying spool (read access).
-    pub fn spool(&self) -> &Spool {
-        &self.spool
-    }
-
-    /// Unwrap the spool.
-    pub fn into_spool(self) -> Spool {
-        self.spool
-    }
-}
-
-/// Drain the offline pipeline's freshest segments (its reconnection
-/// egress plan) into the spool — the "disconnect" leg of store-and-
-/// forward. Returns `(blocks, encoded payload bytes)` spooled.
-pub fn spool_offline_egress(
-    edge: &mut OfflineAdaEdge,
-    sink: &mut SpoolSink,
-    byte_budget: usize,
-    timestamp: u64,
-) -> Result<(usize, u64), RelayError> {
-    let shipped = edge.drain(byte_budget)?;
-    let mut bytes = 0u64;
-    let count = shipped.len();
-    for (_, block) in &shipped {
-        sink.put_block(timestamp, block)?;
-        bytes += block.payload.len() as u64;
-    }
-    sink.sync()?;
-    Ok((count, bytes))
-}
-
 /// The ingest side's idempotent at-least-once ledger.
 ///
 /// Replay (and live publishing) may deliver a sequence more than once —
 /// after a reconnect the spool resends everything above the last ACK it
 /// saw. [`IngestLedger::accept`] admits each sequence exactly once;
 /// `acked_seq` is the highest *contiguous* sequence durably ingested,
-/// which is what the spool's ACK-gated GC keys on. Known-lost ranges
-/// (reported by the replayer as gaps) advance the cursor without
-/// counting as ingested.
+/// which is what the spool's ACK-gated GC keys on.
 #[derive(Debug, Clone, Default)]
 pub struct IngestLedger {
     acked: u64,
     out_of_order: BTreeSet<u64>,
     accepted: u64,
     duplicates: u64,
-    lost: u64,
 }
 
 impl IngestLedger {
@@ -211,18 +97,6 @@ impl IngestLedger {
         true
     }
 
-    /// Record that sequences `from..=to` are unrecoverable at the source
-    /// (spool bit rot or retention drop): the contiguity cursor may move
-    /// past them so delivery of the surviving backlog can still be ACKed.
-    pub fn mark_lost(&mut self, from: u64, to: u64) {
-        for seq in from.max(1)..=to {
-            if seq > self.acked && self.out_of_order.insert(seq) {
-                self.lost += 1;
-            }
-        }
-        self.advance();
-    }
-
     fn advance(&mut self) {
         while self.out_of_order.remove(&(self.acked + 1)) {
             self.acked += 1;
@@ -236,7 +110,7 @@ impl IngestLedger {
         seq != 0 && (seq <= self.acked || self.out_of_order.contains(&seq))
     }
 
-    /// Highest contiguous sequence ingested (or known lost).
+    /// Highest contiguous sequence ingested.
     pub fn acked_seq(&self) -> u64 {
         self.acked
     }
@@ -250,180 +124,147 @@ impl IngestLedger {
     pub fn duplicates(&self) -> u64 {
         self.duplicates
     }
-
-    /// Sequences recorded lost at the source.
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
 }
 
-/// Reconnect-replay configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayConfig {
-    /// Records drained per tick — the controlled backfill rate (the ADR's
-    /// rate-limited replay; one tick ≈ one transmit window).
-    pub records_per_tick: usize,
-    /// Transport frame geometry for the packer.
-    pub frame: FrameConfig,
-    /// Stream id stamped on replayed fragments.
-    pub stream: StreamId,
-    /// Transmission class for backfill (default [`Priority::Bulk`]: live
-    /// traffic preempts replay, per the packer's ordering).
-    pub priority: Priority,
-    /// Decode every replayed block through the registry and count
-    /// failures (end-to-end verification mode; costs decompression time).
-    pub verify_decode: bool,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            records_per_tick: 64,
-            frame: FrameConfig::default(),
-            stream: 0,
-            priority: Priority::Bulk,
-            verify_decode: false,
-        }
-    }
-}
-
-/// What a reconnect replay did (counters surfaced into reports).
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Rate-limit ticks consumed.
-    pub ticks: u64,
-    /// Records pulled from the spool.
-    pub replayed_records: u64,
-    /// Records the ledger admitted (ingested exactly once).
-    pub ingested_records: u64,
-    /// Duplicate deliveries the ledger dropped.
-    pub duplicate_records: u64,
-    /// Sequences reported lost (gaps: bit rot / retention).
-    pub lost_records: u64,
-    /// Replayed records whose payload failed to decode back into a
-    /// compressed block (only counted with `verify_decode`).
-    pub decode_failures: u64,
-    /// Transport frames emitted by the packer.
-    pub frames_emitted: u64,
-    /// Frame bytes emitted (payload + fragment overheads).
-    pub frame_bytes: u64,
-    /// Largest emitted frame (never above the configured cap).
-    pub max_frame_used: usize,
-    /// Segment files GC'd during the replay (ACK-gated).
-    pub gc_segments: u64,
-    /// The ledger's final contiguous cursor.
-    pub final_acked_seq: u64,
-    /// Spool depth and lifetime counters after the replay.
-    pub spool: SpoolStats,
-}
-
-/// Replay the spool's durable backlog (everything above the ledger's
-/// cursor) through a [`FramePacker`] at a controlled rate — the
-/// "reconnect" leg of store-and-forward.
+/// The store-and-forward loop: owns the durable [`Spool`] and the
+/// [`Uplink`] it feeds. Call [`Forwarder::submit`] for every captured
+/// block and [`Forwarder::tick`] once per virtual tick; the receive side
+/// runs wherever the transport delivers.
 ///
-/// Every tick drains up to `records_per_tick` records, emits the frames
-/// that are ready, and reports the ledger's `acked_seq` back to the
-/// spool, which GCs fully-ACKed closed segments as the replay advances —
-/// spool disk usage shrinks *during* a long backfill, not after it.
-/// Emitted frames are passed to `emit` (transmit hook; tests collect
-/// them, production would hand them to the radio).
-pub fn run_reconnect(
-    spool: &mut Spool,
-    ledger: &mut IngestLedger,
-    registry: &CodecRegistry,
-    cfg: &ReplayConfig,
-    mut emit: impl FnMut(TransportFrame),
-) -> Result<ReplayReport, SpoolError> {
-    assert!(cfg.records_per_tick > 0, "records_per_tick must be > 0");
-    let mut packer = FramePacker::new(cfg.frame);
-    let mut report = ReplayReport {
-        ticks: 0,
-        replayed_records: 0,
-        ingested_records: 0,
-        duplicate_records: 0,
-        lost_records: 0,
-        decode_failures: 0,
-        frames_emitted: 0,
-        frame_bytes: 0,
-        max_frame_used: 0,
-        gc_segments: 0,
-        final_acked_seq: 0,
-        spool: SpoolStats::default(),
-    };
-    let dup_before = ledger.duplicates();
-    let lost_before = ledger.lost();
-    let ingested_before = ledger.accepted();
+/// A new forwarder resumes at the spool's `acked_seq + 1`. A spool
+/// reopened after a crash does not remember its ACK cursor, so a
+/// forwarder built on it replays everything still on disk and the
+/// receiver drops what it already holds.
+/// The replay rate is the uplink's `accept_limit` and `frames_per_tick`;
+/// durability is the spool's `sync_interval` and [`Forwarder::sync`].
+#[derive(Debug)]
+pub struct Forwarder {
+    spool: Spool,
+    uplink: Uplink,
+    /// Next sequence due to the uplink: everything below it was offered,
+    /// ACKed, or reported lost by the spool.
+    next: u64,
+    /// Last sequence appended to the spool.
+    head: u64,
+    /// Lazy capture-order cursor over the backlog; `None` once it runs
+    /// dry or a rewind moves `next` below it.
+    cursor: Option<Replayer>,
+    /// Sorted, disjoint ranges the spool reported as gaps that the
+    /// receiver's cumulative ACK has not passed.
+    gaps: Vec<(u64, u64)>,
+}
 
-    let replayer = spool.replayer(ledger.acked_seq())?;
-    let items: Vec<ReplayItem> = replayer.collect();
-    let mut in_tick = 0usize;
-    for item in items {
-        match item {
-            ReplayItem::Record(rec) => {
-                report.replayed_records += 1;
-                in_tick += 1;
-                if !ledger.accept(rec.seq) {
-                    // Duplicate delivery: idempotent drop, nothing packed.
-                } else {
-                    let mut len = rec.payload.len();
-                    if cfg.verify_decode {
-                        match decode_block(&rec.payload) {
-                            Some(block) => {
-                                if registry.decompress(&block).is_err() {
-                                    report.decode_failures += 1;
-                                }
-                                len = block.payload.len();
-                            }
-                            None => report.decode_failures += 1,
-                        }
+impl Forwarder {
+    /// A forwarder over `spool`, sending through a new uplink.
+    pub fn new(spool: Spool, uplink: UplinkConfig) -> Self {
+        let stats = spool.stats();
+        Self {
+            spool,
+            uplink: Uplink::new(uplink),
+            next: stats.acked_seq + 1,
+            head: stats.next_seq - 1,
+            cursor: None,
+            gaps: Vec::new(),
+        }
+    }
+
+    /// Spool one compressed block and return its sequence. The record is
+    /// offered live only when it is the next one due and the uplink
+    /// accepts it; otherwise [`Forwarder::tick`] replays it from disk.
+    pub fn submit(&mut self, now: u64, block: &CompressedBlock) -> Result<u64, SpoolError> {
+        let payload = encode_block(block);
+        let seq = self.spool.append(now, &payload)?;
+        self.head = seq;
+        if seq == self.next && self.uplink.offer(now, seq, payload) {
+            self.next += 1;
+        }
+        Ok(seq)
+    }
+
+    /// One virtual-time step: tick the uplink, rewind below whatever a
+    /// breaker trip cancelled, offer the backlog while the uplink accepts,
+    /// and ACK the spool up to the receiver's cumulative cursor.
+    pub fn tick(&mut self, now: u64, transport: &mut dyn Transport) -> Result<(), SpoolError> {
+        self.uplink.tick(now, transport);
+        if let Some(lo) = self.uplink.take_rewind().into_iter().min() {
+            self.next = self.next.min(lo);
+            self.cursor = None;
+        }
+        let mut rebuilt = false;
+        while self.next <= self.head && self.uplink.can_accept(now) {
+            if self.cursor.is_none() {
+                if rebuilt {
+                    break; // a fresh cursor has nothing more
+                }
+                self.cursor = Some(self.spool.replayer(self.next - 1)?);
+                rebuilt = true;
+            }
+            match self.cursor.as_mut().and_then(Iterator::next) {
+                None => self.cursor = None,
+                Some(ReplayItem::Record(rec)) => {
+                    if rec.seq >= self.next {
+                        // A refused re-offer means the record was ACKed
+                        // meanwhile.
+                        self.uplink.offer(now, rec.seq, rec.payload);
+                        self.next = rec.seq + 1;
                     }
-                    packer.push(FrameItem {
-                        stream: cfg.stream,
-                        priority: cfg.priority,
-                        seq: rec.seq,
-                        len,
-                    });
+                }
+                Some(ReplayItem::Gap { from_seq, to_seq }) => {
+                    match self.gaps.last_mut() {
+                        Some(last) if from_seq <= last.1 + 1 => last.1 = last.1.max(to_seq),
+                        _ => self.gaps.push((from_seq, to_seq)),
+                    }
+                    self.next = self.next.max(to_seq + 1);
                 }
             }
-            ReplayItem::Gap { from_seq, to_seq } => {
-                ledger.mark_lost(from_seq, to_seq);
-            }
         }
-        if in_tick >= cfg.records_per_tick {
-            in_tick = 0;
-            report.ticks += 1;
-            while packer.frame_ready() {
-                if let Some(frame) = packer.next_frame() {
-                    emit(frame);
-                } else {
-                    break;
-                }
-            }
-            report.gc_segments += spool.ack(ledger.acked_seq())? as u64;
+        self.uplink
+            .set_external_backlog((self.head + 1).saturating_sub(self.next) as usize);
+        let acked = self.uplink.acked_seq();
+        self.gaps.retain(|&(_, to)| to > acked);
+        if let Some(first) = self.gaps.first_mut() {
+            first.0 = first.0.max(acked + 1);
         }
+        self.spool.ack(acked)?;
+        Ok(())
     }
-    if in_tick > 0 {
-        report.ticks += 1;
-    }
-    for frame in packer.flush() {
-        emit(frame);
-    }
-    report.gc_segments += spool.ack(ledger.acked_seq())? as u64;
 
-    report.ingested_records = ledger.accepted() - ingested_before;
-    report.duplicate_records = ledger.duplicates() - dup_before;
-    report.lost_records = ledger.lost() - lost_before;
-    report.frames_emitted = packer.frames_emitted();
-    report.frame_bytes = packer.bytes_emitted();
-    report.max_frame_used = packer.max_frame_used();
-    report.final_acked_seq = ledger.acked_seq();
-    report.spool = spool.stats();
-    Ok(report)
+    /// Make every appended record durable now.
+    pub fn sync(&mut self) -> Result<(), SpoolError> {
+        self.spool.sync()
+    }
+
+    /// Sequences the spool could not replay (retention drops, bit rot)
+    /// and the receiver has not ACKed. A gap the receiver's cursor later
+    /// passes was delivered before and stops counting: the GC'd prefix of
+    /// a spool reopened after a crash, whose ACK cursor is not persisted,
+    /// replays as a gap until the first ACK arrives.
+    pub fn lost(&self) -> u64 {
+        self.gaps.iter().map(|&(from, to)| to - from + 1).sum()
+    }
+
+    /// The spool (depth gauges and lifetime counters).
+    pub fn spool(&self) -> &Spool {
+        &self.spool
+    }
+
+    /// The uplink (counters, pressure gauge, cumulative ACK).
+    pub fn uplink(&self) -> &Uplink {
+        &self.uplink
+    }
+
+    /// Unwrap the spool, e.g. to hand it to the next forwarder.
+    pub fn into_spool(self) -> Spool {
+        self.spool
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameConfig;
+    use crate::heap::live_bytes;
+    use crate::uplink::{FaultSpec, FaultyLink, Phase, Receiver};
     use adaedge_storage::spool::SpoolConfig;
     use std::time::Duration;
 
@@ -445,17 +286,78 @@ mod tests {
         Spool::open(c).unwrap()
     }
 
-    fn sample_block(i: u64) -> CompressedBlock {
+    /// A raw block of `len` payload bytes derived from `seq`.
+    fn block(seq: u64, len: usize) -> CompressedBlock {
         CompressedBlock {
             codec: CodecId::Raw,
-            n_points: 4,
-            payload: (0..32u8).map(|b| b.wrapping_add(i as u8)).collect(),
+            n_points: (len / 8) as u32,
+            payload: (0..len).map(|i| (i as u8) ^ (seq as u8)).collect(),
         }
+    }
+
+    fn small_cfg() -> UplinkConfig {
+        UplinkConfig {
+            frame: FrameConfig {
+                payload_cap: 64,
+                fragment_overhead: 8,
+            },
+            window: 4,
+            deadline_ticks: 8,
+            max_retries: 4,
+            accept_limit: 16,
+            ..UplinkConfig::default()
+        }
+    }
+
+    /// What one drive of a forwarder/receiver pair did.
+    struct Run {
+        ticks: u64,
+        /// Records the receiver released, in release order.
+        released: Vec<(u64, Vec<u8>)>,
+        completed: bool,
+    }
+
+    /// Tick `fwd` and a receiver over `link` until the receiver holds
+    /// every record the spool has and the link is quiet, or `max_ticks`
+    /// pass.
+    fn drive(fwd: &mut Forwarder, rx: &mut Receiver, link: &mut FaultyLink, max_ticks: u64) -> Run {
+        let head = fwd.spool().stats().next_seq - 1;
+        let mut released = Vec::new();
+        for now in 0..max_ticks {
+            for frame in link.poll_frames(now) {
+                assert!(frame.payload_len() <= small_cfg().frame.payload_cap);
+                if let Some(ack) = rx.on_frame(&frame) {
+                    link.send_ack(now, ack);
+                }
+            }
+            released.extend(rx.take_ordered());
+            fwd.tick(now, link).unwrap();
+            if rx.acked_seq() == head && fwd.uplink().idle() && link.is_empty() {
+                return Run {
+                    ticks: now + 1,
+                    released,
+                    completed: true,
+                };
+            }
+        }
+        Run {
+            ticks: max_ticks,
+            released,
+            completed: false,
+        }
+    }
+
+    /// Decoded payload bytes of released records (goodput).
+    fn goodput(released: &[(u64, Vec<u8>)]) -> usize {
+        released
+            .iter()
+            .map(|(_, bytes)| decode_block(bytes).expect("decodes").payload.len())
+            .sum()
     }
 
     #[test]
     fn block_roundtrips_through_spool_payload() {
-        let block = sample_block(3);
+        let block = block(3, 32);
         let bytes = encode_block(&block);
         assert_eq!(decode_block(&bytes).unwrap(), block);
         // Structural damage is rejected, not panicked on.
@@ -482,77 +384,249 @@ mod tests {
     }
 
     #[test]
-    fn ledger_lost_ranges_advance_cursor_without_counting_ingest() {
-        let mut ledger = IngestLedger::new();
-        assert!(ledger.accept(1));
-        ledger.mark_lost(2, 4);
-        assert_eq!(ledger.acked_seq(), 4);
-        assert_eq!(ledger.lost(), 3);
-        assert!(ledger.accept(5));
-        assert_eq!(ledger.acked_seq(), 5);
-        assert_eq!(ledger.accepted(), 2);
-        // A "lost" record that later shows up is a duplicate.
-        assert!(!ledger.accept(3));
-    }
-
-    #[test]
     fn reconnect_replays_everything_exactly_once_and_gcs() {
         let dir = tmpdir("reconnect");
-        let mut sink = SpoolSink::new(spool(&dir));
+        let mut sp = spool(&dir);
         for i in 0..200u64 {
-            sink.put_block(i, &sample_block(i)).unwrap();
+            sp.append(i, &encode_block(&block(i, 32))).unwrap();
         }
-        sink.sync().unwrap();
-        let mut sp = sink.into_spool();
-        let mut ledger = IngestLedger::new();
-        let reg = CodecRegistry::new(4);
-        let cfg = ReplayConfig {
-            records_per_tick: 16,
-            verify_decode: true,
-            ..ReplayConfig::default()
-        };
-        let mut frames = Vec::new();
-        let report = run_reconnect(&mut sp, &mut ledger, &reg, &cfg, |f| frames.push(f)).unwrap();
-        assert_eq!(report.replayed_records, 200);
-        assert_eq!(report.ingested_records, 200);
-        assert_eq!(report.duplicate_records, 0);
-        assert_eq!(report.decode_failures, 0);
-        assert_eq!(report.final_acked_seq, 200);
-        assert_eq!(report.ticks, 200 / 16 + 1);
-        assert!(report.frames_emitted > 0);
-        assert!(report.max_frame_used <= cfg.frame.payload_cap);
-        assert_eq!(report.frames_emitted as usize, frames.len());
-        // ACK-gated GC ran during the replay: only the open segment's
-        // records remain on disk.
-        assert!(report.gc_segments > 0, "GC should run mid-replay");
-        assert_eq!(report.spool.closed_segments, 0);
-        // A second reconnect has nothing new: full dedup, zero ingest.
-        let report2 = run_reconnect(&mut sp, &mut ledger, &reg, &cfg, |_| {}).unwrap();
-        assert_eq!(report2.ingested_records, 0);
-        assert_eq!(report2.final_acked_seq, 200);
+        sp.sync().unwrap();
+        let mut fwd = Forwarder::new(sp, small_cfg());
+        let mut rx = Receiver::new();
+        let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
+        let run = drive(&mut fwd, &mut rx, &mut link, 10_000);
+        assert!(run.completed);
+        assert_eq!(run.released.len(), 200);
+        for (i, (seq, bytes)) in run.released.iter().enumerate() {
+            assert_eq!(*seq, i as u64 + 1, "capture order");
+            assert_eq!(decode_block(bytes), Some(block(i as u64, 32)));
+        }
+        assert_eq!(rx.counters().duplicate_records, 0);
+        assert_eq!(fwd.lost(), 0);
+        assert!(fwd.uplink().counters().frames_sent > 0);
+        // ACK-gated GC ran: only the open segment's records remain.
+        let stats = fwd.spool().stats();
+        assert!(stats.gc_segments > 0);
+        assert_eq!(stats.closed_segments, 0);
+        assert_eq!(stats.acked_seq, 200);
+        // A second reconnect has nothing new: it resumes past the ACK.
+        let mut fwd = Forwarder::new(fwd.into_spool(), small_cfg());
+        let run = drive(&mut fwd, &mut rx, &mut link, 10_000);
+        assert!(run.completed);
+        assert!(run.released.is_empty());
+        assert_eq!(fwd.uplink().counters().frames_sent, 0);
+        assert_eq!(rx.counters().records_delivered, 200);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn reconnect_resumes_mid_backlog_idempotently() {
         let dir = tmpdir("resume");
-        let mut sp = spool(&dir);
+        let mut fwd = Forwarder::new(spool(&dir), small_cfg());
         for i in 0..50u64 {
-            sp.append(i, &encode_block(&sample_block(i))).unwrap();
+            fwd.submit(i, &block(i, 32)).unwrap();
         }
-        sp.sync().unwrap();
-        let reg = CodecRegistry::new(4);
-        let cfg = ReplayConfig::default();
-        // First link window: the ingest side saw some records but its ACK
-        // (say 20) only partially covers them.
-        let mut ledger = IngestLedger::new();
-        for seq in 1..=20u64 {
-            ledger.accept(seq);
+        // First link window: it closes once the receiver's cursor reaches
+        // 20, with ACKs and more records still in flight.
+        let mut rx = Receiver::new();
+        let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
+        let mut now = 0;
+        while rx.acked_seq() < 20 {
+            for frame in link.poll_frames(now) {
+                if let Some(ack) = rx.on_frame(&frame) {
+                    link.send_ack(now, ack);
+                }
+            }
+            fwd.tick(now, &mut link).unwrap();
+            now += 1;
         }
-        let report = run_reconnect(&mut sp, &mut ledger, &reg, &cfg, |_| {}).unwrap();
-        assert_eq!(report.replayed_records, 30, "only the un-ACKed tail");
-        assert_eq!(report.ingested_records, 30);
-        assert_eq!(ledger.accepted(), 50);
+        // The spool has heard an ACK that covers only part of what the
+        // receiver holds.
+        let acked = fwd.spool().stats().acked_seq;
+        assert!(
+            acked > 0 && acked <= rx.acked_seq() && acked < 50,
+            "ACK {acked}"
+        );
+        // The next forwarder replays only the un-ACKed tail.
+        let mut fwd = Forwarder::new(fwd.into_spool(), small_cfg());
+        let mut link = FaultyLink::new(FaultSpec::clean(2), 2);
+        let mut resent = Vec::new();
+        for now in 0..10_000u64 {
+            for frame in link.poll_frames(now) {
+                resent.extend(frame.fragments.iter().map(|f| f.seq));
+                if let Some(ack) = rx.on_frame(&frame) {
+                    link.send_ack(now, ack);
+                }
+            }
+            fwd.tick(now, &mut link).unwrap();
+            if rx.acked_seq() == 50 && fwd.uplink().idle() && link.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(rx.acked_seq(), 50);
+        assert_eq!(resent.iter().min(), Some(&(acked + 1)), "only the tail");
+        assert_eq!(rx.counters().records_delivered, 50, "exactly once");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn perfect_link_delivers_everything_exactly_once_no_retries() {
+        let dir = tmpdir("perfect");
+        let mut fwd = Forwarder::new(spool(&dir), small_cfg());
+        for seq in 1..=40u64 {
+            fwd.submit(0, &block(seq, 50)).unwrap();
+        }
+        let mut rx = Receiver::new();
+        let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
+        let run = drive(&mut fwd, &mut rx, &mut link, 10_000);
+        assert!(run.completed);
+        assert_eq!(run.released.len(), 40);
+        assert_eq!(rx.acked_seq(), 40);
+        let c = fwd.uplink().counters();
+        assert_eq!(c.retries, 0);
+        assert_eq!(c.timeouts, 0);
+        assert_eq!(c.trips, 0);
+        assert_eq!(rx.counters().duplicate_records, 0);
+        assert_eq!(goodput(&run.released), 40 * 50);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lossy_link_recovers_via_retries() {
+        let dir = tmpdir("lossy");
+        let mut fwd = Forwarder::new(spool(&dir), small_cfg());
+        for seq in 1..=60u64 {
+            fwd.submit(0, &block(seq, 40)).unwrap();
+        }
+        let mut rx = Receiver::new();
+        let mut link = FaultyLink::new(FaultSpec::lossy(2, 0.3), 11);
+        let run = drive(&mut fwd, &mut rx, &mut link, 50_000);
+        assert!(run.completed, "30% loss must still drain");
+        assert_eq!(run.released.len(), 60);
+        assert_eq!(rx.acked_seq(), 60);
+        let c = fwd.uplink().counters();
+        assert!(c.retries > 0, "loss must force retries");
+        assert_eq!(
+            link.counters().frames_sent,
+            c.frames_sent + c.retries + c.half_open_probes
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn faulty_link_is_deterministic_per_seed() {
+        let run = |seed: u64, name: &str| {
+            let dir = tmpdir(name);
+            let mut fwd = Forwarder::new(spool(&dir), small_cfg());
+            for seq in 1..=30u64 {
+                fwd.submit(0, &block(seq, 48)).unwrap();
+            }
+            let mut rx = Receiver::new();
+            let mut link = FaultyLink::new(
+                FaultSpec {
+                    drop: 0.2,
+                    duplicate: 0.15,
+                    corrupt: 0.1,
+                    ack_drop: 0.1,
+                    ..FaultSpec::lossy(2, 0.2)
+                },
+                seed,
+            );
+            let ticks = drive(&mut fwd, &mut rx, &mut link, 50_000).ticks;
+            std::fs::remove_dir_all(&dir).ok();
+            (
+                ticks,
+                fwd.uplink().counters(),
+                rx.counters(),
+                link.counters(),
+            )
+        };
+        assert_eq!(
+            run(5, "seed-a"),
+            run(5, "seed-b"),
+            "same seed, same everything"
+        );
+        assert_ne!(
+            run(5, "seed-a").3,
+            run(6, "seed-b").3,
+            "different seed, different faults"
+        );
+    }
+
+    #[test]
+    fn forwarder_heap_is_bounded_by_accept_limit_not_backlog() {
+        const LIMIT: usize = 16;
+        const LEN: usize = 64;
+        const REPLAY_TICKS: u64 = 40;
+        // Capture `k`·LIMIT records behind a stalled link (the breaker
+        // never trips), heal the link, replay for REPLAY_TICKS ticks, and
+        // return the heap the forwarder owns mid-replay (what dropping it
+        // frees) and its spool syncs. The spool keeps one metadata entry
+        // per segment file (1 MiB by default), so at these backlogs it
+        // holds one.
+        let held = |k: usize| -> (isize, u64) {
+            let dir = tmpdir(&format!("heap-{k}"));
+            let mut spool_cfg = SpoolConfig::new(&dir);
+            spool_cfg.sync_interval = Duration::from_secs(3600);
+            let mut cfg = small_cfg();
+            cfg.accept_limit = LIMIT;
+            cfg.breaker.trip_after = u32::MAX;
+            let mut fwd = Forwarder::new(Spool::open(spool_cfg).unwrap(), cfg);
+            let captured = (k * LIMIT) as u64;
+            let mut link = FaultyLink::with_schedule(
+                vec![
+                    Phase {
+                        until_tick: captured,
+                        spec: FaultSpec::stalled(),
+                    },
+                    Phase {
+                        until_tick: u64::MAX,
+                        spec: FaultSpec::clean(1),
+                    },
+                ],
+                1,
+            );
+            let mut rx = Receiver::new();
+            for now in 0..captured + REPLAY_TICKS {
+                for frame in link.poll_frames(now) {
+                    if let Some(ack) = rx.on_frame(&frame) {
+                        link.send_ack(now, ack);
+                    }
+                }
+                rx.take_ordered();
+                if now < captured {
+                    fwd.submit(now, &block(now + 1, LEN)).unwrap();
+                }
+                fwd.tick(now, &mut link).unwrap();
+            }
+            assert!(rx.acked_seq() > LIMIT as u64, "the replay has begun");
+            assert!(
+                rx.acked_seq() + 4 * LIMIT as u64 <= captured,
+                "most of the backlog is still on disk"
+            );
+            let syncs = fwd.spool().stats().syncs;
+            let before = live_bytes();
+            drop(fwd);
+            let held = before - live_bytes();
+            std::fs::remove_dir_all(&dir).ok();
+            (held, syncs)
+        };
+        let record = encode_block(&block(1, LEN)).len();
+        // Per buffered record: the payload, its copy in an in-flight or
+        // retrying frame, and the sender's map and set entries. The
+        // constant covers the replay cursor's 8 KiB read buffer.
+        let bound = LIMIT * (2 * record + 256) + record + 12 * 1024;
+        let (small, small_syncs) = held(10);
+        let (large, large_syncs) = held(40);
+        assert!(
+            small as usize <= bound && large as usize <= bound,
+            "forwarder holds {small} B at 10x and {large} B at 40x accept_limit, \
+             bound {bound} B (spool syncs {small_syncs} and {large_syncs})"
+        );
+        assert!(
+            (large - small).unsigned_abs() <= 512,
+            "heap grew with the backlog: {small} B at 10x, {large} B at 40x \
+             (spool syncs {small_syncs} and {large_syncs})"
+        );
     }
 }

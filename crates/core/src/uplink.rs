@@ -1,5 +1,5 @@
-//! Fault-tolerant uplink transport between the frame packer / spool
-//! replayer and the (simulated) network (DESIGN.md §7).
+//! Fault-tolerant uplink transport between the store-and-forward
+//! [`Forwarder`](crate::spooling::Forwarder) and the (simulated) network (DESIGN.md §7).
 //!
 //! The repo's earlier layers assume the uplink either works or is fully
 //! down (the spool covers "down"). Real edge links are *partially*
@@ -11,7 +11,8 @@
 //!   [`FramePacker`], per-frame deadlines, bounded retries under
 //!   exponential [`Backoff`] with deterministic seeded jitter, and a
 //!   [`CircuitBreaker`] (closed → open → half-open with probe frames)
-//!   that trips to spool-only store-and-forward mode.
+//!   that trips to spool-only mode: the forwarder driving it keeps
+//!   appending to the spool and replays what the trip handed back.
 //! * [`Receiver`] — the ingest side: CRC-checked frames, fragment
 //!   reassembly with duplicate/overlap dedup, an [`IngestLedger`]
 //!   cursor for exactly-once admission, and capture-order release.
@@ -34,7 +35,7 @@ use adaedge_codecs::crc32c::{crc32c, crc32c_append};
 use adaedge_codecs::faultkit;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -752,12 +753,6 @@ impl Receiver {
         self.ledger.acked_seq()
     }
 
-    /// The ledger (for handing to [`crate::spooling::run_reconnect`]
-    /// after a breaker recovery).
-    pub fn ledger_mut(&mut self) -> &mut IngestLedger {
-        &mut self.ledger
-    }
-
     /// Ingest-side counters.
     pub fn counters(&self) -> ReceiverCounters {
         self.counters
@@ -1124,9 +1119,15 @@ impl Uplink {
             self.breaker.on_probe_ack();
         } else if self.in_flight.remove(&ack.frame_id).is_some() {
             self.breaker.on_ack();
-        } else {
-            // The frame may be waiting in the retry queue (late ACK
-            // after its deadline) — remember to discard it there.
+        } else if self
+            .retry_at
+            .values()
+            .flatten()
+            .any(|f| f.frame.frame_id == ack.frame_id)
+        {
+            // A late ACK for a frame waiting in the retry queue: remember
+            // to discard it there. ACKs for frames in neither place are
+            // repeats and would only grow this set.
             self.late_acked.insert(ack.frame_id);
         }
         if ack.cumulative_seq > self.cum_acked {
@@ -1341,110 +1342,6 @@ impl Uplink {
         let depth = self.payloads.len() + self.external_backlog;
         let level = self.cfg.watermarks.classify(self.gauge.level(), depth);
         self.gauge.set(level);
-    }
-}
-
-// --- session driver ---------------------------------------------------------
-
-/// What one in-memory uplink session did (the bench/chaos rollup).
-#[derive(Debug, Clone)]
-pub struct SessionReport {
-    /// Virtual ticks consumed.
-    pub ticks: u64,
-    /// Records offered to the sender.
-    pub offered_records: u64,
-    /// Records released by the receiver in capture order.
-    pub delivered_records: u64,
-    /// Payload bytes of delivered records.
-    pub goodput_bytes: u64,
-    /// The receiver's final contiguous cursor.
-    pub final_acked_seq: u64,
-    /// Whether everything drained before the tick budget ran out.
-    pub completed: bool,
-    /// Sender counters.
-    pub uplink: UplinkCounters,
-    /// Receiver counters.
-    pub receiver: ReceiverCounters,
-    /// Pressure transitions observed on the sender's gauge.
-    pub degradation_transitions: u64,
-}
-
-/// Drive `records` (capture-order `(seq, payload)` pairs, sequences
-/// contiguous from `records[0].0`) through an uplink/receiver pair over
-/// `link` until everything is delivered or `max_ticks` elapse. Records
-/// cancelled by a breaker trip are re-offered once the breaker closes —
-/// the in-memory stand-in for the spool rewind the chaos suite's
-/// store-and-forward test exercises for real.
-pub fn run_session(
-    records: &[(u64, Vec<u8>)],
-    uplink: &mut Uplink,
-    receiver: &mut Receiver,
-    link: &mut dyn Transport,
-    max_ticks: u64,
-) -> SessionReport {
-    let by_seq: HashMap<u64, &Vec<u8>> = records.iter().map(|(s, p)| (*s, p)).collect();
-    let mut requeue: VecDeque<u64> = VecDeque::new();
-    let mut next = 0usize;
-    let mut delivered = 0u64;
-    let mut goodput = 0u64;
-    let mut ticks = 0u64;
-    let mut completed = false;
-
-    for now in 0..max_ticks {
-        ticks = now + 1;
-        for frame in link.poll_frames(now) {
-            if let Some(ack) = receiver.on_frame(&frame) {
-                link.send_ack(now, ack);
-            }
-        }
-        for (_, bytes) in receiver.take_ordered() {
-            delivered += 1;
-            goodput += bytes.len() as u64;
-        }
-        uplink.tick(now, link);
-        for seq in uplink.take_rewind() {
-            requeue.push_back(seq);
-        }
-        while uplink.can_accept(now) {
-            if let Some(&seq) = requeue.front() {
-                let payload = by_seq.get(&seq).expect("rewound seq was offered");
-                if uplink.offer(now, seq, (*payload).clone()) {
-                    requeue.pop_front();
-                } else {
-                    requeue.pop_front(); // already ACKed meanwhile
-                }
-            } else if next < records.len() {
-                let (seq, ref payload) = records[next];
-                if !uplink.offer(now, seq, payload.clone()) {
-                    break;
-                }
-                next += 1;
-            } else {
-                break;
-            }
-        }
-        uplink.set_external_backlog(records.len() - next + requeue.len());
-        if next == records.len() && requeue.is_empty() && uplink.idle() && link.is_empty() {
-            completed = true;
-            break;
-        }
-    }
-    // Drain any release still parked behind the loop boundary.
-    for (_, bytes) in receiver.take_ordered() {
-        delivered += 1;
-        goodput += bytes.len() as u64;
-    }
-
-    SessionReport {
-        ticks,
-        offered_records: next as u64,
-        delivered_records: delivered,
-        goodput_bytes: goodput,
-        final_acked_seq: receiver.acked_seq(),
-        completed,
-        uplink: uplink.counters(),
-        receiver: receiver.counters(),
-        degradation_transitions: uplink.pressure().transitions(),
     }
 }
 
@@ -1737,24 +1634,7 @@ mod tests {
         assert!(b.on_timeout(13), "trip_after=1 trips immediately again");
     }
 
-    // --- sender over a clean link ---------------------------------------
-
-    #[test]
-    fn perfect_link_delivers_everything_exactly_once_no_retries() {
-        let recs = records(40, 50);
-        let mut up = Uplink::new(small_cfg());
-        let mut rx = Receiver::new();
-        let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
-        let report = run_session(&recs, &mut up, &mut rx, &mut link, 10_000);
-        assert!(report.completed);
-        assert_eq!(report.delivered_records, 40);
-        assert_eq!(report.final_acked_seq, 40);
-        assert_eq!(report.uplink.retries, 0);
-        assert_eq!(report.uplink.timeouts, 0);
-        assert_eq!(report.uplink.trips, 0);
-        assert_eq!(report.receiver.duplicate_records, 0);
-        assert_eq!(report.goodput_bytes, 40 * 50);
-    }
+    // --- sender ----------------------------------------------------------
 
     #[test]
     fn window_bounds_in_flight_frames() {
@@ -1784,46 +1664,6 @@ mod tests {
         }
         rx.take_ordered();
         assert_eq!(rx.acked_seq(), 30);
-    }
-
-    #[test]
-    fn lossy_link_recovers_via_retries() {
-        let recs = records(60, 40);
-        let mut up = Uplink::new(small_cfg());
-        let mut rx = Receiver::new();
-        let mut link = FaultyLink::new(FaultSpec::lossy(2, 0.3), 11);
-        let report = run_session(&recs, &mut up, &mut rx, &mut link, 50_000);
-        assert!(report.completed, "30% loss must still drain");
-        assert_eq!(report.delivered_records, 60);
-        assert_eq!(report.final_acked_seq, 60);
-        assert!(report.uplink.retries > 0, "loss must force retries");
-        assert_eq!(
-            link.counters().frames_sent,
-            report.uplink.frames_sent + report.uplink.retries + report.uplink.half_open_probes
-        );
-    }
-
-    #[test]
-    fn faulty_link_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let recs = records(30, 48);
-            let mut up = Uplink::new(small_cfg());
-            let mut rx = Receiver::new();
-            let mut link = FaultyLink::new(
-                FaultSpec {
-                    drop: 0.2,
-                    duplicate: 0.15,
-                    corrupt: 0.1,
-                    ack_drop: 0.1,
-                    ..FaultSpec::lossy(2, 0.2)
-                },
-                seed,
-            );
-            let rep = run_session(&recs, &mut up, &mut rx, &mut link, 50_000);
-            (rep.ticks, rep.uplink, rep.receiver, link.counters())
-        };
-        assert_eq!(run(5), run(5), "same seed, same everything");
-        assert_ne!(run(5).3, run(6).3, "different seed, different faults");
     }
 
     #[test]

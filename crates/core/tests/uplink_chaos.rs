@@ -1,28 +1,28 @@
 //! Uplink chaos suite: exactly-once, capture-order delivery under every
-//! fault mix the `FaultyLink` can inject (ISSUE 9).
+//! fault mix the `FaultyLink` can inject.
 //!
-//! Each scenario drives a real `Uplink`/`Receiver` pair over a seeded
-//! fault-injecting link in virtual time and then checks the strongest
-//! property the transport claims: the receiver releases **every offered
-//! record exactly once, byte-identical, in capture order** — no matter
-//! what the link dropped, duplicated, reordered, corrupted or stalled,
-//! on the frame path *or* the ACK path. The final test closes the loop
-//! with a real on-disk spool: a total blackout trips the circuit
-//! breaker into spool-only store-and-forward mode, capture continues,
-//! and recovery re-drains the backlog through the standard
-//! `run_reconnect` path into the same ingest ledger with zero loss.
+//! Each scenario spools its records through a `Forwarder` (a real
+//! on-disk spool feeding a real `Uplink`), drives it against a `Receiver`
+//! over a seeded fault-injecting link in virtual time, and then checks
+//! the strongest property the transport claims: the receiver releases
+//! **every submitted record exactly once, byte-identical, in capture
+//! order** — no matter what the link dropped, duplicated, reordered,
+//! corrupted or stalled, on the frame path *or* the ACK path. The stall
+//! and blackout scenarios trip the circuit breaker into spool-only mode:
+//! capture continues into the spool, and on recovery the forwarder
+//! replays the backlog into the same receiver with zero loss.
 
-use adaedge_codecs::CodecRegistry;
-use adaedge_core::spooling::{run_reconnect, ReplayConfig};
+use adaedge_codecs::{CodecId, CompressedBlock};
+use adaedge_core::spooling::{decode_block, Forwarder};
 use adaedge_core::uplink::{
-    run_session, BackoffConfig, BreakerConfig, BreakerState, FaultSpec, FaultyLink, Phase,
-    Receiver, Transport, Uplink, UplinkConfig,
+    BackoffConfig, BreakerConfig, FaultSpec, FaultyLink, Phase, Receiver, Transport, UplinkConfig,
+    UplinkCounters,
 };
 use adaedge_core::FrameConfig;
 use adaedge_storage::spool::{Spool, SpoolConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -81,20 +81,58 @@ fn chaos_cfg() -> UplinkConfig {
     }
 }
 
-/// Drive `recs` through a fresh uplink/receiver over `link`, collecting
-/// every record the receiver releases. Mirrors `run_session`'s tick
-/// protocol but keeps the released payloads so callers can assert
-/// byte-identical capture-order delivery.
+/// A spool with explicit durability (replay syncs; the timer would add
+/// nondeterminism) and small segments, so GC has closed segments to take.
+fn spool(dir: &Path) -> Spool {
+    let mut cfg = SpoolConfig::new(dir);
+    cfg.sync_interval = Duration::from_secs(3600);
+    cfg.segment_max_bytes = 4096;
+    Spool::open(cfg).expect("spool")
+}
+
+/// A record's bytes as the raw block the forwarder spools.
+fn raw(bytes: &[u8]) -> CompressedBlock {
+    CompressedBlock {
+        codec: CodecId::Raw,
+        n_points: 0,
+        payload: bytes.to_vec(),
+    }
+}
+
+/// What one drive did.
+struct Drive {
+    /// Released records, decoded back to the submitted bytes.
+    delivered: Vec<(u64, Vec<u8>)>,
+    uplink: UplinkCounters,
+    /// The sender's cumulative ACK at the end.
+    acked_seq: u64,
+    rx: Receiver,
+    completed: bool,
+}
+
+/// Submit `recs` to a fresh forwarder over a fresh spool, then tick it
+/// and a receiver over `link` until the receiver holds everything and
+/// the link is quiet, collecting every record the receiver releases so
+/// callers can assert byte-identical capture-order delivery.
 fn drive(
+    name: &str,
     recs: &[(u64, Vec<u8>)],
     cfg: UplinkConfig,
     link: &mut FaultyLink,
     max_ticks: u64,
-) -> (Vec<(u64, Vec<u8>)>, Uplink, Receiver, bool) {
-    let mut up = Uplink::new(cfg);
-    let mut rx = Receiver::new();
-    let mut next = 0usize;
+) -> Drive {
+    let dir = tmpdir(name);
+    let mut fwd = Forwarder::new(spool(&dir), cfg);
+    for (seq, bytes) in recs {
+        assert_eq!(fwd.submit(0, &raw(bytes)).expect("submit"), *seq);
+    }
     let mut delivered: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut release = |rx: &mut Receiver| {
+        for (seq, bytes) in rx.take_ordered() {
+            delivered.push((seq, decode_block(&bytes).expect("decodes").payload));
+        }
+    };
+    let mut rx = Receiver::new();
     let mut completed = false;
     for now in 0..max_ticks {
         for frame in link.poll_frames(now) {
@@ -102,25 +140,40 @@ fn drive(
                 link.send_ack(now, ack);
             }
         }
-        delivered.extend(rx.take_ordered());
-        up.tick(now, link);
-        assert!(
-            up.take_rewind().is_empty(),
-            "breaker must stay closed in this scenario"
-        );
-        while next < recs.len() && up.can_accept(now) {
-            let (seq, p) = &recs[next];
-            assert!(up.offer(now, *seq, p.clone()));
-            next += 1;
-        }
-        up.set_external_backlog(recs.len() - next);
-        if next == recs.len() && up.idle() && link.is_empty() {
+        release(&mut rx);
+        fwd.tick(now, link).expect("tick");
+        if rx.acked_seq() == recs.len() as u64 && fwd.uplink().idle() && link.is_empty() {
             completed = true;
             break;
         }
     }
-    delivered.extend(rx.take_ordered());
-    (delivered, up, rx, completed)
+    release(&mut rx);
+    assert_eq!(fwd.lost(), 0, "a healthy spool loses nothing");
+    let d = Drive {
+        delivered,
+        uplink: fwd.uplink().counters(),
+        acked_seq: fwd.uplink().acked_seq(),
+        rx,
+        completed,
+    };
+    drop(fwd);
+    std::fs::remove_dir_all(&dir).ok();
+    d
+}
+
+/// [`drive`] for fault mixes under which the breaker must stay closed.
+fn drive_closed(
+    name: &str,
+    recs: &[(u64, Vec<u8>)],
+    link: &mut FaultyLink,
+    max_ticks: u64,
+) -> Drive {
+    let d = drive(name, recs, chaos_cfg(), link, max_ticks);
+    assert_eq!(
+        d.uplink.trips, 0,
+        "breaker must stay closed in this scenario"
+    );
+    d
 }
 
 /// The exactly-once contract: the delivered sequence IS the capture
@@ -144,30 +197,49 @@ fn assert_exactly_once(recs: &[(u64, Vec<u8>)], delivered: &[(u64, Vec<u8>)], rx
 fn clean_link_delivers_everything_exactly_once() {
     let recs = records(80, 1);
     let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 5_000);
+    let Drive {
+        delivered,
+        uplink: up,
+        acked_seq,
+        rx,
+        completed,
+    } = drive_closed(
+        "clean_link_delivers_everything_exactly_once",
+        &recs,
+        &mut link,
+        5_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
-    assert_eq!(up.counters().retries, 0, "a clean link needs no retries");
-    assert_eq!(up.acked_seq(), 80);
+    assert_eq!(up.retries, 0, "a clean link needs no retries");
+    assert_eq!(acked_seq, 80);
 }
 
 #[test]
 fn twenty_percent_loss_delivers_exactly_once_in_order() {
     let recs = records(80, 2);
     let mut link = FaultyLink::new(FaultSpec::lossy(2, 0.20), 2);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    let Drive {
+        delivered,
+        uplink: up,
+        rx,
+        completed,
+        ..
+    } = drive_closed(
+        "twenty_percent_loss_delivers_exactly_once_in_order",
+        &recs,
+        &mut link,
+        20_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     let lc = link.counters();
     assert!(lc.frames_dropped > 0, "the loss must actually fire");
-    assert!(
-        up.counters().retries > 0,
-        "loss must be repaired by retries"
-    );
+    assert!(up.retries > 0, "loss must be repaired by retries");
     // Sender-side conservation: every link transmission is accounted for.
     assert_eq!(
         lc.frames_sent,
-        up.counters().frames_sent + up.counters().retries + up.counters().half_open_probes
+        up.frames_sent + up.retries + up.half_open_probes
     );
 }
 
@@ -180,7 +252,12 @@ fn duplicate_heavy_link_is_deduped() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 3);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    let Drive {
+        delivered,
+        rx,
+        completed,
+        ..
+    } = drive_closed("duplicate_heavy_link_is_deduped", &recs, &mut link, 20_000);
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     assert!(link.counters().frames_duplicated > 0);
@@ -199,7 +276,17 @@ fn reorder_heavy_link_releases_in_capture_order() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 4);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    let Drive {
+        delivered,
+        rx,
+        completed,
+        ..
+    } = drive_closed(
+        "reorder_heavy_link_releases_in_capture_order",
+        &recs,
+        &mut link,
+        20_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     assert!(link.counters().frames_reordered > 0);
@@ -213,7 +300,17 @@ fn corrupted_frames_are_rejected_and_retried() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 5);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    let Drive {
+        delivered,
+        rx,
+        completed,
+        ..
+    } = drive_closed(
+        "corrupted_frames_are_rejected_and_retried",
+        &recs,
+        &mut link,
+        20_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     assert!(link.counters().frames_corrupted > 0);
@@ -237,14 +334,25 @@ fn ack_path_faults_cause_no_duplicates_or_loss() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 6);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    let Drive {
+        delivered,
+        uplink: up,
+        rx,
+        completed,
+        ..
+    } = drive_closed(
+        "ack_path_faults_cause_no_duplicates_or_loss",
+        &recs,
+        &mut link,
+        20_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     let lc = link.counters();
     assert!(lc.acks_dropped > 0 && lc.acks_corrupted > 0);
     // A corrupted ACK may also be duplicated, so the sender can reject
     // more copies than the link counted corruption events.
-    assert!(up.counters().acks_rejected >= lc.acks_corrupted);
+    assert!(up.acks_rejected >= lc.acks_corrupted);
     assert!(
         rx.counters().duplicate_fragments > 0 || rx.counters().duplicate_records > 0,
         "lost ACKs must force spurious retransmits that the receiver dedups"
@@ -266,7 +374,12 @@ fn combined_fault_mix_survives() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 7);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 40_000);
+    let Drive {
+        delivered,
+        rx,
+        completed,
+        ..
+    } = drive_closed("combined_fault_mix_survives", &recs, &mut link, 40_000);
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
 }
@@ -287,18 +400,30 @@ fn phase_schedule_heavy_loss_then_clean_completes() {
         },
     ];
     let mut link = FaultyLink::with_schedule(schedule, 8);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    let Drive {
+        delivered,
+        uplink: up,
+        rx,
+        completed,
+        ..
+    } = drive_closed(
+        "phase_schedule_heavy_loss_then_clean_completes",
+        &recs,
+        &mut link,
+        20_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     assert!(link.counters().frames_dropped > 0);
-    assert!(up.counters().retries > 0);
+    assert!(up.retries > 0);
 }
 
 #[test]
 fn stall_then_recovery_trips_breaker_and_redelivers_everything() {
     // A total blackout mid-stream: frames time out, the breaker trips,
-    // cancelled records are handed back, and `run_session` re-offers
-    // them once the link heals — nothing is lost, nothing doubles.
+    // cancelled records are handed back, and the forwarder replays them
+    // from the spool once the link heals — nothing is lost, nothing
+    // doubles.
     let recs = records(40, 9);
     let schedule = vec![
         Phase {
@@ -337,25 +462,19 @@ fn stall_then_recovery_trips_breaker_and_redelivers_everything() {
         },
         ..UplinkConfig::default()
     };
-    let mut up = Uplink::new(cfg);
-    let mut rx = Receiver::new();
-    let report = run_session(&recs, &mut up, &mut rx, &mut link, 20_000);
-    assert!(report.completed, "recovery must finish: {report:?}");
-    assert_eq!(report.delivered_records, 40);
-    assert_eq!(report.final_acked_seq, 40);
+    let d = drive("stall", &recs, cfg, &mut link, 20_000);
+    assert!(d.completed, "recovery must finish: {:?}", d.uplink);
+    assert_exactly_once(&recs, &d.delivered, &d.rx);
+    assert_eq!(d.acked_seq, 40);
+    assert!(d.uplink.trips >= 1, "the blackout must trip the breaker");
     assert!(
-        report.uplink.trips >= 1,
-        "the blackout must trip the breaker"
-    );
-    assert!(
-        report.uplink.half_open_probes >= 1,
+        d.uplink.half_open_probes >= 1,
         "recovery goes through half-open probing"
     );
     assert!(
-        report.uplink.cancelled_on_trip > 0,
+        d.uplink.cancelled_on_trip > 0,
         "tripping hands in-flight records back for replay"
     );
-    assert_eq!(report.receiver.records_delivered, 40);
 }
 
 #[test]
@@ -377,7 +496,12 @@ fn seeded_fault_sweep_is_exactly_once_everywhere() {
         };
         let recs = records(50, seed);
         let mut link = FaultyLink::new(spec, seed);
-        let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 60_000);
+        let Drive {
+            delivered,
+            rx,
+            completed,
+            ..
+        } = drive_closed(&format!("sweep-{seed}"), &recs, &mut link, 60_000);
         assert!(completed, "seed {seed} did not drain: {spec:?}");
         assert_exactly_once(&recs, &delivered, &rx);
     }
@@ -397,12 +521,23 @@ fn long_soak_smoke_under_sustained_faults() {
         ..FaultSpec::clean(1)
     };
     let mut link = FaultyLink::new(spec, 10);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 200_000);
+    let Drive {
+        delivered,
+        uplink: up,
+        rx,
+        completed,
+        ..
+    } = drive_closed(
+        "long_soak_smoke_under_sustained_faults",
+        &recs,
+        &mut link,
+        200_000,
+    );
     assert!(completed);
     assert_exactly_once(&recs, &delivered, &rx);
     assert_eq!(
         link.counters().frames_sent,
-        up.counters().frames_sent + up.counters().retries + up.counters().half_open_probes
+        up.frames_sent + up.retries + up.half_open_probes
     );
 }
 
@@ -410,20 +545,15 @@ fn long_soak_smoke_under_sustained_faults() {
 fn blackout_trips_to_spool_only_and_recovers_via_reconnect() {
     // The full store-and-forward loop with a real on-disk spool:
     //
-    //   capture ──▶ spool (always, durability)
-    //          └──▶ uplink ──▶ FaultyLink ──▶ receiver/ledger  (live)
+    //   capture ──▶ Forwarder ──▶ spool (always, durability)
+    //                     └─────▶ uplink ──▶ FaultyLink ──▶ receiver  (live)
     //
     // A blackout trips the breaker; live sends stop (spool-only mode)
     // while capture continues. When the link heals the breaker probes
-    // half-open, closes, and the backlog re-drains through the standard
-    // `run_reconnect` replay into the SAME ledger — every captured
-    // record lands exactly once, with ACK-gated GC along the way.
+    // half-open, closes, and the forwarder replays the backlog from the
+    // spool into the SAME receiver — every captured record lands exactly
+    // once, with ACK-gated GC along the way.
     let dir = tmpdir("blackout");
-    let mut spool_cfg = SpoolConfig::new(&dir);
-    spool_cfg.sync_interval = Duration::from_secs(3600);
-    spool_cfg.segment_max_bytes = 4096;
-    let mut spool = Spool::open(spool_cfg).expect("spool");
-
     let schedule = vec![
         Phase {
             until_tick: 30,
@@ -455,7 +585,7 @@ fn blackout_trips_to_spool_only_and_recovers_via_reconnect() {
         },
         ..UplinkConfig::default()
     };
-    let mut up = Uplink::new(cfg);
+    let mut fwd = Forwarder::new(spool(&dir), cfg);
     let mut rx = Receiver::new();
 
     let total = 40u64;
@@ -463,88 +593,52 @@ fn blackout_trips_to_spool_only_and_recovers_via_reconnect() {
         |seq: u64| -> Vec<u8> { (0..160u8).map(|i| i.wrapping_mul(seq as u8 | 1)).collect() };
 
     let mut captured = 0u64;
-    let mut tripped = false;
-    let mut rewound_seqs: Vec<u64> = Vec::new();
-    let mut sender_cursor_at_trip = 0u64;
-    let mut recovered = false;
+    let mut delivered: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut live_cursor = None;
+    let mut completed = false;
     for now in 0..4_000u64 {
         for frame in link.poll_frames(now) {
             if let Some(ack) = rx.on_frame(&frame) {
                 link.send_ack(now, ack);
             }
         }
-        let _ = rx.take_ordered();
-        up.tick(now, &mut link);
-        let rewound = up.take_rewind();
-        if !rewound.is_empty() {
-            // Breaker tripped: the uplink hands back every cancelled
-            // record. They are all already durable in the spool, so the
-            // device simply switches to spool-only mode.
-            if !tripped {
-                sender_cursor_at_trip = up.acked_seq();
-            }
-            tripped = true;
-            rewound_seqs.extend(rewound);
+        for (seq, bytes) in rx.take_ordered() {
+            delivered.push((seq, decode_block(&bytes).expect("decodes").payload));
         }
+        if now == 250 {
+            // The link heals: what the live path got through.
+            live_cursor = Some(rx.acked_seq());
+        }
+        fwd.tick(now, &mut link).expect("tick");
         // Capture continues at one record per 3 ticks, blackout or not.
         if now % 3 == 0 && captured < total {
             captured += 1;
-            let seq = spool.append(now, &payload(captured)).expect("append");
+            let seq = fwd.submit(now, &raw(&payload(captured))).expect("submit");
             assert_eq!(seq, captured);
-            if !tripped && up.can_accept(now) {
-                assert!(up.offer(now, seq, payload(captured)));
-            }
         }
-        // ACK-gated GC: the spool trims as the cumulative cursor moves.
-        spool.ack(up.acked_seq()).expect("ack");
-        if tripped
-            && now > 260
-            && captured == total
-            && matches!(up.breaker_state(now), BreakerState::Closed)
-        {
-            recovered = true;
+        if captured == total && rx.acked_seq() == total && fwd.uplink().idle() && link.is_empty() {
+            completed = true;
             break;
         }
     }
-    assert!(tripped, "the blackout must trip the breaker");
-    assert!(recovered, "the breaker must close again on a healed link");
-    assert!(!rewound_seqs.is_empty());
-    assert!(up.counters().trips >= 1);
-    assert!(up.counters().half_open_probes >= 2);
-    assert!(up.counters().cancelled_on_trip > 0);
-    let live_cursor = rx.acked_seq();
+    let up = fwd.uplink().counters();
+    assert!(up.trips >= 1, "the blackout must trip the breaker");
+    assert!(completed, "the breaker must close again on a healed link");
+    assert!(up.half_open_probes >= 2);
+    assert!(up.cancelled_on_trip > 0);
+    let live_cursor = live_cursor.expect("ran past the blackout");
     assert!(
         live_cursor < total,
         "the blackout must leave a backlog to re-drain"
     );
-    // Cancellation only ever touches records the sender had not seen
-    // ACKed when the breaker tripped. (The receiver's cursor can later
-    // pass some of them: frames parked inside the stalled link flush
-    // out when the stall ends — the ledger dedups those on replay.)
-    assert!(
-        rewound_seqs.iter().all(|&s| s > sender_cursor_at_trip),
-        "nothing below the sender's cumulative cursor is ever cancelled"
-    );
-
-    // Recovery: re-drain the spool backlog through the standard
-    // reconnect replay, into the same ledger the live path fed.
-    spool.sync().expect("sync");
-    let registry = CodecRegistry::new(4);
-    let replay_cfg = ReplayConfig {
-        records_per_tick: 8,
-        ..ReplayConfig::default()
-    };
-    let report = run_reconnect(&mut spool, rx.ledger_mut(), &registry, &replay_cfg, |_| {})
-        .expect("reconnect");
-    assert_eq!(report.final_acked_seq, total);
-    assert_eq!(report.lost_records, 0, "zero un-ACKed loss");
-    assert_eq!(
-        report.ingested_records,
-        total - live_cursor - report.duplicate_records,
-        "replay fills exactly the gap the blackout left"
-    );
-    assert_eq!(rx.ledger_mut().accepted(), total, "exactly-once overall");
-    assert_eq!(rx.ledger_mut().lost(), 0);
-    drop(spool);
+    // Recovery replayed the backlog into the same receiver: every record
+    // exactly once, in capture order, byte-identical.
+    let recs: Vec<(u64, Vec<u8>)> = (1..=total).map(|s| (s, payload(s))).collect();
+    assert_exactly_once(&recs, &delivered, &rx);
+    assert_eq!(fwd.lost(), 0, "zero un-ACKed loss");
+    let stats = fwd.spool().stats();
+    assert!(stats.gc_segments > 0, "ACK-gated GC ran");
+    assert_eq!(stats.closed_segments, 0);
+    drop(fwd);
     std::fs::remove_dir_all(&dir).ok();
 }
