@@ -12,6 +12,8 @@
 //! radix-2 length, on its payloads and on the bits of its decoded values.
 //! A tie-heavy input pins the quantizing codecs (Sprintz, BUFF) on exact
 //! `k + 0.5` rounding ties, signed zeros and the fixed-point range edge.
+//! PAA, PLA, RRD-sample and LTTB are pinned at their natural setting and at
+//! two ratio targets, on their payloads and decoded values.
 
 use adaedge_codecs::bitio::BitWriter;
 use adaedge_codecs::{CodecId, CodecRegistry};
@@ -490,4 +492,142 @@ fn golden_fft_payloads_and_decodes() {
             "FFT payload or decode diverged from the golden wire format"
         );
     }
+}
+
+/// One window/sample/knot arm row: codec, `compress_to_ratio` target (none
+/// for the codec's natural `compress` setting), then the expected
+/// (length, fnv1a) of the payload and fnv1a of the decoded values'
+/// `f64::to_bits` stream.
+type LossyRow = (CodecId, Option<f64>, usize, u64, u64);
+
+/// PAA, PLA, RRD-sample and LTTB on `signal(997)`: a prime length, so every
+/// window and bucket split leaves a short last one.
+const LOSSY_GOLDENS: &[LossyRow] = &[
+    (
+        CodecId::Paa,
+        None,
+        3996,
+        0x288d_605e_3d33_b453,
+        0xf5bb_ca9c_4cf4_4ecf,
+    ),
+    (
+        CodecId::Paa,
+        Some(0.3),
+        2004,
+        0x055c_4500_0f5b_5657,
+        0x5933_8523_e1ff_05cf,
+    ),
+    (
+        CodecId::Paa,
+        Some(0.1),
+        732,
+        0x2820_3493_04e4_6d81,
+        0x9bf7_cf41_fbc6_aa5a,
+    ),
+    (
+        CodecId::Pla,
+        None,
+        3984,
+        0x49e6_65ca_0adb_62e8,
+        0x4310_ee38_fe58_dd92,
+    ),
+    (
+        CodecId::Pla,
+        Some(0.3),
+        2392,
+        0x7315_c7f8_7d6a_52bc,
+        0x785e_cf63_df03_9f6c,
+    ),
+    (
+        CodecId::Pla,
+        Some(0.1),
+        792,
+        0xe762_613a_0ca4_5583,
+        0xddbe_465b_98d4_821b,
+    ),
+    (
+        CodecId::RrdSample,
+        None,
+        2668,
+        0x58ec_81b0_6fb0_3598,
+        0x5851_57b2_aca2_39d3,
+    ),
+    (
+        CodecId::RrdSample,
+        Some(0.3),
+        2004,
+        0x6f5d_227f_ec76_54d5,
+        0x77c6_bf0f_b19f_4977,
+    ),
+    (
+        CodecId::RrdSample,
+        Some(0.1),
+        732,
+        0x5757_c82f_6758_4c39,
+        0x3986_f1e6_2e0c_3df6,
+    ),
+    (
+        CodecId::Lttb,
+        None,
+        3984,
+        0x4cf5_54bd_d27c_f9ee,
+        0x050c_2301_1763_2e44,
+    ),
+    (
+        CodecId::Lttb,
+        Some(0.3),
+        2392,
+        0x99d8_327a_eda7_15e9,
+        0xa8ae_1f77_0344_a1f6,
+    ),
+    (
+        CodecId::Lttb,
+        Some(0.1),
+        792,
+        0x5415_fa8d_d7a0_783c,
+        0x4124_1da0_33b9_c823,
+    ),
+];
+
+#[test]
+fn golden_lossy_payloads_and_decodes() {
+    let reg = CodecRegistry::new(4);
+    let data = signal(997);
+    let mut rows = Vec::new();
+    for id in [
+        CodecId::Paa,
+        CodecId::Pla,
+        CodecId::RrdSample,
+        CodecId::Lttb,
+    ] {
+        for ratio in [None, Some(0.3), Some(0.1)] {
+            let block = match ratio {
+                None => reg.get(id).compress(&data).unwrap(),
+                Some(r) => reg
+                    .get_lossy(id)
+                    .unwrap()
+                    .compress_to_ratio(&data, r)
+                    .unwrap(),
+            };
+            let decoded = reg.decompress(&block).unwrap();
+            assert_eq!(decoded.len(), data.len());
+            rows.push((
+                id,
+                ratio,
+                block.payload.len(),
+                fnv1a(&block.payload),
+                fnv1a_bits(&decoded),
+            ));
+        }
+    }
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (id, ratio, len, payload, decoded) in &rows {
+            println!("(CodecId::{id:?}, {ratio:?}, {len}, 0x{payload:016x}, 0x{decoded:016x}),");
+        }
+        return;
+    }
+    assert_eq!(
+        rows, LOSSY_GOLDENS,
+        "lossy payload or decode diverged from the golden wire format"
+    );
 }
