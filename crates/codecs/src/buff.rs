@@ -142,12 +142,6 @@ fn encode_into<'a>(
     Ok(CompressedBlockRef::new(codec, data.len(), out))
 }
 
-fn decode(block: &CompressedBlock) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    decode_into(block, &mut CodecScratch::new(), &mut out)?;
-    Ok(out)
-}
-
 fn decode_into(
     block: &CompressedBlock,
     scratch: &mut CodecScratch,
@@ -254,15 +248,6 @@ impl Codec for Buff {
         CodecKind::Lossless
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        encode(data, self.precision, Truncation::None)
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        self.check_block(block)?;
-        decode(block)
-    }
-
     fn compress_into<'a>(
         &self,
         data: &[f64],
@@ -310,20 +295,6 @@ impl Codec for BuffLossy {
 
     fn kind(&self) -> CodecKind {
         CodecKind::Lossy
-    }
-
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        // Natural setting: drop half of the fractional resolution.
-        encode(
-            data,
-            self.precision,
-            Truncation::Keep(MIN_KEPT_BITS.max(16)),
-        )
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        self.check_block(block)?;
-        decode(block)
     }
 
     fn compress_into<'a>(

@@ -80,22 +80,6 @@ impl Codec for Chimp {
         CodecKind::Lossless
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        let mut scratch = CodecScratch::new();
-        let n = self.compress_into(data, &mut scratch)?.n_points;
-        Ok(CompressedBlock {
-            codec: self.id(),
-            n_points: n,
-            payload: scratch.take_out(),
-        })
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     // Encode path over caller-validated input: `data` is checked non-empty
     // below, and `LEADING_ROUND` has 65 entries for leading_zeros() in 0..=64.
     #[allow(clippy::indexing_slicing)]

@@ -29,22 +29,6 @@ impl Codec for Dict {
         CodecKind::Lossless
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        let mut scratch = CodecScratch::new();
-        let n = self.compress_into(data, &mut scratch)?.n_points;
-        Ok(CompressedBlock {
-            codec: self.id(),
-            n_points: n,
-            payload: scratch.take_out(),
-        })
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into<'a>(
         &self,
         data: &[f64],

@@ -104,7 +104,7 @@ pub fn direct_agg(block: &CompressedBlock, op: AggOp) -> Result<Option<f64>> {
             match op {
                 AggOp::Sum | AggOp::Avg => {
                     let mut sum = 0.0;
-                    for (b_idx, &s) in samples.iter().enumerate() {
+                    for (b_idx, s) in samples.enumerate() {
                         let count = bucket.min(n - b_idx * bucket);
                         sum += s * count as f64;
                     }
@@ -114,8 +114,8 @@ pub fn direct_agg(block: &CompressedBlock, op: AggOp) -> Result<Option<f64>> {
                         sum
                     }
                 }
-                AggOp::Max => samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                AggOp::Min => samples.iter().cloned().fold(f64::INFINITY, f64::min),
+                AggOp::Max => samples.fold(f64::NEG_INFINITY, f64::max),
+                AggOp::Min => samples.fold(f64::INFINITY, f64::min),
             }
         }
         CodecId::Fft => {

@@ -423,16 +423,6 @@ impl Codec for Fft {
         CodecKind::Lossy
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        self.compress_to_ratio(data, 0.25)
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into<'a>(
         &self,
         data: &[f64],

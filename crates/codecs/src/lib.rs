@@ -6,7 +6,10 @@
 //! (Gorilla, CHIMP, Sprintz, BUFF, dictionary) and tunable lossy
 //! representations (PAA, PLA, FFT, BUFF-lossy, RRD-sample, LTTB).
 //!
-//! All codecs implement [`Codec`]; the lossy ones additionally implement
+//! All codecs implement [`Codec`] through one data path each:
+//! `compress_into`/`decompress_into` over a reusable [`CodecScratch`]
+//! arena, which the allocating `compress`/`decompress` (written once, in
+//! the trait) call on a fresh arena. The lossy ones additionally implement
 //! [`LossyCodec`], which adds ratio targeting and "virtual decompression"
 //! recoding (shrinking an already-compressed block without reconstructing
 //! the original floats — §IV-E of the paper).

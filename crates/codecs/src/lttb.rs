@@ -8,8 +8,9 @@
 //! linear interpolation, like PLA. Recoding re-runs LTTB over the stored
 //! points themselves.
 
-use crate::block::{CodecId, CompressedBlock, POINT_BYTES};
+use crate::block::{CodecId, CompressedBlock, CompressedBlockRef, POINT_BYTES};
 use crate::error::{CodecError, Result};
+use crate::scratch::CodecScratch;
 use crate::traits::{budget_bytes, check_lossy_args, Codec, CodecKind, LossyCodec};
 
 const POINT_PAIR_BYTES: usize = 8;
@@ -132,14 +133,25 @@ impl Codec for Lttb {
         CodecKind::Lossy
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        self.compress_to_ratio(data, 0.5)
+    fn compress_into<'a>(
+        &self,
+        data: &[f64],
+        scratch: &'a mut CodecScratch,
+    ) -> Result<CompressedBlockRef<'a>> {
+        scratch.out = self.compress_to_ratio(data, 0.5)?.payload;
+        Ok(CompressedBlockRef::new(self.id(), data.len(), &scratch.out))
     }
 
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
+    fn decompress_into(
+        &self,
+        block: &CompressedBlock,
+        _scratch: &mut CodecScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         self.check_block(block)?;
         let pairs = Self::parse(block)?;
-        Ok(Self::interpolate(block.n_points as usize, &pairs))
+        *out = Self::interpolate(block.n_points as usize, &pairs);
+        Ok(())
     }
 }
 

@@ -94,17 +94,6 @@ impl Codec for Paa {
         CodecKind::Lossy
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        // Natural setting: window of 2 (ratio ≈ 0.5).
-        self.compress_with_window(data, 2)
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into<'a>(
         &self,
         data: &[f64],

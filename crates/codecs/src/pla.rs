@@ -13,8 +13,9 @@
 //!
 //! Payload: sequence of `(index: u32, value: f32)` pairs, ascending index.
 
-use crate::block::{CodecId, CompressedBlock, POINT_BYTES};
+use crate::block::{CodecId, CompressedBlock, CompressedBlockRef, POINT_BYTES};
 use crate::error::{CodecError, Result};
+use crate::scratch::CodecScratch;
 use crate::traits::{budget_bytes, check_lossy_args, Codec, CodecKind, LossyCodec};
 use std::collections::BinaryHeap;
 
@@ -224,15 +225,26 @@ impl Codec for Pla {
         CodecKind::Lossy
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
+    fn compress_into<'a>(
+        &self,
+        data: &[f64],
+        scratch: &'a mut CodecScratch,
+    ) -> Result<CompressedBlockRef<'a>> {
         // Natural setting: half the points as knots.
-        self.compress_to_ratio(data, 0.5)
+        scratch.out = self.compress_to_ratio(data, 0.5)?.payload;
+        Ok(CompressedBlockRef::new(self.id(), data.len(), &scratch.out))
     }
 
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
+    fn decompress_into(
+        &self,
+        block: &CompressedBlock,
+        _scratch: &mut CodecScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
         self.check_block(block)?;
         let knots = decode_knots(block)?;
-        Ok(interpolate(block.n_points as usize, &knots))
+        *out = interpolate(block.n_points as usize, &knots);
+        Ok(())
     }
 }
 

@@ -31,22 +31,6 @@ impl Codec for Rle {
         CodecKind::Lossless
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        let mut scratch = CodecScratch::new();
-        let n = self.compress_into(data, &mut scratch)?.n_points;
-        Ok(CompressedBlock {
-            codec: self.id(),
-            n_points: n,
-            payload: scratch.take_out(),
-        })
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     // `data[0]` / `data[1..]` are guarded by the emptiness check below.
     #[allow(clippy::indexing_slicing)]
     fn compress_into<'a>(

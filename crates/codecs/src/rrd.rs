@@ -42,7 +42,11 @@ impl RrdSample {
         ((budget - HDR_BYTES) / SAMPLE_BYTES).min(n)
     }
 
-    pub(crate) fn parse(block: &CompressedBlock) -> Result<(usize, Vec<f64>)> {
+    /// The bucket length and the samples of `block`, read straight off the
+    /// payload, after checking the payload against the block's length.
+    pub(crate) fn parse(
+        block: &CompressedBlock,
+    ) -> Result<(usize, impl ExactSizeIterator<Item = f64> + '_)> {
         if block.payload.len() < HDR_BYTES + SAMPLE_BYTES
             || !(block.payload.len() - HDR_BYTES).is_multiple_of(SAMPLE_BYTES)
         {
@@ -53,23 +57,47 @@ impl RrdSample {
         if bucket == 0 {
             return Err(CodecError::Corrupt("rrd zero bucket"));
         }
-        let samples: Vec<f64> = block.payload[HDR_BYTES..]
+        let samples = block.payload[HDR_BYTES..]
             .chunks_exact(SAMPLE_BYTES)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
         if samples.len() != (block.n_points as usize).div_ceil(bucket) {
             return Err(CodecError::Corrupt("rrd sample count mismatch"));
         }
         Ok((bucket, samples))
     }
 
-    fn encode(n: usize, bucket: usize, samples: &[f64]) -> CompressedBlock {
-        let mut payload = Vec::with_capacity(HDR_BYTES + samples.len() * SAMPLE_BYTES);
+    /// Write the payload: the bucket length, then one sample per bucket.
+    fn write_payload(
+        payload: &mut Vec<u8>,
+        bucket: usize,
+        samples: impl ExactSizeIterator<Item = f64>,
+    ) {
+        payload.clear();
+        payload.reserve(HDR_BYTES + samples.len() * SAMPLE_BYTES);
         payload.extend_from_slice(&(bucket as u32).to_le_bytes());
         for s in samples {
             payload.extend_from_slice(&s.to_le_bytes());
         }
-        CompressedBlock::new(CodecId::RrdSample, n, payload)
+    }
+
+    /// Sample `data` down to `ratio` into `payload`.
+    fn sample_into(&self, data: &[f64], ratio: f64, payload: &mut Vec<u8>) -> Result<()> {
+        check_lossy_args(data.len(), ratio)?;
+        let n = data.len();
+        let m = Self::buckets_for(n, ratio);
+        if m == 0 {
+            return Err(CodecError::RatioUnreachable {
+                requested: ratio,
+                minimum: self.min_ratio(n),
+            });
+        }
+        let bucket = n.div_ceil(m);
+        let samples = data
+            .chunks(bucket)
+            .enumerate()
+            .map(|(b_idx, chunk)| chunk[pick_offset(n, b_idx, chunk.len())]);
+        Self::write_payload(payload, bucket, samples);
+        Ok(())
     }
 }
 
@@ -82,42 +110,13 @@ impl Codec for RrdSample {
         CodecKind::Lossy
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        self.compress_to_ratio(data, 0.5)
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     fn compress_into<'a>(
         &self,
         data: &[f64],
         scratch: &'a mut CodecScratch,
     ) -> Result<CompressedBlockRef<'a>> {
-        // Mirrors `compress_to_ratio(data, 0.5)` but builds the payload in
-        // the caller's scratch buffer.
-        check_lossy_args(data.len(), 0.5)?;
-        let n = data.len();
-        let m = Self::buckets_for(n, 0.5);
-        if m == 0 {
-            return Err(CodecError::RatioUnreachable {
-                requested: 0.5,
-                minimum: self.min_ratio(n),
-            });
-        }
-        let bucket = n.div_ceil(m);
-        let payload = &mut scratch.out;
-        payload.clear();
-        payload.reserve(HDR_BYTES + n.div_ceil(bucket) * SAMPLE_BYTES);
-        payload.extend_from_slice(&(bucket as u32).to_le_bytes());
-        for (b_idx, chunk) in data.chunks(bucket).enumerate() {
-            let s = chunk[pick_offset(n, b_idx, chunk.len())];
-            payload.extend_from_slice(&s.to_le_bytes());
-        }
-        Ok(CompressedBlockRef::new(self.id(), n, payload))
+        self.sample_into(data, 0.5, &mut scratch.out)?;
+        Ok(CompressedBlockRef::new(self.id(), data.len(), &scratch.out))
     }
 
     fn decompress_into(
@@ -128,26 +127,10 @@ impl Codec for RrdSample {
     ) -> Result<()> {
         self.check_block(block)?;
         let n = block.n_points as usize;
-        // Same validation as `parse`, expanding samples straight off the
-        // payload.
-        if block.payload.len() < HDR_BYTES + SAMPLE_BYTES
-            || !(block.payload.len() - HDR_BYTES).is_multiple_of(SAMPLE_BYTES)
-        {
-            return Err(CodecError::Corrupt("rrd payload size"));
-        }
-        let bucket =
-            u32::from_le_bytes(block.payload[..HDR_BYTES].try_into().expect("4 bytes")) as usize;
-        if bucket == 0 {
-            return Err(CodecError::Corrupt("rrd zero bucket"));
-        }
-        let samples = block.payload[HDR_BYTES..].chunks_exact(SAMPLE_BYTES);
-        if samples.len() != n.div_ceil(bucket) {
-            return Err(CodecError::Corrupt("rrd sample count mismatch"));
-        }
+        let (bucket, samples) = Self::parse(block)?;
         out.clear();
         out.reserve(n);
-        for (b_idx, c) in samples.enumerate() {
-            let s = f64::from_le_bytes(c.try_into().expect("8 bytes"));
+        for (b_idx, s) in samples.enumerate() {
             let count = bucket.min(n - b_idx * bucket);
             out.extend(std::iter::repeat_n(s, count));
         }
@@ -157,21 +140,9 @@ impl Codec for RrdSample {
 
 impl LossyCodec for RrdSample {
     fn compress_to_ratio(&self, data: &[f64], ratio: f64) -> Result<CompressedBlock> {
-        check_lossy_args(data.len(), ratio)?;
-        let n = data.len();
-        let m = Self::buckets_for(n, ratio);
-        if m == 0 {
-            return Err(CodecError::RatioUnreachable {
-                requested: ratio,
-                minimum: self.min_ratio(n),
-            });
-        }
-        let bucket = n.div_ceil(m);
-        let mut samples = Vec::with_capacity(n.div_ceil(bucket));
-        for (b_idx, chunk) in data.chunks(bucket).enumerate() {
-            samples.push(chunk[pick_offset(n, b_idx, chunk.len())]);
-        }
-        Ok(Self::encode(n, bucket, &samples))
+        let mut payload = Vec::new();
+        self.sample_into(data, ratio, &mut payload)?;
+        Ok(CompressedBlock::new(self.id(), data.len(), payload))
     }
 
     fn min_ratio(&self, n: usize) -> f64 {
@@ -191,6 +162,7 @@ impl LossyCodec for RrdSample {
             ));
         }
         let (bucket, samples) = Self::parse(block)?;
+        let samples: Vec<f64> = samples.collect();
         let m_new = Self::buckets_for(n, ratio);
         if m_new == 0 {
             return Err(CodecError::RatioUnreachable {
@@ -202,12 +174,13 @@ impl LossyCodec for RrdSample {
         // (deterministically chosen) as the survivor.
         let new_bucket = n.div_ceil(m_new).div_ceil(bucket) * bucket;
         let k = new_bucket / bucket;
-        let merged: Vec<f64> = samples
+        let merged = samples
             .chunks(k)
             .enumerate()
-            .map(|(g_idx, group)| group[pick_offset(n, g_idx, group.len())])
-            .collect();
-        Ok(Self::encode(n, new_bucket, &merged))
+            .map(|(g_idx, group)| group[pick_offset(n, g_idx, group.len())]);
+        let mut payload = Vec::new();
+        Self::write_payload(&mut payload, new_bucket, merged);
+        Ok(CompressedBlock::new(self.id(), n, payload))
     }
 }
 
@@ -260,10 +233,9 @@ mod tests {
         let block = RrdSample.compress_to_ratio(&data, 0.2).unwrap();
         let recoded = RrdSample.recode(&block, 0.05).unwrap();
         assert!(recoded.ratio() <= 0.05 + 1e-9);
-        let (_, old_samples) = RrdSample::parse(&block).unwrap();
-        let (_, new_samples) = RrdSample::parse(&recoded).unwrap();
-        for s in &new_samples {
-            assert!(old_samples.contains(s));
+        let old_samples: Vec<f64> = RrdSample::parse(&block).unwrap().1.collect();
+        for s in RrdSample::parse(&recoded).unwrap().1 {
+            assert!(old_samples.contains(&s));
         }
     }
 

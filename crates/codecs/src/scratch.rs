@@ -3,10 +3,12 @@
 //! A [`CodecScratch`] owns every buffer a codec needs while compressing or
 //! decompressing one segment: the output payload, the integer/float work
 //! vectors of the quantizing codecs, the dictionary hash map, and the
-//! LZ77/Huffman state of the DEFLATE family. A long-lived worker thread
-//! keeps one arena and passes it to `compress_into`/`decompress_into`; after
-//! the first few segments every buffer has grown to the working-set size and
-//! the steady-state loop performs no heap allocations at all.
+//! LZ77/Huffman state of the DEFLATE family. `compress_into` and
+//! `decompress_into` are every codec's one data path. A long-lived worker
+//! thread keeps one arena and passes it to them; after the first few
+//! segments every buffer has grown to the working-set size and the
+//! steady-state loop performs no heap allocations at all. The allocating
+//! `compress`/`decompress` run the same path on a fresh arena.
 //!
 //! Ownership contract: buffers are *cleared* (length reset) at the start of
 //! each use but never shrunk, so capacity persists across segments. The

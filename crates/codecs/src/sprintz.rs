@@ -60,22 +60,6 @@ impl Codec for Sprintz {
         CodecKind::Lossless
     }
 
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
-        let mut scratch = CodecScratch::new();
-        let n = self.compress_into(data, &mut scratch)?.n_points;
-        Ok(CompressedBlock {
-            codec: self.id(),
-            n_points: n,
-            payload: scratch.take_out(),
-        })
-    }
-
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
     // `data[..1]` is in bounds: `data` is checked non-empty below, and each
     // chunk of at most `BLOCK` points cuts `lane` to its own length.
     #[allow(clippy::indexing_slicing)]

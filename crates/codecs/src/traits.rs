@@ -26,55 +26,53 @@ pub trait Codec: Send + Sync {
     /// Lossless or lossy.
     fn kind(&self) -> CodecKind;
 
-    /// Compress a segment at the codec's natural setting.
+    /// Compress a segment at the codec's natural setting into the scratch
+    /// arena's output buffer, reusing its work buffers instead of
+    /// allocating.
     ///
     /// For lossless codecs this is the only mode. For lossy codecs this uses
     /// a mild default; use [`LossyCodec::compress_to_ratio`] to hit a budget.
-    fn compress(&self, data: &[f64]) -> Result<CompressedBlock>;
-
-    /// Decompress a block back to `n_points` values.
-    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>>;
-
-    /// Compress a segment into the scratch arena's output buffer, reusing
-    /// its work buffers instead of allocating.
-    ///
-    /// Produces exactly the same payload bytes as [`Codec::compress`] (the
-    /// wire format is frozen), but the returned block borrows
-    /// `scratch.out`, which stays valid only until the arena's next use. A
-    /// worker thread that keeps one `CodecScratch` alive across segments
-    /// compresses with zero steady-state heap allocations.
-    ///
-    /// The default implementation falls back to the allocating
-    /// [`Codec::compress`]; every built-in codec overrides it natively.
+    /// The returned block borrows `scratch.out`, which stays valid only
+    /// until the arena's next use. A worker thread that keeps one
+    /// `CodecScratch` alive across segments compresses with zero
+    /// steady-state heap allocations.
     fn compress_into<'a>(
         &self,
         data: &[f64],
         scratch: &'a mut CodecScratch,
-    ) -> Result<CompressedBlockRef<'a>> {
-        let block = self.compress(data)?;
-        scratch.out = block.payload;
-        Ok(CompressedBlockRef {
-            codec: block.codec,
-            n_points: block.n_points,
-            payload: &scratch.out,
-        })
-    }
+    ) -> Result<CompressedBlockRef<'a>>;
 
-    /// Decompress a block into a caller-provided vector, reusing the scratch
-    /// arena for intermediate state.
+    /// Decompress a block back to `n_points` values into a caller-provided
+    /// vector, reusing the scratch arena for intermediate state.
     ///
-    /// `out` is cleared and refilled with exactly the values
-    /// [`Codec::decompress`] would return; its capacity is reused across
-    /// calls. The default implementation falls back to the allocating path.
+    /// `out` is overwritten with the decoded values; every codec but PLA and
+    /// LTTB refills it in place, reusing its capacity across calls.
     fn decompress_into(
         &self,
         block: &CompressedBlock,
         scratch: &mut CodecScratch,
         out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let _ = scratch;
-        *out = self.decompress(block)?;
-        Ok(())
+    ) -> Result<()>;
+
+    /// Compress a segment into an owned block: [`Codec::compress_into`] on
+    /// a fresh arena, whose payload buffer becomes the block's.
+    fn compress(&self, data: &[f64]) -> Result<CompressedBlock> {
+        let mut scratch = CodecScratch::new();
+        let block = self.compress_into(data, &mut scratch)?;
+        let (codec, n_points) = (block.codec, block.n_points);
+        Ok(CompressedBlock {
+            codec,
+            n_points,
+            payload: scratch.take_out(),
+        })
+    }
+
+    /// Decompress a block into a new vector: [`Codec::decompress_into`] on
+    /// a fresh arena.
+    fn decompress(&self, block: &CompressedBlock) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        self.decompress_into(block, &mut CodecScratch::new(), &mut out)?;
+        Ok(out)
     }
 
     /// Convenience: short display name.

@@ -1,10 +1,12 @@
-//! Equivalence between the allocating codec API and the buffer-reuse API.
+//! A fresh scratch arena against a reused, dirty one.
 //!
-//! For every codec and a spread of data profiles, `compress_into` must be
-//! byte-for-byte identical to `compress`, and `decompress_into` must be
-//! value-for-value (bit-exact) identical to `decompress` — including when
-//! the same `CodecScratch` arena is reused across codecs and calls, and
-//! for blocks produced by the lossy `compress_to_ratio` path.
+//! The allocating `compress`/`decompress` run `compress_into` /
+//! `decompress_into` on a fresh `CodecScratch`. For every codec and a
+//! spread of data profiles, a call on an arena already used by other
+//! codecs and calls must be byte-for-byte (payloads) and bit-for-bit
+//! (decoded values) identical to the fresh one, including for blocks
+//! produced by the lossy `compress_to_ratio` path, so no buffer state
+//! leaks from one call into the next.
 
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch, CompressedBlock};
 use proptest::prelude::*;

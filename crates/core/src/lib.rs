@@ -21,10 +21,11 @@
 //!   bounded transport frames.
 //! * [`spooling`] — store-and-forward: the `Forwarder` that spools every
 //!   block, offers it live, and replays the backlog through the uplink
-//!   with ACK-gated GC; the ingest side's exactly-once ledger.
+//!   with ACK-gated GC.
 //! * [`uplink`] — fault-tolerant transport: ACK windows, retry/backoff,
-//!   circuit breaking, the `FaultyLink` chaos transport, and the
-//!   `LinkPressure` degradation signal that biases the selectors.
+//!   circuit breaking, the `Receiver` that admits each sequence exactly
+//!   once, the `FaultyLink` chaos transport, and the `LinkPressure`
+//!   degradation signal that biases the selectors.
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -54,7 +55,7 @@ pub use selector::{
     ELEVATED_EXPLORE_SCALE,
 };
 pub use shard::{resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable};
-pub use spooling::{decode_block, encode_block, Forwarder, IngestLedger};
+pub use spooling::{decode_block, encode_block, Forwarder};
 pub use targets::{OptimizationTarget, RewardEvaluator, TargetComponent};
 pub use uplink::{
     Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker, FaultSpec,

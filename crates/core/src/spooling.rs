@@ -1,6 +1,6 @@
 //! Store-and-forward (DESIGN.md §6d): one [`Forwarder`] drives the
-//! durable spool into the uplink, and the ingest side's [`IngestLedger`]
-//! admits each sequence once.
+//! durable spool into the uplink, and the ingest side's
+//! [`Receiver`](crate::uplink::Receiver) admits each sequence once.
 //!
 //! Every compressed block goes through [`Forwarder::submit`]: it is
 //! encoded ([`encode_block`]), appended to the [`Spool`] as a CRC-framed,
@@ -17,7 +17,6 @@
 use crate::uplink::{Transport, Uplink, UplinkConfig};
 use adaedge_codecs::{CodecId, CompressedBlock};
 use adaedge_storage::spool::{ReplayItem, Replayer, Spool, SpoolError};
-use std::collections::BTreeSet;
 
 /// Serialize a compressed block into a spool-record payload.
 ///
@@ -60,70 +59,6 @@ pub fn decode_block(bytes: &[u8]) -> Option<CompressedBlock> {
         n_points,
         payload: rest.to_vec(),
     })
-}
-
-/// The ingest side's idempotent at-least-once ledger.
-///
-/// Replay (and live publishing) may deliver a sequence more than once —
-/// after a reconnect the spool resends everything above the last ACK it
-/// saw. [`IngestLedger::accept`] admits each sequence exactly once;
-/// `acked_seq` is the highest *contiguous* sequence durably ingested,
-/// which is what the spool's ACK-gated GC keys on.
-#[derive(Debug, Clone, Default)]
-pub struct IngestLedger {
-    acked: u64,
-    out_of_order: BTreeSet<u64>,
-    accepted: u64,
-    duplicates: u64,
-}
-
-impl IngestLedger {
-    /// Fresh ledger (nothing ingested; `acked_seq() == 0`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Offer one delivered sequence. Returns `true` when it is new (the
-    /// caller should ingest the payload), `false` for a duplicate (drop
-    /// it — idempotency). Sequence 0 is never valid.
-    pub fn accept(&mut self, seq: u64) -> bool {
-        if seq == 0 || seq <= self.acked || self.out_of_order.contains(&seq) {
-            self.duplicates += 1;
-            return false;
-        }
-        self.out_of_order.insert(seq);
-        self.accepted += 1;
-        self.advance();
-        true
-    }
-
-    fn advance(&mut self) {
-        while self.out_of_order.remove(&(self.acked + 1)) {
-            self.acked += 1;
-        }
-    }
-
-    /// Whether `seq` has already been admitted (contiguously or out of
-    /// order). Receivers use this to drop duplicate fragments *before*
-    /// spending reassembly work on a record the ledger would refuse.
-    pub fn seen(&self, seq: u64) -> bool {
-        seq != 0 && (seq <= self.acked || self.out_of_order.contains(&seq))
-    }
-
-    /// Highest contiguous sequence ingested.
-    pub fn acked_seq(&self) -> u64 {
-        self.acked
-    }
-
-    /// Sequences accepted exactly once.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Duplicate deliveries dropped.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
 }
 
 /// The store-and-forward loop: owns the durable [`Spool`] and the
@@ -366,21 +301,6 @@ mod tests {
         let mut wrong_name = bytes.clone();
         wrong_name[1] = b'?';
         assert!(decode_block(&wrong_name).is_none());
-    }
-
-    #[test]
-    fn ledger_dedups_and_tracks_contiguity() {
-        let mut ledger = IngestLedger::new();
-        assert!(ledger.accept(1));
-        assert!(ledger.accept(3));
-        assert_eq!(ledger.acked_seq(), 1, "3 waits on the hole at 2");
-        assert!(!ledger.accept(3), "duplicate dropped");
-        assert!(ledger.accept(2));
-        assert_eq!(ledger.acked_seq(), 3);
-        assert!(!ledger.accept(1), "already contiguous");
-        assert!(!ledger.accept(0), "seq 0 invalid");
-        assert_eq!(ledger.accepted(), 3);
-        assert_eq!(ledger.duplicates(), 3);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   that trips to spool-only mode: the forwarder driving it keeps
 //!   appending to the spool and replays what the trip handed back.
 //! * [`Receiver`] — the ingest side: CRC-checked frames, fragment
-//!   reassembly with duplicate/overlap dedup, an [`IngestLedger`]
-//!   cursor for exactly-once admission, and capture-order release.
+//!   reassembly with duplicate/overlap dedup, a contiguous cursor for
+//!   exactly-once admission, and capture-order release.
 //! * [`FaultyLink`] — a deterministic test transport: seeded drop /
 //!   duplicate / reorder / delay / corrupt / stall of frames *and*
 //!   ACKs, with scriptable phase schedules ("40% loss for 300 ticks,
@@ -30,7 +30,6 @@
 //! delay reproduces from its seed alone.
 
 use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamId};
-use crate::spooling::IngestLedger;
 use adaedge_codecs::crc32c::{crc32c, crc32c_append};
 use adaedge_codecs::faultkit;
 use rand::rngs::SmallRng;
@@ -612,7 +611,8 @@ pub struct ReceiverCounters {
     pub probe_frames: u64,
     /// Fragments for already-ingested records, dropped idempotently.
     pub duplicate_fragments: u64,
-    /// Completed records the ledger refused as duplicates.
+    /// Completed records refused: only sequence 0, which is never
+    /// admitted (other duplicates are dropped as fragments).
     pub duplicate_records: u64,
     /// Records admitted exactly once.
     pub records_delivered: u64,
@@ -677,13 +677,19 @@ impl PartialRecord {
 }
 
 /// The ingest side of the uplink: CRC verification, fragment
-/// reassembly, exactly-once admission through an [`IngestLedger`], and
-/// capture-order release of completed records.
+/// reassembly, exactly-once admission, and capture-order release of
+/// completed records.
+///
+/// Replay and retries may deliver a sequence more than once; each is
+/// admitted once. `acked` is the highest *contiguous* sequence admitted,
+/// the cumulative ACK the spool's GC keys on. Every admitted record above
+/// it waits in `ready` (nothing above the cursor can be released), so
+/// `acked` and `ready` together are the record of what was admitted.
 #[derive(Debug, Default)]
 pub struct Receiver {
-    ledger: IngestLedger,
+    acked: u64,
     partial: HashMap<u64, PartialRecord>,
-    /// Completed, ledger-admitted records awaiting in-order release.
+    /// Completed, admitted records awaiting in-order release.
     ready: BTreeMap<u64, Vec<u8>>,
     /// Highest sequence already released to the consumer.
     released: u64,
@@ -691,9 +697,17 @@ pub struct Receiver {
 }
 
 impl Receiver {
-    /// A fresh receiver with an empty ledger.
+    /// A fresh receiver (nothing admitted; `acked_seq() == 0`).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Whether `seq` has already been admitted, contiguously or ahead of a
+    /// hole; its fragments are dropped before any reassembly work.
+    /// Sequence 0 is never admitted: its fragments are reassembled and the
+    /// record refused.
+    fn seen(&self, seq: u64) -> bool {
+        seq != 0 && (seq <= self.acked || self.ready.contains_key(&seq))
     }
 
     /// Handle one frame off the link. Returns the ACK to send back, or
@@ -707,10 +721,10 @@ impl Receiver {
         }
         if frame.kind == FrameKind::Probe {
             self.counters.probe_frames += 1;
-            return Some(Ack::new(frame.frame_id, self.ledger.acked_seq()));
+            return Some(Ack::new(frame.frame_id, self.acked));
         }
         for wf in &frame.fragments {
-            if self.ledger.seen(wf.seq) {
+            if self.seen(wf.seq) {
                 self.counters.duplicate_fragments += 1;
                 continue;
             }
@@ -719,16 +733,19 @@ impl Receiver {
             if p.complete() {
                 let rec = self.partial.remove(&wf.seq).expect("entry exists");
                 let bytes = rec.into_bytes();
-                if self.ledger.accept(wf.seq) {
+                if wf.seq == 0 {
+                    self.counters.duplicate_records += 1;
+                } else {
                     self.counters.records_delivered += 1;
                     self.counters.payload_bytes_delivered += bytes.len() as u64;
                     self.ready.insert(wf.seq, bytes);
-                } else {
-                    self.counters.duplicate_records += 1;
+                    while self.ready.contains_key(&(self.acked + 1)) {
+                        self.acked += 1;
+                    }
                 }
             }
         }
-        Some(Ack::new(frame.frame_id, self.ledger.acked_seq()))
+        Some(Ack::new(frame.frame_id, self.acked))
     }
 
     /// Release completed records **in capture order**: only the
@@ -748,9 +765,9 @@ impl Receiver {
         self.ready.len()
     }
 
-    /// The ledger's contiguous cursor.
+    /// Highest contiguous sequence admitted.
     pub fn acked_seq(&self) -> u64 {
-        self.ledger.acked_seq()
+        self.acked
     }
 
     /// Ingest-side counters.
@@ -1552,6 +1569,37 @@ mod tests {
         let out = rx.take_ordered();
         assert_eq!(out.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [1, 2, 3]);
         assert_eq!(rx.acked_seq(), 3);
+    }
+
+    #[test]
+    fn receiver_admits_each_sequence_once_and_tracks_contiguity() {
+        let mut rx = Receiver::new();
+        let mut frame_id = 0;
+        // Delivers one whole record, returns the ACK's cumulative cursor.
+        let mut deliver = |rx: &mut Receiver, seq: u64| {
+            frame_id += 1;
+            let frag = WireFragment {
+                seq,
+                offset: 0,
+                last: true,
+                bytes: vec![seq as u8; 4],
+            };
+            let frame = UplinkFrame::new(frame_id, FrameKind::Data, vec![frag]);
+            rx.on_frame(&frame).expect("intact frame").cumulative_seq
+        };
+        assert_eq!(deliver(&mut rx, 1), 1);
+        assert_eq!(deliver(&mut rx, 3), 1, "3 waits on the hole at 2");
+        assert_eq!(deliver(&mut rx, 3), 1, "duplicate dropped");
+        assert_eq!(rx.counters().duplicate_fragments, 1);
+        assert_eq!(deliver(&mut rx, 2), 3);
+        let released: Vec<u64> = rx.take_ordered().iter().map(|(s, _)| *s).collect();
+        assert_eq!(released, [1, 2, 3]);
+        assert_eq!(deliver(&mut rx, 1), 3, "already contiguous, and released");
+        assert_eq!(deliver(&mut rx, 0), 3, "seq 0 invalid");
+        assert!(rx.take_ordered().is_empty());
+        let c = rx.counters();
+        assert_eq!(c.records_delivered, 3);
+        assert_eq!((c.duplicate_fragments, c.duplicate_records), (2, 1));
     }
 
     #[test]

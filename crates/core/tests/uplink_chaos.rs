@@ -324,7 +324,7 @@ fn corrupted_frames_are_rejected_and_retried() {
 #[test]
 fn ack_path_faults_cause_no_duplicates_or_loss() {
     // Frames arrive fine; the ACKs get mangled. The sender retransmits
-    // records the receiver already has — the ledger must absorb all of
+    // records the receiver already has — its dedup must absorb all of
     // it without double-release.
     let recs = records(60, 6);
     let spec = FaultSpec {

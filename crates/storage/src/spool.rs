@@ -9,7 +9,8 @@
 //! ingest side reports `acked_seq` — the highest contiguous sequence it
 //! has durably ingested — and only *fully ACKed, closed* segment files are
 //! ever garbage-collected, giving at-least-once delivery end to end (the
-//! receiver dedups duplicates idempotently; see `adaedge-core`'s ledger).
+//! receiver dedups duplicates idempotently; see `adaedge-core`'s
+//! `uplink::Receiver`).
 //!
 //! ## On-disk format (little-endian throughout)
 //!
@@ -805,8 +806,8 @@ struct ReplaySeg {
 
 /// One step of a replay: a recovered record, or a known-lost sequence
 /// range (bit rot inside a closed segment, or a segment dropped by
-/// retention mid-replay). Gaps let the ingest ledger advance its
-/// contiguity cursor past records that no longer exist anywhere.
+/// retention mid-replay). Gaps name the records that no longer exist
+/// anywhere, so a replay can count them lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayItem {
     /// A spooled record, delivered in capture order.
@@ -847,7 +848,7 @@ impl Replayer {
     /// Rewind the replay cursor so the next item is the first record
     /// with `seq > from_seq` — the NACK path: an uplink abandoning
     /// un-ACKed records hands their lowest predecessor back here and the
-    /// replay re-delivers them (the ingest ledger dedups anything that
+    /// replay re-delivers them (the receiver dedups anything that
     /// did land). Rewinding restarts the segment walk from the front of
     /// the original snapshot; the `rec.seq < expect` skip fast-forwards
     /// inside each segment. Records outside the snapshot (appended after

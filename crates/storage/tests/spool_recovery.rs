@@ -500,7 +500,7 @@ fn retention_drop_surfaces_as_replay_gap_with_unacked_accounting() {
     assert!(stats.dropped_unacked_records <= stats.dropped_records);
 
     // Replay from the ACK cursor: the dropped range comes back as a gap
-    // so the ingest ledger can advance past it; the survivors follow in
+    // so the replaying side can count it lost; the survivors follow in
     // order.
     let (records, gaps) = replay_all(&mut sp, 6);
     assert_eq!(gaps.len(), 1);
