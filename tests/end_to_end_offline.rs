@@ -314,3 +314,51 @@ fn fixed_pair_cascade_stores_pinned_blocks() {
         assert_eq!(digest, want, "{name}");
     }
 }
+
+#[test]
+fn policy_and_target_cascades_store_pinned_blocks() {
+    // The shape of `sum_cascade_stores_pinned_blocks` under every victim
+    // policy and under non-SUM targets. Every third ingest queries an
+    // older segment, so LRU, FIFO and query-count walk different orders.
+    // PAA keeps the mean as it keeps the sum, so AVG stores what SUM does.
+    use PolicyKind::{Fifo, Lru, QueryCount};
+    let cases = [
+        (Lru, AggKind::Sum, 0xf954_2c41_70fa_4b0d),
+        (Fifo, AggKind::Sum, 0x8455_9039_a452_a55f),
+        (QueryCount, AggKind::Sum, 0x424d_4b89_21f2_8e7f),
+        (Fifo, AggKind::Avg, 0x8455_9039_a452_a55f),
+        (QueryCount, AggKind::Min, 0x4979_978c_f01a_619a),
+        (Lru, AggKind::Max, 0x55de_4d72_6517_35c8),
+    ];
+    let mut digests = Vec::new();
+    for (policy, kind, want) in cases {
+        let what = format!("{policy:?}, {kind:?}");
+        let mut config = OfflineConfig::new(20_000, OptimizationTarget::agg(kind));
+        config.policy = policy;
+        let mut edge = OfflineAdaEdge::new(config).unwrap();
+        let mut stream = CbfStream::new(
+            CbfConfig {
+                seed: 11,
+                ..Default::default()
+            },
+            1000,
+        );
+        let mut ids = Vec::new();
+        for i in 0..60usize {
+            if i % 3 == 2 {
+                edge.query_segment(ids[(i * 7) % ids.len()]).unwrap();
+            }
+            ids.push(edge.ingest(&stream.next_segment()).unwrap().id);
+        }
+        assert!(edge.total_recodes() > 30, "{what}");
+        let digest = store_digest(edge.store());
+        eprintln!(
+            "{what}: {} recodes, digest {digest:#018x}",
+            edge.total_recodes()
+        );
+        digests.push(digest);
+        assert_eq!(digest, want, "{what}");
+    }
+    // The three policies stored different blocks under the SUM target.
+    assert!(digests[0] != digests[1] && digests[1] != digests[2] && digests[0] != digests[2]);
+}
