@@ -11,6 +11,7 @@
 use crate::error::{AdaEdgeError, Result};
 use crate::offline::{BudgetedStore, PolicyKind};
 use crate::selector::{same_family, Selection};
+use crate::targets::ReferenceAggs;
 use adaedge_codecs::{CodecError, CodecId, CodecRegistry, CompressedBlock};
 use std::time::Instant;
 
@@ -267,7 +268,9 @@ impl FixedPairOffline {
         // Recodes committed before a failed make-room still count.
         self.total_recodes = self.cascade.total_recodes;
         self.compute_seconds += made?.1;
-        self.cascade.put(sel.block, data)?;
+        // The pair's recodes score nothing, so no aggregates are held.
+        self.cascade
+            .put(sel.block, data, |_| ReferenceAggs::default())?;
         Ok(())
     }
 

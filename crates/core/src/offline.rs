@@ -15,7 +15,7 @@
 
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
-use crate::targets::{OptimizationTarget, RewardEvaluator};
+use crate::targets::{OptimizationTarget, Reference, ReferenceAggs, RewardEvaluator};
 use adaedge_codecs::{CodecError, CodecId, CodecRegistry, CodecScratch, CompressedBlock};
 use adaedge_ml::Model;
 use adaedge_storage::{
@@ -140,12 +140,14 @@ pub(crate) struct BudgetedStore {
     budget: usize,
     threshold: f64,
     recode_factor: f64,
-    originals: Option<HashMap<SegmentId, Vec<f64>>>,
+    /// Each held original with the aggregates its recodes score against,
+    /// computed once at `put`.
+    originals: Option<HashMap<SegmentId, (Vec<f64>, ReferenceAggs)>>,
     /// Raw bytes (points × 8) of the stored segments; a recode keeps a
     /// segment's point count, so only `put` and `remove` change it.
     raw_bytes: usize,
-    /// The victim order of the current cascade pass, reused across passes.
-    order: Vec<(VictimKey, SegmentId)>,
+    /// The victim order of the current `make_room` call.
+    order: VictimOrder,
     /// Committed recodes so far.
     pub(crate) total_recodes: u64,
 }
@@ -173,7 +175,7 @@ impl BudgetedStore {
             recode_factor,
             originals: keep_originals.then(HashMap::new),
             raw_bytes: 0,
-            order: Vec::new(),
+            order: VictimOrder::default(),
             total_recodes: 0,
         })
     }
@@ -188,18 +190,26 @@ impl BudgetedStore {
         self.store.get(id);
     }
 
-    /// The original of segment `id`, when originals are kept.
-    fn original(&self, id: SegmentId) -> Option<&[f64]> {
-        self.originals.as_ref()?.get(&id).map(Vec::as_slice)
+    /// The original of segment `id` with its aggregates, when originals
+    /// are kept.
+    fn original(&self, id: SegmentId) -> Option<Reference<'_>> {
+        let (points, aggs) = self.originals.as_ref()?.get(&id)?;
+        Some(Reference::with_aggs(points, *aggs))
     }
 
-    /// Store `block`, holding `original` when originals are kept.
-    pub(crate) fn put(&mut self, block: CompressedBlock, original: &[f64]) -> Result<SegmentId> {
+    /// Store `block`, holding `original` and `aggs(original)` when
+    /// originals are kept.
+    pub(crate) fn put(
+        &mut self,
+        block: CompressedBlock,
+        original: &[f64],
+        aggs: impl FnOnce(&[f64]) -> ReferenceAggs,
+    ) -> Result<SegmentId> {
         let raw = block.n_points as usize * adaedge_codecs::POINT_BYTES;
         let id = self.store.put_compressed(block)?;
         self.raw_bytes += raw;
         if let Some(originals) = self.originals.as_mut() {
-            originals.insert(id, original.to_vec());
+            originals.insert(id, (original.to_vec(), aggs(original)));
         }
         Ok(id)
     }
@@ -230,7 +240,7 @@ impl BudgetedStore {
             out.push((
                 id,
                 self.decode(reg, id)?,
-                self.original(id).map(<[f64]>::to_vec),
+                self.original(id).map(|original| original.points().to_vec()),
             ));
         }
         Ok(out)
@@ -248,39 +258,47 @@ impl BudgetedStore {
         (self.threshold * self.budget as f64 / self.raw_bytes as f64).min(1.0)
     }
 
+    /// Whether `incoming` more bytes keep usage at or below θ × budget.
+    fn fits(&self, incoming: usize) -> bool {
+        (self.store.used_bytes() + incoming) as f64 <= self.threshold * self.budget as f64
+    }
+
     /// Make room so `incoming` more bytes keep usage at or below θ × budget,
     /// or at least within the budget: shrink the least-valuable shrinkable
     /// victim through `recode` (block, original if held, target ratio),
     /// commit it, and repeat. Returns the committed recodes and their
     /// seconds; fails if even the cascade cannot fit `incoming` under the
     /// hard budget.
+    ///
+    /// Each pass walks the policy order from its start. The order is built
+    /// once per call; a commit changes only its victim's key and ratio, so
+    /// that entry alone is re-keyed and moved ([`VictimOrder::commit`]).
     pub(crate) fn make_room(
         &mut self,
         incoming: usize,
-        mut recode: impl FnMut(&CompressedBlock, Option<&[f64]>, f64) -> Result<Selection>,
+        mut recode: impl FnMut(&CompressedBlock, Option<Reference<'_>>, f64) -> Result<Selection>,
     ) -> Result<(usize, f64)> {
         let (mut recodes, mut seconds) = (0usize, 0.0f64);
+        if self.fits(incoming) {
+            return Ok((recodes, seconds));
+        }
+        // Only `put` and `remove` move the required ratio.
+        let r_req = self.required_mean_ratio();
+        self.order.build(&self.store);
         'pass: loop {
-            let projected = self.store.used_bytes() + incoming;
-            if projected as f64 <= self.threshold * self.budget as f64 {
+            if self.fits(incoming) {
                 return Ok((recodes, seconds));
             }
-            let r_req = self.required_mean_ratio();
             // Two walks over the policy order: first only victims still
             // above the globally required mean ratio, then anything that
             // can shrink.
-            self.store.victim_order_into(&mut self.order);
-            let n = self.order.len();
+            let n = self.order.entries.len();
             for step in 0..2 * n {
-                let id = self.order[step % n].1;
-                let Some(seg) = self.store.peek(id) else {
-                    continue;
-                };
-                let ratio = seg.ratio();
+                let Victim { id, ratio, .. } = self.order.entries[step % n];
                 if (ratio > r_req) != (step < n) {
                     continue;
                 }
-                let Some(block) = seg.block() else {
+                let Some(block) = self.store.peek(id).and_then(Segment::block) else {
                     continue;
                 };
                 let old_bytes = block.compressed_bytes();
@@ -292,7 +310,9 @@ impl BudgetedStore {
                 match recode(block, self.original(id), target) {
                     Ok(sel) if sel.block.compressed_bytes() < old_bytes => {
                         seconds += sel.seconds;
+                        let ratio = sel.block.ratio();
                         self.store.replace(id, sel.block)?;
+                        self.order.commit(step % n, ratio, &self.store);
                         self.total_recodes += 1;
                         recodes += 1;
                         continue 'pass;
@@ -307,7 +327,7 @@ impl BudgetedStore {
             }
             // No victim can shrink further: accept anything that still fits
             // the hard budget.
-            if projected <= self.budget {
+            if self.store.used_bytes() + incoming <= self.budget {
                 return Ok((recodes, seconds));
             }
             return Err(AdaEdgeError::Store(StoreError::BudgetExceeded {
@@ -315,6 +335,55 @@ impl BudgetedStore {
                 available: self.budget.saturating_sub(self.store.used_bytes()),
             }));
         }
+    }
+}
+
+/// One entry of a [`VictimOrder`]: what a walk step reads, so that a step
+/// looks nothing up in the store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Victim {
+    key: VictimKey,
+    id: SegmentId,
+    /// The stored block's compression ratio.
+    ratio: f64,
+}
+
+/// The store's compressed segments in recoding order (ascending policy
+/// key), kept across the passes of one `make_room` call.
+#[derive(Debug, Default)]
+struct VictimOrder {
+    entries: Vec<Victim>,
+}
+
+impl VictimOrder {
+    /// Rebuild from `store`: the order [`SegmentStore::victim_order_into`]
+    /// gives, less the raw segments, which no recode takes.
+    fn build(&mut self, store: &SegmentStore) {
+        self.entries.clear();
+        for seg in store.iter() {
+            if let (Some(block), Some(key)) = (seg.block(), store.victim_key(seg.id)) {
+                self.entries.push(Victim {
+                    key,
+                    id: seg.id,
+                    ratio: block.ratio(),
+                });
+            }
+        }
+        // Keys are unique, so the unstable sort is the order.
+        self.entries.sort_unstable_by_key(|v| v.key);
+    }
+
+    /// Entry `i` was recoded to `ratio` in `store`: take its new key and
+    /// move it to the key's place, by binary search in the rest of the
+    /// still-sorted order.
+    fn commit(&mut self, i: usize, ratio: f64, store: &SegmentStore) {
+        let mut victim = self.entries.remove(i);
+        victim.ratio = ratio;
+        victim.key = store
+            .victim_key(victim.id)
+            .expect("a recoded segment is still stored");
+        let at = self.entries.partition_point(|v| v.key < victim.key);
+        self.entries.insert(at, victim);
     }
 }
 
@@ -397,7 +466,12 @@ impl OfflineAdaEdge {
             |block, original, target| lossy.recode(reg, block, original, target),
         )?;
         let recode_seconds = t0.elapsed().as_secs_f64();
-        let id = self.cascade.put(selection.block.clone(), data)?;
+        let lossy = &self.lossy;
+        let id = self
+            .cascade
+            .put(selection.block.clone(), data, |original| {
+                lossy.reference_aggs(original)
+            })?;
         Ok(IngestReport {
             id,
             selection,
@@ -607,7 +681,9 @@ mod tests {
                 .get(CodecId::Raw)
                 .compress(&smooth_segment(s, 100))
                 .unwrap();
-            cascade.put(block, &[]).unwrap();
+            cascade
+                .put(block, &[], |_| ReferenceAggs::default())
+                .unwrap();
         }
         let mut attempts = 0;
         let mut pass = |cascade: &mut BudgetedStore| {
@@ -621,6 +697,118 @@ mod tests {
         assert_eq!(pass(&mut cascade).unwrap(), (0, 0.0));
         assert_eq!(crate::heap::allocations(), before, "a warm pass allocated");
         assert_eq!(attempts, 12, "each pass tries every victim once");
+    }
+
+    /// The kept order as `(key, id)` pairs, after checking each entry's
+    /// ratio against its stored block.
+    fn kept_order(cascade: &BudgetedStore) -> Vec<(VictimKey, SegmentId)> {
+        for v in &cascade.order.entries {
+            let stored = cascade.store.peek(v.id).unwrap().ratio();
+            assert_eq!(v.ratio.to_bits(), stored.to_bits(), "{v:?}");
+        }
+        cascade
+            .order
+            .entries
+            .iter()
+            .map(|v| (v.key, v.id))
+            .collect()
+    }
+
+    fn fresh_order(cascade: &BudgetedStore) -> Vec<(VictimKey, SegmentId)> {
+        let mut order = Vec::new();
+        cascade.store.victim_order_into(&mut order);
+        order
+    }
+
+    /// A PAA recode of `block` to `target`, as a cascade's recode step.
+    fn paa_recode(reg: &CodecRegistry, block: &CompressedBlock, target: f64) -> Result<Selection> {
+        let points = reg.decompress(block)?;
+        let block = reg
+            .get_lossy(CodecId::Paa)
+            .unwrap()
+            .compress_to_ratio(&points, target)?;
+        Ok(Selection {
+            codec: CodecId::Paa,
+            block,
+            seconds: 0.0,
+            reward: 0.0,
+        })
+    }
+
+    #[test]
+    fn the_kept_victim_order_equals_a_fresh_one_after_every_commit() {
+        let reg = CodecRegistry::new(4);
+        for policy in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::QueryCount] {
+            let mut cascade = BudgetedStore::new(1 << 20, policy, 0.8, 0.5, false).unwrap();
+            let mut ids = Vec::new();
+            for s in 0..8 {
+                let block = reg
+                    .get(CodecId::Raw)
+                    .compress(&smooth_segment(s, 200))
+                    .unwrap();
+                ids.push(
+                    cascade
+                        .put(block, &[], |_| ReferenceAggs::default())
+                        .unwrap(),
+                );
+                if s % 3 == 2 {
+                    cascade.touch(ids[s / 2]);
+                }
+            }
+            cascade.order.build(&cascade.store);
+            assert_eq!(kept_order(&cascade), fresh_order(&cascade), "{policy:?}");
+            // Commit entries at scattered positions, as `make_room` does.
+            for round in 0..20 {
+                let i = (round * 5) % ids.len();
+                let id = cascade.order.entries[i].id;
+                let block = cascade.store.peek(id).unwrap().block().unwrap().clone();
+                let sel = paa_recode(&reg, &block, block.ratio() * 0.7).unwrap();
+                let ratio = sel.block.ratio();
+                cascade.store.replace(id, sel.block).unwrap();
+                cascade.order.commit(i, ratio, &cascade.store);
+                let what = format!("{policy:?}, round {round}");
+                assert_eq!(kept_order(&cascade), fresh_order(&cascade), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn make_room_leaves_the_order_of_its_last_commit() {
+        // Real cascades under every policy, with queries between ingests:
+        // after each call the kept order is the store's fresh order.
+        let reg = CodecRegistry::new(4);
+        for policy in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::QueryCount] {
+            let mut cascade = BudgetedStore::new(8_000, policy, 0.8, 0.5, false).unwrap();
+            let (mut ids, mut commits) = (Vec::new(), 0);
+            for s in 0..30 {
+                let block = reg
+                    .get(CodecId::Raw)
+                    .compress(&smooth_segment(s, 100))
+                    .unwrap();
+                let (made, _) = cascade
+                    .make_room(block.compressed_bytes(), |block, _, target| {
+                        paa_recode(&reg, block, target)
+                    })
+                    .unwrap();
+                if made > 0 {
+                    commits += made;
+                    assert_eq!(
+                        kept_order(&cascade),
+                        fresh_order(&cascade),
+                        "{policy:?} {s}"
+                    );
+                }
+                ids.push(
+                    cascade
+                        .put(block, &[], |_| ReferenceAggs::default())
+                        .unwrap(),
+                );
+                if s % 3 == 1 {
+                    cascade.touch(ids[s / 3]);
+                }
+            }
+            assert!(commits > 20, "{policy:?}: {commits} commits");
+        }
     }
 
     #[test]

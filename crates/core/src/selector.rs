@@ -8,7 +8,7 @@
 //! `R`, so its dedicated lossy MAB (§IV-C1) is the one band owning `R`.
 
 use crate::error::{AdaEdgeError, Result};
-use crate::targets::{RewardEvaluator, REWARD_CEILING};
+use crate::targets::{Reference, ReferenceAggs, RewardEvaluator, REWARD_CEILING};
 use crate::uplink::LinkPressure;
 use adaedge_bandit::{
     default_band_edges, masked_argmax, BandedBandits, EpsilonGreedy, GradientBandit, Policy,
@@ -461,20 +461,31 @@ pub(crate) fn same_family(victim: CodecId, lossy: CodecId) -> bool {
     victim == lossy || (lossy == CodecId::BuffLossy && victim == CodecId::Buff)
 }
 
-/// Decode a recode victim into `out` unless `*decoded` says `out` already
-/// holds it.
-fn decode_victim(
-    reg: &CodecRegistry,
-    block: &CompressedBlock,
-    scratch: &mut CodecScratch,
-    out: &mut Vec<f64>,
-    decoded: &mut bool,
-) -> std::result::Result<(), CodecError> {
-    if !*decoded {
-        reg.decompress_into(block, scratch, out)?;
-        *decoded = true;
+/// What one recode call has made of its victim so far, so that each piece
+/// is made at most once however many arms it tries: the decode (in the
+/// selector's `victim` buffer), and that decode's aggregates when it is the
+/// scoring reference.
+#[derive(Default)]
+struct VictimDecode {
+    decoded: bool,
+    aggs: Option<ReferenceAggs>,
+}
+
+impl VictimDecode {
+    /// Decode `block` into `out` unless it already holds it.
+    fn points<'a>(
+        &mut self,
+        reg: &CodecRegistry,
+        block: &CompressedBlock,
+        scratch: &mut CodecScratch,
+        out: &'a mut Vec<f64>,
+    ) -> std::result::Result<&'a [f64], CodecError> {
+        if !self.decoded {
+            reg.decompress_into(block, scratch, out)?;
+            self.decoded = true;
+        }
+        Ok(out)
     }
-    Ok(())
 }
 
 /// Lossy selection with one MAB instance per ratio band (§IV-C2). Online
@@ -500,12 +511,12 @@ pub struct BandedLossySelector {
 #[derive(Clone, Copy)]
 enum Input<'a> {
     /// Fresh points.
-    Fresh(&'a [f64]),
+    Fresh(Reference<'a>),
     /// A stored block to recode, with the points it was compressed from
     /// when the caller still holds them.
     Victim {
         block: &'a CompressedBlock,
-        original: Option<&'a [f64]>,
+        original: Option<Reference<'a>>,
     },
 }
 
@@ -567,6 +578,17 @@ impl BandedLossySelector {
         self.bands.instantiated()
     }
 
+    /// `points` as a scoring reference for this selector's target
+    /// ([`RewardEvaluator::reference`]).
+    pub fn reference<'a>(&self, points: &'a [f64]) -> Reference<'a> {
+        self.evaluator.reference(points)
+    }
+
+    /// The aggregates this selector's target reads from `points`.
+    pub(crate) fn reference_aggs(&self, points: &[f64]) -> ReferenceAggs {
+        self.evaluator.reference_aggs(points)
+    }
+
     /// Choose an arm of `ratio`'s band among the arms `self.mask` enables.
     ///
     /// A greedy arm that has been pulled and whose reward mean sits at
@@ -600,6 +622,7 @@ impl BandedLossySelector {
         ratio: f64,
     ) -> Result<Selection> {
         feasibility_mask(reg, &self.arms, data.len(), ratio, &mut self.mask);
+        let input = Input::Fresh(self.evaluator.reference(data));
         for _ in 0..self.arms.len() {
             if self.mask.iter().all(|&m| !m) {
                 return Err(AdaEdgeError::NoFeasibleArm {
@@ -607,7 +630,7 @@ impl BandedLossySelector {
                 });
             }
             let arm = self.choose_arm(ratio).arm;
-            let outcome = self.attempt(reg, Input::Fresh(data), arm, ratio, &mut false)?;
+            let outcome = self.attempt(reg, input, arm, ratio, &mut VictimDecode::default())?;
             self.bands
                 .update(ratio, arm, outcome.as_ref().map_or(0.0, |s| s.reward));
             match outcome {
@@ -634,11 +657,13 @@ impl BandedLossySelector {
 
     /// Recode an existing block to a tighter ratio. Same-codec blocks use
     /// virtual decompression; otherwise the block is decoded once and
-    /// re-compressed with the band's selected arm. `original_hint`, when
-    /// given, must be the points `block` was compressed from: attempts are
-    /// scored against it, and a block whose codec
-    /// [is bit-exact](CodecId::is_bit_exact) is re-compressed from it
-    /// without being decoded (the decode would equal it bit for bit).
+    /// re-compressed with the band's selected arm. `original`, when given,
+    /// must be the points `block` was compressed from ([`Self::reference`]):
+    /// attempts are scored against it and its cached aggregates, and a
+    /// block whose codec [is bit-exact](CodecId::is_bit_exact) is
+    /// re-compressed from it without being decoded (the decode would equal
+    /// it bit for bit). Without it, attempts score against the victim's
+    /// decode, whose aggregates the call computes once.
     ///
     /// Recoding is destructive, so exploration is *safe*: a non-greedy
     /// pull is still compressed and scored (the MAB learns from it), but
@@ -660,12 +685,12 @@ impl BandedLossySelector {
         &mut self,
         reg: &CodecRegistry,
         block: &CompressedBlock,
-        original_hint: Option<&[f64]>,
+        original: Option<Reference<'_>>,
         ratio: f64,
     ) -> Result<Selection> {
         let mut updates = std::mem::take(&mut self.updates);
         updates.clear();
-        let result = self.recode_inner(reg, block, original_hint, ratio, &mut updates);
+        let result = self.recode_inner(reg, block, original, ratio, &mut updates);
         self.report_batch(ratio, &updates);
         self.updates = updates;
         result
@@ -677,7 +702,7 @@ impl BandedLossySelector {
         &mut self,
         reg: &CodecRegistry,
         block: &CompressedBlock,
-        original_hint: Option<&[f64]>,
+        original: Option<Reference<'_>>,
         ratio: f64,
         updates: &mut Vec<(usize, f64)>,
     ) -> Result<Selection> {
@@ -687,12 +712,8 @@ impl BandedLossySelector {
 
         let n = block.n_points as usize;
         feasibility_mask(reg, &self.arms, n, ratio, &mut self.mask);
-        let input = Input::Victim {
-            block,
-            original: original_hint,
-        };
-        // Whether `self.victim` holds this call's decode of `block`.
-        let mut decoded = false;
+        let input = Input::Victim { block, original };
+        let mut victim = VictimDecode::default();
         for _ in 0..self.arms.len() {
             if self.mask.iter().all(|&m| !m) {
                 return Err(AdaEdgeError::NoFeasibleArm {
@@ -704,7 +725,7 @@ impl BandedLossySelector {
                 greedy,
                 greedy_mean,
             } = self.choose_arm(ratio);
-            let outcome = self.attempt(reg, input, arm, ratio, &mut decoded)?;
+            let outcome = self.attempt(reg, input, arm, ratio, &mut victim)?;
             updates.push((arm, outcome.as_ref().map_or(0.0, |s| s.reward)));
             let Some(probe) = outcome else {
                 self.mask[arm] = false;
@@ -716,7 +737,7 @@ impl BandedLossySelector {
                 // poor from a mean): also run the greedy arm and commit
                 // whichever *measured* better (the greedy mean itself may
                 // rest on a lucky early pull).
-                let rerun = self.attempt(reg, input, greedy, ratio, &mut decoded)?;
+                let rerun = self.attempt(reg, input, greedy, ratio, &mut victim)?;
                 updates.push((greedy, rerun.as_ref().map_or(0.0, |s| s.reward)));
                 if let Some(g) = rerun.filter(|g| g.reward >= probe.reward) {
                     return Ok(Selection {
@@ -740,8 +761,8 @@ impl BandedLossySelector {
     /// other victim is re-compressed from its decode, or from the held
     /// original when its codec is [bit-exact](CodecId::is_bit_exact). A
     /// victim is scored against its original when given, else against its
-    /// decode, which lands in `self.victim` at most once per recode
-    /// (`decoded` tracks it).
+    /// decode; `victim` keeps that decode (in `self.victim`) and its
+    /// aggregates for the rest of the recode call.
     ///
     /// `Ok(None)` is an attempt that cannot reach `ratio` or recode the
     /// victim; the caller scores it 0 and masks the arm for the retry.
@@ -751,23 +772,20 @@ impl BandedLossySelector {
         input: Input<'_>,
         arm: usize,
         ratio: f64,
-        decoded: &mut bool,
+        victim: &mut VictimDecode,
     ) -> Result<Option<Selection>> {
         let codec = self.arms[arm];
         let lossy = reg.get_lossy(codec).expect("arm must be lossy");
         let t0 = Instant::now();
         let attempt = match input {
-            Input::Fresh(points) => lossy.compress_to_ratio(points, ratio),
+            Input::Fresh(reference) => lossy.compress_to_ratio(reference.points(), ratio),
             Input::Victim { block, .. } if same_family(block.codec, codec) => {
                 reg.recode(block, ratio)
             }
             Input::Victim { block, original } => {
                 let points = match original {
-                    Some(orig) if block.codec.is_bit_exact() => orig,
-                    _ => {
-                        decode_victim(reg, block, &mut self.scratch, &mut self.victim, decoded)?;
-                        &self.victim
-                    }
+                    Some(orig) if block.codec.is_bit_exact() => orig.points(),
+                    _ => victim.points(reg, block, &mut self.scratch, &mut self.victim)?,
                 };
                 lossy.compress_to_ratio(points, ratio)
             }
@@ -781,17 +799,21 @@ impl BandedLossySelector {
         };
         let seconds = t0.elapsed().as_secs_f64();
         let reference = match input {
-            Input::Fresh(points)
+            Input::Fresh(reference)
             | Input::Victim {
-                original: Some(points),
+                original: Some(reference),
                 ..
-            } => points,
+            } => reference,
             Input::Victim {
-                block: victim,
+                block: stored,
                 original: None,
             } => {
-                decode_victim(reg, victim, &mut self.scratch, &mut self.victim, decoded)?;
-                &self.victim
+                let points = victim.points(reg, stored, &mut self.scratch, &mut self.victim)?;
+                let evaluator = &self.evaluator;
+                let aggs = *victim
+                    .aggs
+                    .get_or_insert_with(|| evaluator.reference_aggs(points));
+                Reference::with_aggs(points, aggs)
             }
         };
         let reward = self.evaluator.evaluate_block(
@@ -1017,7 +1039,8 @@ mod tests {
         );
         let data = smooth(1000);
         let first = sel.compress_to_ratio(&reg, &data, 0.4).unwrap();
-        let recoded = sel.recode(&reg, &first.block, Some(&data), 0.1).unwrap();
+        let original = sel.reference(&data);
+        let recoded = sel.recode(&reg, &first.block, Some(original), 0.1).unwrap();
         assert_eq!(recoded.codec, CodecId::Paa);
         assert!(recoded.block.ratio() <= 0.1 + 1e-9);
     }
@@ -1036,6 +1059,7 @@ mod tests {
             let evaluator = RewardEvaluator::new(OptimizationTarget::agg(AggKind::Sum), None, 0);
             let mut sel =
                 BandedLossySelector::new(vec![CodecId::Paa], SelectorConfig::offline(), evaluator);
+            let hint = hint.map(|points| sel.reference(points));
             sel.recode(&reg, &victim, hint, 0.1).unwrap()
         };
         let without = recode(None);
@@ -1062,6 +1086,7 @@ mod tests {
                 SelectorConfig::offline(),
                 evaluator,
             );
+            let hint = hint.map(|points| sel.reference(points));
             sel.recode(&reg, victim, hint, 0.1).unwrap()
         };
         for codec in CodecId::ALL.into_iter().filter(|c| c.is_bit_exact()) {
@@ -1111,10 +1136,11 @@ mod tests {
         // PAA has scored the ceiling in the 0.1 band.
         sel.bands.update(0.1, 0, 1.0);
         let before = band_pulls(&mut sel, 0.1);
+        let original = sel.reference(&data);
         for _ in 0..20 {
             let s = sel.compress_to_ratio(&reg, &data, 0.1).unwrap();
             assert_eq!((s.codec, s.reward), (CodecId::Paa, 1.0));
-            let s = sel.recode(&reg, &victim, Some(&data), 0.1).unwrap();
+            let s = sel.recode(&reg, &victim, Some(original), 0.1).unwrap();
             assert_eq!((s.codec, s.reward), (CodecId::Paa, 1.0));
         }
         let after = band_pulls(&mut sel, 0.1);
@@ -1212,8 +1238,9 @@ mod tests {
         );
         sel.bands.update(0.1, 0, 1.0);
         let recodes = 40;
+        let original = sel.reference(&data);
         for _ in 0..recodes {
-            let s = sel.recode(&reg, &victim, Some(&data), 0.1).unwrap();
+            let s = sel.recode(&reg, &victim, Some(original), 0.1).unwrap();
             assert_eq!(s.reward, 1.0, "{} committed", s.codec);
         }
         let pulls = band_pulls(&mut sel, 0.1);

@@ -32,6 +32,20 @@ pub trait CompressionPolicy: Send {
     /// unique, and ascending key is recoding order: least valuable first.
     fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>);
 
+    /// The key of segment `id` alone, as [`Self::victim_keys`] gives it;
+    /// `None` for a segment the policy does not hold. A caller that keeps
+    /// an ordered victim list re-keys one entry through this after a
+    /// notification instead of collecting every key again. The provided
+    /// body collects them all; the policies here look the one key up.
+    fn victim_key(&self, id: SegmentId) -> Option<VictimKey> {
+        let mut keyed = Vec::new();
+        self.victim_keys(&mut keyed);
+        keyed
+            .into_iter()
+            .find(|&(_, k)| k == id)
+            .map(|(key, _)| key)
+    }
+
     /// Segments in recoding order: least valuable first.
     fn victim_order(&self) -> Vec<SegmentId> {
         let mut keyed = Vec::new();
@@ -84,6 +98,10 @@ impl CompressionPolicy for LruPolicy {
         out.extend(self.last_touch.iter().map(|(&id, &s)| ((s, 0), id)));
     }
 
+    fn victim_key(&self, id: SegmentId) -> Option<VictimKey> {
+        self.last_touch.get(&id).map(|&s| (s, 0))
+    }
+
     fn name(&self) -> &'static str {
         "lru"
     }
@@ -120,6 +138,10 @@ impl CompressionPolicy for FifoPolicy {
 
     fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>) {
         out.extend(self.inserted.iter().map(|(&id, &s)| ((s, 0), id)));
+    }
+
+    fn victim_key(&self, id: SegmentId) -> Option<VictimKey> {
+        self.inserted.get(&id).map(|&s| (s, 0))
     }
 
     fn name(&self) -> &'static str {
@@ -164,6 +186,10 @@ impl CompressionPolicy for QueryCountPolicy {
 
     fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>) {
         out.extend(self.stats.iter().map(|(&id, &s)| (s, id)));
+    }
+
+    fn victim_key(&self, id: SegmentId) -> Option<VictimKey> {
+        self.stats.get(&id).copied()
     }
 
     fn name(&self) -> &'static str {
@@ -222,6 +248,58 @@ mod tests {
         p.on_access(SegmentId(0));
         p.on_access(SegmentId(1));
         assert_eq!(p.victim_order(), ids(&[2, 1, 0]));
+    }
+
+    /// A policy that keeps only the bulk `victim_keys`, so `victim_key`
+    /// runs the provided body.
+    struct BulkOnly(LruPolicy);
+
+    impl CompressionPolicy for BulkOnly {
+        fn on_insert(&mut self, id: SegmentId) {
+            self.0.on_insert(id);
+        }
+        fn on_access(&mut self, id: SegmentId) {
+            self.0.on_access(id);
+        }
+        fn on_recode(&mut self, id: SegmentId) {
+            self.0.on_recode(id);
+        }
+        fn on_remove(&mut self, id: SegmentId) {
+            self.0.on_remove(id);
+        }
+        fn victim_keys(&self, out: &mut Vec<(VictimKey, SegmentId)>) {
+            self.0.victim_keys(out);
+        }
+        fn name(&self) -> &'static str {
+            "bulk-only"
+        }
+    }
+
+    #[test]
+    fn one_segment_keys_match_the_bulk_keys() {
+        let mut policies: Vec<Box<dyn CompressionPolicy>> = vec![
+            Box::new(LruPolicy::new()),
+            Box::new(FifoPolicy::new()),
+            Box::new(QueryCountPolicy::new()),
+            Box::new(BulkOnly(LruPolicy::new())),
+        ];
+        for p in &mut policies {
+            for i in 0..6 {
+                p.on_insert(SegmentId(i));
+            }
+            p.on_access(SegmentId(2));
+            p.on_access(SegmentId(2));
+            p.on_access(SegmentId(4));
+            p.on_recode(SegmentId(0));
+            p.on_remove(SegmentId(5));
+            let mut keyed = Vec::new();
+            p.victim_keys(&mut keyed);
+            assert_eq!(keyed.len(), 5, "{}", p.name());
+            for (key, id) in keyed {
+                assert_eq!(p.victim_key(id), Some(key), "{} {id:?}", p.name());
+            }
+            assert_eq!(p.victim_key(SegmentId(5)), None, "{}", p.name());
+        }
     }
 
     #[test]

@@ -323,6 +323,13 @@ impl SegmentStore {
         order.sort_unstable();
     }
 
+    /// The policy key of segment `id` alone
+    /// ([`CompressionPolicy::victim_key`]): where it now sits in the
+    /// recoding order.
+    pub fn victim_key(&self, id: SegmentId) -> Option<VictimKey> {
+        self.policy.victim_key(id)
+    }
+
     /// Iterate all segments (no policy effect), in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Segment> {
         self.segments.values()
