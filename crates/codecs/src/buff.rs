@@ -142,76 +142,79 @@ fn encode_into<'a>(
     Ok(CompressedBlockRef::new(codec, data.len(), out))
 }
 
-fn decode_into(
-    block: &CompressedBlock,
-    scratch: &mut CodecScratch,
-    out: &mut Vec<f64>,
-) -> Result<()> {
+/// Values per chunk of a packed run read by [`for_each_q_chunk`]: its
+/// buffers live on the stack, so a decode allocates only its output.
+const RUN_CHUNK: usize = 256;
+
+/// Read the header and hand the block's reconstructed fixed-point values
+/// to `f` in order, [`RUN_CHUNK`] at a time, with the offset of each chunk
+/// and the dequantization scale. A dropped-bits block reconstructs each
+/// value at the midpoint of its truncation interval, which halves the
+/// expected truncation error.
+fn for_each_q_chunk(block: &CompressedBlock, mut f: impl FnMut(usize, &[i64], f64)) -> Result<()> {
     let n = block.n_points as usize;
     let mut r = BitReader::new(&block.payload);
     let hdr = read_header(&mut r)?;
     let scale = pow10(hdr.precision)?;
     let kept = hdr.width - hdr.dropped;
-    // Midpoint reconstruction halves the expected truncation error.
     let half = if hdr.dropped > 0 {
         1u64 << (hdr.dropped - 1)
     } else {
         0
     };
-    // Validate the payload's bit budget before sizing the work buffer, so a
-    // corrupt header cannot trigger an allocation the payload doesn't back.
+    // Validate the payload's bit budget up front, so a corrupt header
+    // cannot size an output the payload doesn't back.
     if (r.remaining() as u64) < n as u64 * kept as u64 {
         return Err(CodecError::Corrupt(
             "buff payload shorter than header claims",
         ));
     }
-    let stored = &mut scratch.u64s;
-    stored.clear();
-    stored.resize(n, 0);
-    r.read_run(stored, kept)?;
-    out.clear();
-    out.reserve(n);
-    for &s in stored.iter() {
-        let delta = (s << hdr.dropped) | half;
-        let q = hdr.min_q.wrapping_add(delta as i64);
-        out.push(q as f64 / scale);
+    let (mut stored, mut q) = ([0u64; RUN_CHUNK], [0i64; RUN_CHUNK]);
+    let mut at = 0;
+    while at < n {
+        let len = RUN_CHUNK.min(n - at);
+        r.read_run(&mut stored[..len], kept)?;
+        for (q, &s) in q.iter_mut().zip(&stored[..len]) {
+            *q = hdr.min_q.wrapping_add(((s << hdr.dropped) | half) as i64);
+        }
+        f(at, &q[..len], scale);
+        at += len;
     }
     Ok(())
+}
+
+/// Decode into `out` through the SIMD `dequantize` kernel
+/// (`q as f64 / scale`, bit-identical in every tier).
+fn decode_into(block: &CompressedBlock, out: &mut Vec<f64>) -> Result<()> {
+    out.clear();
+    let n = block.n_points as usize;
+    let backend = crate::simd::active();
+    for_each_q_chunk(block, |at, q, scale| {
+        if at == 0 {
+            // Sized once the header has been checked against the payload.
+            out.resize(n, 0.0);
+        }
+        backend.dequantize(q, scale, &mut out[at..at + q.len()]);
+    })
 }
 
 /// Scan a BUFF/BUFF-lossy payload's packed integers without materializing
 /// floats: returns `(min, max, sum)` of the reconstruction. Backs the
 /// compressed-domain aggregation operators.
 pub(crate) fn scan_stats(block: &CompressedBlock) -> Result<(f64, f64, f64)> {
-    let n = block.n_points as usize;
-    let mut r = BitReader::new(&block.payload);
-    let hdr = read_header(&mut r)?;
-    let scale = pow10(hdr.precision)?;
-    let kept = hdr.width - hdr.dropped;
-    let half = if hdr.dropped > 0 {
-        1u64 << (hdr.dropped - 1)
-    } else {
-        0
-    };
     let mut min_q = i64::MAX;
     let mut max_q = i64::MIN;
     let mut sum_q: i128 = 0;
-    // Validate before allocating (same containment as `decode_into`).
-    if (r.remaining() as u64) < n as u64 * kept as u64 {
-        return Err(CodecError::Corrupt(
-            "buff payload shorter than header claims",
-        ));
-    }
-    let mut stored = vec![0u64; n];
-    r.read_run(&mut stored, kept)?;
-    for s in stored {
-        let delta = (s << hdr.dropped) | half;
-        let q = hdr.min_q.wrapping_add(delta as i64);
-        min_q = min_q.min(q);
-        max_q = max_q.max(q);
-        sum_q += q as i128;
-    }
-    if n == 0 {
+    let mut scale = 1.0;
+    for_each_q_chunk(block, |_, q, s| {
+        scale = s;
+        for &q in q {
+            min_q = min_q.min(q);
+            max_q = max_q.max(q);
+            sum_q += q as i128;
+        }
+    })?;
+    if block.n_points == 0 {
         return Ok((0.0, 0.0, 0.0));
     }
     Ok((
@@ -259,11 +262,11 @@ impl Codec for Buff {
     fn decompress_into(
         &self,
         block: &CompressedBlock,
-        scratch: &mut CodecScratch,
+        _scratch: &mut CodecScratch,
         out: &mut Vec<f64>,
     ) -> Result<()> {
         self.check_block(block)?;
-        decode_into(block, scratch, out)
+        decode_into(block, out)
     }
 }
 
@@ -313,11 +316,11 @@ impl Codec for BuffLossy {
     fn decompress_into(
         &self,
         block: &CompressedBlock,
-        scratch: &mut CodecScratch,
+        _scratch: &mut CodecScratch,
         out: &mut Vec<f64>,
     ) -> Result<()> {
         self.check_block(block)?;
-        decode_into(block, scratch, out)
+        decode_into(block, out)
     }
 }
 
@@ -552,6 +555,59 @@ mod tests {
         let recoded = bl.recode(&lossless, 0.15).unwrap();
         assert_eq!(recoded.codec, CodecId::BuffLossy);
         assert!(recoded.ratio() <= 0.15 + 1e-9);
+    }
+
+    /// The per-value decode the chunked one replaced, and its stats.
+    fn reference_decode(block: &CompressedBlock) -> (Vec<f64>, (f64, f64, f64)) {
+        let mut r = BitReader::new(&block.payload);
+        let hdr = read_header(&mut r).unwrap();
+        let scale = pow10(hdr.precision).unwrap();
+        let half = if hdr.dropped > 0 {
+            1u64 << (hdr.dropped - 1)
+        } else {
+            0
+        };
+        let q: Vec<i64> = (0..block.n_points)
+            .map(|_| {
+                let s = r.read_bits(hdr.width - hdr.dropped).unwrap();
+                hdr.min_q.wrapping_add(((s << hdr.dropped) | half) as i64)
+            })
+            .collect();
+        let (min, max) = (q.iter().min().unwrap(), q.iter().max().unwrap());
+        let sum: i128 = q.iter().map(|&q| q as i128).sum();
+        let values = q.iter().map(|&q| q as f64 / scale).collect();
+        let stats = (*min as f64 / scale, *max as f64 / scale, sum as f64 / scale);
+        (values, stats)
+    }
+
+    #[test]
+    fn chunked_decode_matches_the_per_value_decode_across_chunk_edges() {
+        let lossy = BuffLossy::new(4);
+        for n in [
+            1,
+            7,
+            RUN_CHUNK - 1,
+            RUN_CHUNK,
+            RUN_CHUNK + 1,
+            3 * RUN_CHUNK + 5,
+        ] {
+            let data = sample(n);
+            let mut blocks = vec![Buff::new(4).compress(&data).unwrap()];
+            blocks.extend(lossy.compress_to_ratio(&data, 0.2));
+            for block in blocks {
+                let (want, stats) = reference_decode(&block);
+                let got = block_decode(&block);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} n={n}", block.codec);
+                assert_eq!(scan_stats(&block).unwrap(), stats, "{} n={n}", block.codec);
+            }
+        }
+    }
+
+    fn block_decode(block: &CompressedBlock) -> Vec<f64> {
+        let mut out = vec![f64::NAN; 3];
+        decode_into(block, &mut out).unwrap();
+        out
     }
 
     #[test]

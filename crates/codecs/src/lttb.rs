@@ -10,6 +10,7 @@
 
 use crate::block::{CodecId, CompressedBlock, CompressedBlockRef, POINT_BYTES};
 use crate::error::{CodecError, Result};
+use crate::pla::{interpolate_into, read_knots};
 use crate::scratch::CodecScratch;
 use crate::traits::{budget_bytes, check_lossy_args, Codec, CodecKind, LossyCodec};
 
@@ -82,45 +83,13 @@ impl Lttb {
         CompressedBlock::new(CodecId::Lttb, n, payload)
     }
 
-    pub(crate) fn parse(block: &CompressedBlock) -> Result<Vec<(u32, f32)>> {
-        if block.payload.is_empty() || !block.payload.len().is_multiple_of(POINT_PAIR_BYTES) {
-            return Err(CodecError::Corrupt("lttb payload size"));
-        }
-        let mut pairs = Vec::with_capacity(block.payload.len() / POINT_PAIR_BYTES);
-        let mut prev: Option<u32> = None;
-        for c in block.payload.chunks_exact(POINT_PAIR_BYTES) {
-            let idx = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
-            let val = f32::from_le_bytes(c[4..].try_into().expect("4 bytes"));
-            if idx >= block.n_points || prev.is_some_and(|p| idx <= p) {
-                return Err(CodecError::Corrupt("lttb index out of order"));
-            }
-            prev = Some(idx);
-            pairs.push((idx, val));
-        }
-        Ok(pairs)
+    /// The stored `(index, value)` pairs (PLA's payload layout).
+    fn pairs(block: &CompressedBlock) -> Result<impl ExactSizeIterator<Item = (u32, f32)> + '_> {
+        read_knots(block, "lttb payload size", "lttb index out of order")
     }
 
-    fn interpolate(n: usize, pairs: &[(u32, f32)]) -> Vec<f64> {
-        let mut out = vec![0.0f64; n];
-        if pairs.is_empty() {
-            return out;
-        }
-        for v in out.iter_mut().take(pairs[0].0 as usize + 1) {
-            *v = pairs[0].1 as f64;
-        }
-        for w in pairs.windows(2) {
-            let (a_idx, a_val) = (w[0].0 as usize, w[0].1 as f64);
-            let (b_idx, b_val) = (w[1].0 as usize, w[1].1 as f64);
-            for (i, slot) in out.iter_mut().enumerate().take(b_idx + 1).skip(a_idx) {
-                let t = (i - a_idx) as f64 / (b_idx - a_idx) as f64;
-                *slot = a_val + (b_val - a_val) * t;
-            }
-        }
-        let last = pairs[pairs.len() - 1];
-        for v in out.iter_mut().skip(last.0 as usize) {
-            *v = last.1 as f64;
-        }
-        out
+    pub(crate) fn parse(block: &CompressedBlock) -> Result<Vec<(u32, f32)>> {
+        Ok(Self::pairs(block)?.collect())
     }
 }
 
@@ -149,8 +118,7 @@ impl Codec for Lttb {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         self.check_block(block)?;
-        let pairs = Self::parse(block)?;
-        *out = Self::interpolate(block.n_points as usize, &pairs);
+        interpolate_into(block.n_points as usize, Self::pairs(block)?, out);
         Ok(())
     }
 }

@@ -38,23 +38,35 @@ fn encode_knots(n: usize, knots: &[(u32, f32)]) -> CompressedBlock {
     CompressedBlock::new(CodecId::Pla, n, payload)
 }
 
-pub(crate) fn decode_knots(block: &CompressedBlock) -> Result<Vec<(u32, f32)>> {
+/// The knots of a payload of `(index: u32, value: f32)` pairs, PLA's and
+/// LTTB's layout, read straight off it. The payload is checked first: a
+/// non-empty whole number of pairs (else `Corrupt(size_error)`) whose
+/// indices ascend below the block's length (else `Corrupt(order_error)`).
+pub(crate) fn read_knots<'a>(
+    block: &'a CompressedBlock,
+    size_error: &'static str,
+    order_error: &'static str,
+) -> Result<impl ExactSizeIterator<Item = (u32, f32)> + 'a> {
     if block.payload.is_empty() || !block.payload.len().is_multiple_of(KNOT_BYTES) {
-        return Err(CodecError::Corrupt("pla payload size"));
+        return Err(CodecError::Corrupt(size_error));
     }
-    let mut knots = Vec::with_capacity(block.payload.len() / KNOT_BYTES);
-    let n = block.n_points;
-    let mut prev: Option<u32> = None;
-    for c in block.payload.chunks_exact(KNOT_BYTES) {
+    let knots = block.payload.chunks_exact(KNOT_BYTES).map(|c| {
         let idx = u32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
         let val = f32::from_le_bytes(c[4..].try_into().expect("4 bytes"));
-        if idx >= n || prev.is_some_and(|p| idx <= p) {
-            return Err(CodecError::Corrupt("pla knot index out of order"));
+        (idx, val)
+    });
+    let mut prev: Option<u32> = None;
+    for (idx, _) in knots.clone() {
+        if idx >= block.n_points || prev.is_some_and(|p| idx <= p) {
+            return Err(CodecError::Corrupt(order_error));
         }
         prev = Some(idx);
-        knots.push((idx, val));
     }
     Ok(knots)
+}
+
+pub(crate) fn decode_knots(block: &CompressedBlock) -> Result<Vec<(u32, f32)>> {
+    Ok(read_knots(block, "pla payload size", "pla knot index out of order")?.collect())
 }
 
 /// Perpendicular-free deviation: vertical distance of `data[i]` from the
@@ -191,29 +203,32 @@ fn thin_knots(mut knots: Vec<(u32, f32)>, m: usize) -> Vec<(u32, f32)> {
     knots
 }
 
-fn interpolate(n: usize, knots: &[(u32, f32)]) -> Vec<f64> {
-    let mut out = vec![0.0f64; n];
-    if knots.is_empty() {
-        return out;
-    }
-    // Flat extension before the first and after the last knot.
-    let first = knots[0];
-    for v in out.iter_mut().take(first.0 as usize + 1) {
-        *v = first.1 as f64;
-    }
-    for w in knots.windows(2) {
-        let (a_idx, a_val) = (w[0].0 as usize, w[0].1 as f64);
-        let (b_idx, b_val) = (w[1].0 as usize, w[1].1 as f64);
-        for (i, slot) in out.iter_mut().enumerate().take(b_idx + 1).skip(a_idx) {
-            let t = (i - a_idx) as f64 / (b_idx - a_idx) as f64;
+/// Linear interpolation through ascending `knots` into `out`, resized to
+/// `n` points, flat before the first knot and after the last. Each span
+/// between two knots writes both ends, in knot order, so a knot's own
+/// point holds the value the span after it computes there.
+pub(crate) fn interpolate_into(
+    n: usize,
+    mut knots: impl Iterator<Item = (u32, f32)>,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(n, 0.0);
+    let Some(first) = knots.next() else {
+        return;
+    };
+    out[..=first.0 as usize].fill(first.1 as f64);
+    let mut a = first;
+    for b in knots {
+        let (a_idx, a_val) = (a.0 as usize, a.1 as f64);
+        let (b_idx, b_val) = (b.0 as usize, b.1 as f64);
+        for (i, slot) in out[a_idx..=b_idx].iter_mut().enumerate() {
+            let t = i as f64 / (b_idx - a_idx) as f64;
             *slot = a_val + (b_val - a_val) * t;
         }
+        a = b;
     }
-    let last = knots[knots.len() - 1];
-    for v in out.iter_mut().skip(last.0 as usize) {
-        *v = last.1 as f64;
-    }
-    out
+    out[a.0 as usize..].fill(a.1 as f64);
 }
 
 impl Codec for Pla {
@@ -242,8 +257,8 @@ impl Codec for Pla {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         self.check_block(block)?;
-        let knots = decode_knots(block)?;
-        *out = interpolate(block.n_points as usize, &knots);
+        let knots = read_knots(block, "pla payload size", "pla knot index out of order")?;
+        interpolate_into(block.n_points as usize, knots, out);
         Ok(())
     }
 }
