@@ -611,8 +611,11 @@ pub struct ReceiverCounters {
     pub probe_frames: u64,
     /// Fragments for already-ingested records, dropped idempotently.
     pub duplicate_fragments: u64,
-    /// Completed records refused: only sequence 0, which is never
-    /// admitted (other duplicates are dropped as fragments).
+    /// Completed records refused. This can count only sequence-0
+    /// records, which are never admitted: a duplicate of any other record
+    /// is dropped at its first fragment and counted in
+    /// [`Self::duplicate_fragments`], so a sender that numbers from 1
+    /// always leaves this at 0. Sum the two for every duplicate seen.
     pub duplicate_records: u64,
     /// Records admitted exactly once.
     pub records_delivered: u64,
